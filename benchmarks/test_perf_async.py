@@ -1,20 +1,18 @@
-"""Perf benchmark: async pipelined survey engine vs serial and threads.
+"""Perf benchmark: the pipelined survey engine at window 8 vs serial.
 
 The acceptance workload mirrors ``test_perf_pipeline.py`` — a
 32-location × 4-capture survey under 10 ms simulated fetch and LLM
-round-trips — so the three engines are directly comparable:
+round-trips — so the two runs are directly comparable:
 
-* **serial** — the byte-identity reference;
-* **thread-4** — the existing pool engine at ``workers=4``, the bar
-  the async engine must clear;
+* **serial** — window 1, the byte-identity reference;
 * **async** — :meth:`~repro.core.pipeline.NeighborhoodDecoder.survey_async`
   at ``max_inflight=8`` with AIMD windowing and LLM micro-batching.
 
 Headline metrics (guarded by ``repro bench --only async --compare``):
-``pipeline.async_speedup`` (async vs serial wall clock, which must be
-at least the thread-4 speedup — stage overlap plus micro-batching has
-to beat whole-location fan-out) and ``pipeline.async_peak_inflight``
-(the AIMD window actually opened under load).
+``pipeline.async_speedup`` (async vs serial wall clock, which must
+clear the same 2× bar the window-4 pipeline bench does) and
+``pipeline.async_peak_inflight`` (the AIMD window actually opened
+under load).
 
 Excluded from tier-1 (``perf`` marker); run with::
 
@@ -42,10 +40,11 @@ pytestmark = pytest.mark.perf
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_async.json"
 
-#: Same acceptance workload as the thread-pool bench, for a fair race.
+#: Same acceptance workload as the pipeline bench, for a fair race.
 N_LOCATIONS = 32
-THREAD_WORKERS = 4
 MAX_INFLIGHT = 8
+#: The window must open at least this wide under load.
+MIN_PEAK_INFLIGHT = 4
 FETCH_LATENCY_S = 0.010
 LLM_LATENCY_S = 0.010
 
@@ -77,15 +76,7 @@ def _decoder(county, clients):
 def test_async_engine_perf_trajectory(county, survey_clients):
     serial_decoder = _decoder(county, survey_clients)
     with Stopwatch() as serial_sw:
-        serial_report = serial_decoder.survey(
-            county, N_LOCATIONS, seed=0, workers=1
-        )
-
-    thread_decoder = _decoder(county, survey_clients)
-    with Stopwatch() as thread_sw:
-        thread_report = thread_decoder.survey(
-            county, N_LOCATIONS, seed=0, workers=THREAD_WORKERS
-        )
+        serial_report = serial_decoder.survey(county, N_LOCATIONS, seed=0)
 
     async_decoder = _decoder(county, survey_clients)
     with Stopwatch() as async_sw:
@@ -95,13 +86,11 @@ def test_async_engine_perf_trajectory(county, survey_clients):
             )
         )
 
-    # Determinism first: the race only counts if all three engines
-    # produce the same bytes.
-    assert thread_report.to_json() == serial_report.to_json()
+    # Determinism first: the race only counts if both windows produce
+    # the same bytes.
     assert async_report.to_json() == serial_report.to_json()
     assert serial_report.coverage == 1.0
 
-    thread_speedup = serial_sw.elapsed_s / thread_sw.elapsed_s
     async_speedup = serial_sw.elapsed_s / async_sw.elapsed_s
     pipeline_stats = async_report.pipeline_stats
     batch_stats = async_report.batch_stats
@@ -113,16 +102,13 @@ def test_async_engine_perf_trajectory(county, survey_clients):
             "config": {
                 "n_locations": N_LOCATIONS,
                 "captures_per_location": 4,
-                "thread_workers": THREAD_WORKERS,
                 "max_inflight": MAX_INFLIGHT,
                 "fetch_latency_s": FETCH_LATENCY_S,
                 "llm_latency_s": LLM_LATENCY_S,
             },
             "pipeline": {
                 "serial_s": round(serial_sw.elapsed_s, 4),
-                "thread_s": round(thread_sw.elapsed_s, 4),
                 "async_s": round(async_sw.elapsed_s, 4),
-                "thread_speedup": round(thread_speedup, 3),
                 "async_speedup": round(async_speedup, 3),
                 "async_locations_per_s": round(
                     N_LOCATIONS / async_sw.elapsed_s, 3
@@ -139,11 +125,8 @@ def test_async_engine_perf_trajectory(county, survey_clients):
 
     assert BENCH_PATH.exists()
     assert document["pipeline"]["deterministic"]
-    # The acceptance bar: the pipelined engine must at least match the
-    # thread pool on the same workload and latencies.
-    assert async_speedup >= thread_speedup, (
-        f"async {async_speedup:.2f}× below thread-{THREAD_WORKERS} "
-        f"{thread_speedup:.2f}×"
-    )
-    assert pipeline_stats["peak_inflight"] >= THREAD_WORKERS
+    # The acceptance bar: the same ≥ 2× the window-4 pipeline bench
+    # must clear on this workload and these latencies.
+    assert async_speedup >= 2.0, f"async speedup {async_speedup:.2f}× below 2×"
+    assert pipeline_stats["peak_inflight"] >= MIN_PEAK_INFLIGHT
     assert batch_stats["batches"] >= 1

@@ -9,7 +9,7 @@ that forked shard workers claw the overhead back on multi-core hosts.
 
 Three measurements:
 
-* **serial** — the raw ``survey_stream`` engine over the frame, the
+* **serial** — a window-1 ``survey`` over the frame, the
   baseline every coordinated run must byte-match;
 * **coordinated** — the same frame through
   :class:`~repro.coordinator.SurveyCoordinator` (clean run, two
@@ -99,9 +99,7 @@ def test_coordinator_overhead_trajectory(tmp_path):
 
     points = plan_survey_points([county], N_LOCATIONS, seed=SEED)
     with Stopwatch() as serial_sw:
-        serial = _decoder(county, clients).survey_stream(
-            locations=points, workers=1, keep_locations=True
-        )
+        serial = _decoder(county, clients).survey(locations=points)
 
     with use_metrics(MetricsRegistry()):
         with Stopwatch() as coord_sw:

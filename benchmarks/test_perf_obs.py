@@ -11,7 +11,7 @@ Two measurements enforce that, recorded in ``BENCH_obs.json``:
 
 * **micro** — per-call cost of a ``NULL_TRACER`` span and a registry
   counter increment, in nanoseconds;
-* **survey** — the same parallel survey run under the default no-op
+* **survey** — the same pipelined survey run under the default no-op
   tracer and under a recording :class:`~repro.obs.trace.Tracer` +
   fresh :class:`~repro.obs.metrics.MetricsRegistry`; the headline is
   the traced/no-op throughput ratio (1.0 = tracing is free).
@@ -45,7 +45,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_obs.json"
 
 N_LOCATIONS = 16
-WORKERS = 4
+MAX_INFLIGHT = 4
 FETCH_LATENCY_S = 0.010
 LLM_LATENCY_S = 0.010
 
@@ -107,14 +107,14 @@ def test_obs_overhead_trajectory():
     # -- macro: identical surveys, no-op vs recording ------------------
     with Stopwatch() as noop_sw:
         noop_report = _decoder(county, clients).survey(
-            county, N_LOCATIONS, seed=0, workers=WORKERS
+            county, N_LOCATIONS, seed=0, max_inflight=MAX_INFLIGHT
         )
 
     tracer = Tracer(trace_id="bench-survey")
     with use_tracer(tracer), use_metrics(MetricsRegistry()):
         with Stopwatch() as traced_sw:
             traced_report = _decoder(county, clients).survey(
-                county, N_LOCATIONS, seed=0, workers=WORKERS
+                county, N_LOCATIONS, seed=0, max_inflight=MAX_INFLIGHT
             )
 
     # Observability must be payload-invisible.
@@ -131,7 +131,7 @@ def test_obs_overhead_trajectory():
         {
             "config": {
                 "n_locations": N_LOCATIONS,
-                "workers": WORKERS,
+                "max_inflight": MAX_INFLIGHT,
                 "fetch_latency_s": FETCH_LATENCY_S,
                 "llm_latency_s": LLM_LATENCY_S,
                 "micro_iterations": MICRO_ITERATIONS,

@@ -1,11 +1,12 @@
-"""Perf benchmark: parallel survey engine vs serial, with caching.
+"""Perf benchmark: pipelined survey vs window 1, with caching.
 
 Measures the three optimizations this repo's perf trajectory tracks
 (`BENCH_pipeline.json` at the repo root, one document per commit):
 
-* **parallel fan-out** — a 32-location × 4-capture survey at
-  ``workers=4`` vs strictly serial, under realistic simulated API
-  latency (the real workload is network-bound; see DESIGN.md §8);
+* **pipelined window** — a 32-location × 4-capture survey at
+  ``max_inflight=4`` vs window 1 (strictly serial), under realistic
+  simulated API latency (the real workload is network-bound; see
+  DESIGN.md §8);
 * **LLM response caching** — hit rate and wall-clock effect of the
   JSONL-journaled :class:`~repro.llm.cache.CachingChatClient` on a
   re-run survey;
@@ -41,9 +42,9 @@ pytestmark = pytest.mark.perf
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_pipeline.json"
 
-#: The acceptance workload: 32 locations × 4 headings, 4 workers.
+#: The acceptance workload: 32 locations × 4 headings, window 4.
 N_LOCATIONS = 32
-WORKERS = 4
+MAX_INFLIGHT = 4
 #: Simulated API round-trip latency.  The real GSV Static API and the
 #: commercial LLM endpoints answer in 100–1000 ms; 10 ms keeps the
 #: bench fast while preserving the latency-bound regime the engine
@@ -82,15 +83,15 @@ def _decoder(county, clients, cache_path=None):
 
 
 def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
-    # -- serial vs parallel ------------------------------------------------
+    # -- window 1 vs pipelined window ---------------------------------------
     serial_decoder, _ = _decoder(county, survey_clients)
     with Stopwatch() as serial_sw:
-        serial_report = serial_decoder.survey(county, N_LOCATIONS, seed=0, workers=1)
+        serial_report = serial_decoder.survey(county, N_LOCATIONS, seed=0)
 
     parallel_decoder, _ = _decoder(county, survey_clients)
     with Stopwatch() as parallel_sw:
         parallel_report = parallel_decoder.survey(
-            county, N_LOCATIONS, seed=0, workers=WORKERS
+            county, N_LOCATIONS, seed=0, max_inflight=MAX_INFLIGHT
         )
 
     # Determinism: the parallel report is byte-identical to serial.
@@ -105,11 +106,15 @@ def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
         county, survey_clients, cache_path=cache_path
     )
     with Stopwatch() as cold_sw:
-        cold = cached_decoder.survey(county, N_LOCATIONS, seed=0, workers=WORKERS)
+        cold = cached_decoder.survey(
+            county, N_LOCATIONS, seed=0, max_inflight=MAX_INFLIGHT
+        )
     caching_client.close()
     hits_before, misses_before = caching_client.hits, caching_client.misses
     with Stopwatch() as warm_sw:
-        warm = cached_decoder.survey(county, N_LOCATIONS, seed=0, workers=WORKERS)
+        warm = cached_decoder.survey(
+            county, N_LOCATIONS, seed=0, max_inflight=MAX_INFLIGHT
+        )
     assert warm.to_json() == cold.to_json() == parallel_report.to_json()
     warm_hits = caching_client.hits - hits_before
     warm_requests = warm_hits + (caching_client.misses - misses_before)
@@ -146,7 +151,7 @@ def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
             "config": {
                 "n_locations": N_LOCATIONS,
                 "captures_per_location": 4,
-                "workers": WORKERS,
+                "max_inflight": MAX_INFLIGHT,
                 "fetch_latency_s": FETCH_LATENCY_S,
                 "llm_latency_s": LLM_LATENCY_S,
             },
@@ -182,6 +187,6 @@ def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
 
     assert BENCH_PATH.exists()
     assert document["survey"]["deterministic"]
-    # The acceptance bar: ≥ 2× at 4 workers on the 32-location survey.
-    assert speedup >= 2.0, f"parallel speedup {speedup:.2f}× below 2×"
+    # The acceptance bar: ≥ 2× at window 4 on the 32-location survey.
+    assert speedup >= 2.0, f"window-4 speedup {speedup:.2f}× below 2×"
     assert render_cache.hit_rate == pytest.approx(0.5)

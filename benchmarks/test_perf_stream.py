@@ -10,7 +10,7 @@ document per commit, at the repo root):
   (the same honesty flag as ``BENCH_detect.json``) and byte-identity
   becomes the acceptance criterion.
 * **streaming survey** — traced-peak memory of a 5,000-location
-  synthetic survey through :meth:`NeighborhoodDecoder.survey_stream`:
+  synthetic survey through :meth:`NeighborhoodDecoder.survey`:
   the aggregate (streaming) path must complete under a memory ceiling
   that the materializing (batch-retention) path over the *same* 5,000
   locations exceeds.  Point selection is excluded from the traced
@@ -71,7 +71,6 @@ TRANSPORT_WORKERS = 2
 
 #: Streaming survey scale (the county-scale claim).
 STREAM_LOCATIONS = 5_000
-SHARD_SIZE = 64
 THROUGHPUT_LOCATIONS = 1_000
 
 #: Coalescing batch: every unique request duplicated this many times.
@@ -118,10 +117,8 @@ def _traced_survey_peak(decoder, base_points, n, keep_locations):
     tracemalloc.start()
     tracemalloc.reset_peak()
     with Stopwatch() as sw:
-        report = decoder.survey_stream(
-            locations=stream,
-            shard_size=SHARD_SIZE,
-            keep_locations=keep_locations,
+        report = decoder.survey(
+            locations=stream, keep_locations=keep_locations
         )
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -178,9 +175,9 @@ def test_stream_perf_trajectory():
 
     # Throughput, untraced (tracemalloc would distort it).
     with Stopwatch() as throughput_sw:
-        throughput_report = decoder.survey_stream(
+        throughput_report = decoder.survey(
             locations=_point_stream(base_points, THROUGHPUT_LOCATIONS),
-            shard_size=SHARD_SIZE,
+            keep_locations=False,
         )
     assert throughput_report.completed_locations == THROUGHPUT_LOCATIONS
     stream_locations_per_s = THROUGHPUT_LOCATIONS / throughput_sw.elapsed_s
@@ -198,12 +195,12 @@ def test_stream_perf_trajectory():
     # Determinism: streamed aggregation reproduces the batch survey
     # byte-for-byte (county mode, same seed, JSON-level identity).
     batch_report = decoder.survey(county, 64, seed=5)
-    stream_report = decoder.survey_stream(
-        county, 64, seed=5, shard_size=16, keep_locations=True
-    )
+    stream_report = decoder.survey(county, 64, seed=5, max_inflight=16)
     byte_identical_report = stream_report.to_json() == batch_report.to_json()
     assert byte_identical_report
-    aggregate_report = decoder.survey_stream(county, 64, seed=5, shard_size=16)
+    aggregate_report = decoder.survey(
+        county, 64, seed=5, max_inflight=16, keep_locations=False
+    )
     identical_rates = (
         aggregate_report.indicator_rates() == batch_report.indicator_rates()
         and aggregate_report.rates_by_zone() == batch_report.rates_by_zone()
@@ -256,7 +253,6 @@ def test_stream_perf_trajectory():
                 "n_transport_images": N_TRANSPORT_IMAGES,
                 "transport_workers": TRANSPORT_WORKERS,
                 "stream_locations": STREAM_LOCATIONS,
-                "shard_size": SHARD_SIZE,
                 "coalesce_requests": len(requests),
                 "coalesce_unique": COALESCE_UNIQUE,
             },

@@ -8,9 +8,9 @@ Usage::
     python -m repro all --scale smoke    # everything, fast
     python -m repro all --workers auto --artifacts .artifacts
     python -m repro survey --locations 20 --min-coverage 0.9
-    python -m repro survey --locations 64 --workers 4   # parallel decode
+    python -m repro survey --locations 64 --max-inflight 8  # pipelined
     python -m repro survey --locations 20 --metrics metrics.json
-    python -m repro trace --locations 12 --workers 4    # traced survey
+    python -m repro trace --locations 12 --max-inflight 4  # traced survey
     python -m repro coordinate --locations 40 --shards 8 --state-dir s
     python -m repro coordinate --drill --lease-ttl 3    # chaos drill
     python -m repro bench                # refresh BENCH_*.json
@@ -125,17 +125,19 @@ def _config_for(scale: str) -> ExperimentConfig:
     raise SystemExit(f"unknown scale: {scale!r}")
 
 
-def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
+def _run_survey(args: argparse.Namespace, tracer=None) -> int:
     """Run one fault-tolerant survey and summarize its outcome.
 
     Exit status is 0 when coverage meets ``--min-coverage`` and 1
     otherwise — partial results are reported either way, so an
     operator can rerun with the same ``--checkpoint`` to resume.
 
-    With ``traced`` (the ``trace`` command) the decoder drives the
+    With a ``tracer`` (the ``trace`` command) the decoder drives the
     paper's three-model voting ensemble and renders pixels eagerly, so
     the recorded span tree covers every stage — fetch, render, LLM
     request, vote, merge — and the run ends with a determinism audit.
+    The tracer records the survey alone, so ``survey`` is the only root
+    of its span tree.
     """
     from .core.classifier import LLMIndicatorClassifier
     from .core.pipeline import NeighborhoodDecoder
@@ -145,7 +147,10 @@ def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
     from .gsv.dataset import build_survey_dataset
     from .llm.paper_targets import GEMINI_15_PRO, VOTING_MODEL_IDS
     from .llm.registry import build_clients
+    from .obs.trace import get_tracer, use_tracer
     from .resilience import CircuitBreaker, RetryPolicy
+
+    traced = tracer is not None
 
     county = (
         make_durham_like(seed=3)
@@ -201,56 +206,20 @@ def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
         render_pixels=traced,
         **brains,
     )
-    workers = 0 if args.workers == "auto" else args.workers
-    use_async = bool(getattr(args, "use_async", False))
-    if use_async and args.stream:
-        report = asyncio.run(
-            decoder.survey_stream_async(
-                county,
-                args.locations,
-                seed=args.seed,
-                checkpoint=args.checkpoint,
-                max_inflight=args.max_inflight,
-            )
-        )
-    elif use_async:
-        report = asyncio.run(
-            decoder.survey_async(
-                county,
-                args.locations,
-                seed=args.seed,
-                checkpoint=args.checkpoint,
-                max_inflight=args.max_inflight,
-            )
-        )
-    elif args.stream:
-        report = decoder.survey_stream(
-            county,
-            args.locations,
-            seed=args.seed,
-            checkpoint=args.checkpoint,
-            workers=workers,
-            shard_size=args.shard_size,
-        )
-    else:
+    with use_tracer(tracer if traced else get_tracer()):
         report = decoder.survey(
             county,
             args.locations,
             seed=args.seed,
             checkpoint=args.checkpoint,
-            workers=workers,
+            keep_locations=not args.stream,
+            max_inflight=args.max_inflight,
         )
 
     print(f"\n=== survey of {county.name} ===")
-    if use_async:
-        print(f"workers        async (max inflight {args.max_inflight})")
-    else:
-        print(f"workers        {args.workers if args.workers else 'auto'}")
+    print(f"max inflight   {args.max_inflight}")
     if args.stream:
-        if use_async:
-            print("mode           stream (async pipeline)")
-        else:
-            print(f"mode           stream (shard size {args.shard_size})")
+        print("mode           stream (aggregate report)")
     if report.pipeline_stats:
         ps = report.pipeline_stats
         print(
@@ -315,10 +284,9 @@ def _run_survey(args: argparse.Namespace, traced: bool = False) -> int:
         print(f"metrics        {metrics_path}")
     if traced:
         from .obs.audit import audit_trace, reconcile_survey
-        from .obs.trace import get_tracer
 
         mismatches = reconcile_survey(report)
-        problems = audit_trace(get_tracer())
+        problems = audit_trace(tracer)
         for line in mismatches:
             print(f"  RECONCILE {line}")
         for line in problems:
@@ -500,8 +468,8 @@ def _run_coordinate(args: argparse.Namespace) -> int:
     quarantines it; one attempt freezes its heartbeats so the lease
     expires and the straggler is fenced).  Phase two resumes — a resume
     grants quarantined shards a fresh budget — and must complete with a
-    report **byte-identical** to an undisturbed serial
-    ``survey_stream`` of the same frame, without re-dispatching any
+    report **byte-identical** to an undisturbed window-1
+    ``survey`` of the same frame, without re-dispatching any
     shard that already completed.  Any violation exits nonzero.
     """
     import math
@@ -542,12 +510,10 @@ def _run_coordinate(args: argparse.Namespace) -> int:
     failures: list[str] = []
     tracer = Tracer(trace_id=f"coordinate-{args.county}-seed{args.seed}")
     if args.drill:
-        baseline = _build_survey_decoder(county).survey_stream(
+        baseline = _build_survey_decoder(county).survey(
             locations=plan_survey_points(
                 [county], args.locations, seed=args.seed
-            ),
-            workers=1,
-            keep_locations=True,
+            )
         )
         n_shards = math.ceil(args.locations / shard_size)
         schedule = CrashSchedule.seeded_kills(
@@ -663,17 +629,17 @@ def _run_coordinate(args: argparse.Namespace) -> int:
 def _run_trace(args: argparse.Namespace) -> int:
     """Run a traced ensemble survey and export ``trace.jsonl``.
 
-    Installs a recording tracer and a *fresh* metrics registry for the
-    duration of the survey (so the exported delta spans exactly this
-    run), writes the span tree to ``--trace-out``, and returns the
-    traced survey's audited exit status.
+    Runs under a *fresh* metrics registry (so the exported delta spans
+    exactly this run) with a recording tracer for the survey itself,
+    writes the span tree to ``--trace-out``, and returns the traced
+    survey's audited exit status.
     """
     from .obs.metrics import MetricsRegistry, use_metrics
-    from .obs.trace import Tracer, use_tracer
+    from .obs.trace import Tracer
 
     tracer = Tracer(trace_id=f"survey-{args.county}-seed{args.seed}")
-    with use_tracer(tracer), use_metrics(MetricsRegistry()):
-        status = _run_survey(args, traced=True)
+    with use_metrics(MetricsRegistry()):
+        status = _run_survey(args, tracer=tracer)
     spans = tracer.export_jsonl(args.trace_out)
     print(f"trace          {spans} spans -> {args.trace_out}")
     return status
@@ -934,8 +900,8 @@ def main(argv: list[str] | None = None) -> int:
         type=_parse_workers,
         default=1,
         help=(
-            "parallel workers for surveys and experiments; 'auto' (or 0 "
-            "for surveys) = one per usable CPU (default: 1, serial)"
+            "parallel workers for experiments and coordinator shards; "
+            "'auto' = one per usable CPU (default: 1, serial)"
         ),
     )
     survey_group.add_argument(
@@ -950,42 +916,25 @@ def main(argv: list[str] | None = None) -> int:
         help="JSON checkpoint path; reruns resume completed locations",
     )
     survey_group.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help=(
-            "use the asyncio pipelined survey engine: fetches for "
-            "upcoming locations overlap LLM calls for earlier ones, "
-            "with AIMD adaptive concurrency and LLM micro-batching; "
-            "the report stays byte-identical to the serial engine"
-        ),
-    )
-    survey_group.add_argument(
         "--max-inflight",
         type=int,
-        default=8,
+        default=1,
         metavar="N",
         help=(
-            "async: max locations pipelined at once and ceiling of the "
-            "AIMD classify window (default: 8; 1 = strictly sequential)"
+            "survey/trace: max locations pipelined at once and ceiling "
+            "of the AIMD classify window; fetches for upcoming "
+            "locations overlap LLM calls for earlier ones and the "
+            "report stays byte-identical at any window (default: 1, "
+            "strictly sequential)"
         ),
     )
     survey_group.add_argument(
         "--stream",
         action="store_true",
         help=(
-            "use the streaming survey engine: locations are processed "
-            "in bounded shards (O(shard-size) memory) and the report "
-            "carries aggregate indicator rates instead of per-location "
-            "rows"
+            "survey: report aggregate indicator rates instead of "
+            "per-location rows (memory bounded by --max-inflight)"
         ),
-    )
-    survey_group.add_argument(
-        "--shard-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="stream: max locations in flight at once (default: 64)",
     )
     survey_group.add_argument(
         "--cascade",

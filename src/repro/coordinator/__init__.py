@@ -10,7 +10,7 @@ over a durable manifest:
 * :mod:`~repro.coordinator.lease` — expiring leases + heartbeat
   renewal, the straggler-detection state machine;
 * :mod:`~repro.coordinator.worker` — what runs inside one worker
-  process (checkpointed ``survey_stream`` + heartbeats + an atomic
+  process (a checkpointed window-1 ``survey`` + heartbeats + an atomic
   result document);
 * :mod:`~repro.coordinator.merge` — deterministic reconstruction of
   the canonical report from durable records only;

@@ -131,7 +131,6 @@ class SurveyCoordinator:
         poll_interval_s: float = 0.02,
         max_attempts: int = 3,
         keep_locations: bool = True,
-        stream_shard_size: int = 64,
         clock: Clock | None = None,
         crash_schedule: CrashSchedule | None = None,
     ) -> None:
@@ -158,7 +157,6 @@ class SurveyCoordinator:
         self.poll_interval_s = poll_interval_s
         self.max_attempts = max_attempts
         self.keep_locations = keep_locations
-        self.stream_shard_size = stream_shard_size
         self.clock: Clock = clock if clock is not None else WallClock()
         self.crash_schedule = crash_schedule
         try:
@@ -378,7 +376,6 @@ class SurveyCoordinator:
                 fingerprint=manifest.fingerprint,
                 state_dir=str(self.state_dir),
                 heartbeat_interval_s=self.heartbeat_interval_s,
-                stream_shard_size=self.stream_shard_size,
                 decoder=self.decoder,
                 crash=crash,
             )

@@ -10,10 +10,10 @@ contract is deliberately minimal:
 2. heartbeat to ``heartbeats/shard_NNNN.hb`` on a daemon thread so the
    coordinator can tell wedged from working;
 3. run the shard through
-   :meth:`~repro.core.pipeline.NeighborhoodDecoder.survey_stream`
+   :meth:`~repro.core.pipeline.NeighborhoodDecoder.survey` at window 1
    with a per-shard :class:`~repro.resilience.checkpoint.SurveyCheckpoint`
-   (serial workers — provenance recording needs one location at a
-   time, and cross-shard parallelism is the coordinator's job);
+   (provenance recording needs one location at a time, and
+   cross-shard parallelism is the coordinator's job);
 4. write ``shards/shard_NNNN.result.json`` atomically+durably, then
    exit 0.
 
@@ -97,7 +97,6 @@ class ShardTask:
     fingerprint: str
     state_dir: str
     heartbeat_interval_s: float
-    stream_shard_size: int = 64
     decoder: "NeighborhoodDecoder | None" = None
     crash: CrashAction | None = None
 
@@ -170,11 +169,9 @@ def run_shard(task: ShardTask) -> None:
         store = SurveyCheckpoint(ckpt_path, key)
 
     prior = set(store.completed_indices)
-    report = task.decoder.survey_stream(
+    report = task.decoder.survey(
         locations=task.points,
         checkpoint_store=store,
-        shard_size=task.stream_shard_size,
-        workers=1,
         keep_locations=False,
     )
 

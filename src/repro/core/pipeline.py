@@ -51,7 +51,7 @@ from ..parallel.aio import (
     ThreadBridge,
     imap_async,
 )
-from ..parallel.executor import ParallelExecutor, TaskOutcome
+from ..parallel.executor import TaskOutcome
 from ..resilience.breaker import CircuitBreaker, CircuitOpenError
 from ..resilience.checkpoint import SurveyCheckpoint
 from ..resilience.clock import Clock, WallClock
@@ -61,8 +61,8 @@ from .indicators import ALL_INDICATORS, Indicator, IndicatorPresence
 from .metrics import PresenceAccumulator
 from .voting import VotingEnsemble
 
-#: Default bounded-shard width for :meth:`NeighborhoodDecoder.survey_stream`.
-DEFAULT_SHARD_SIZE = 64
+#: Default window of :meth:`NeighborhoodDecoder.survey_stream_async`.
+DEFAULT_STREAM_INFLIGHT = 64
 
 
 @dataclass
@@ -112,11 +112,11 @@ class SurveyReport:
     counters of a cascade-backed survey) are likewise observability,
     not decoded output, and stay out of the payload — a cascade at
     threshold 0 must serialize byte-identically to a plain ensemble.
-    ``batch_stats`` (micro-batch dispatch provenance of an async
+    ``batch_stats`` (micro-batch dispatch provenance of a pipelined
     survey) and ``pipeline_stats`` (its AIMD window summary) follow
     the same rule: how classify calls were grouped or throttled must
-    never change what the survey decoded, so the async engine's
-    payload stays byte-identical to the serial one.
+    never change what the survey decoded, so the payload stays
+    byte-identical at every window.
     """
 
     locations: list[LocationResult] = field(default_factory=list)
@@ -244,149 +244,45 @@ class NeighborhoodDecoder:
 
     def survey(
         self,
-        county: County,
-        n_locations: int,
+        county: County | None = None,
+        n_locations: int | None = None,
+        *,
+        locations: Iterable[SamplePoint] | None = None,
         seed: int = 0,
         checkpoint: str | Path | None = None,
-        workers: int | None = 1,
+        checkpoint_store: SurveyCheckpoint | None = None,
+        keep_locations: bool = True,
+        max_inflight: int = 1,
     ) -> SurveyReport:
-        """Decode ``n_locations`` random roadway locations in a county.
+        """Decode a county's survey locations, or a location stream.
+
+        The blocking front end of the survey engine: it runs the same
+        core as :meth:`survey_async` on a private event loop, so every
+        argument means what it means there and in
+        :meth:`survey_stream_async`.
 
         A failed location (exhausted retries, quota, open circuit, all
         ensemble members down) is recorded in ``failed_locations`` and
         the survey continues.  With ``checkpoint`` set, completed
         locations persist to disk and a rerun with the same arguments
         resumes after them — already-billed imagery is never refetched.
-
-        ``workers`` fans per-location fetch+classify work across a
-        thread pool (``None``/``0`` → ``os.cpu_count()``).  Results
-        merge in submission order and checkpoint writes stay on the
-        calling thread, so for a fault-free run the report is
-        byte-identical to the serial one (see DESIGN.md §8).
+        ``max_inflight`` is the pipelined window (1 decodes strictly
+        one location at a time); results merge in submission order, so
+        the report is byte-identical at any window (DESIGN.md §8).
+        ``keep_locations=False`` returns the aggregate report.
         """
-        report = SurveyReport(requested_locations=max(n_locations, 0))
-        if n_locations <= 0:
-            report.coverage = 0.0
-            return report
-        points = self._select_points(county, n_locations, seed)
-        if points is None:
-            report.coverage = 0.0
-            return report
-        store = self._open_checkpoint(checkpoint, county, n_locations, seed)
-        self._decode_points(
-            points,
-            report,
-            store=store,
-            workers=workers,
-            max_in_flight=None,
-            keep_locations=True,
+        return asyncio.run(
+            self._survey(
+                county,
+                n_locations,
+                locations=locations,
+                seed=seed,
+                checkpoint=checkpoint,
+                checkpoint_store=checkpoint_store,
+                keep_locations=keep_locations,
+                max_inflight=max_inflight,
+            )
         )
-        report.coverage = report.completed_locations / n_locations
-        return report
-
-    def survey_stream(
-        self,
-        county: County | None = None,
-        n_locations: int | None = None,
-        *,
-        locations: Iterable[SamplePoint] | None = None,
-        seed: int = 0,
-        shard_size: int = DEFAULT_SHARD_SIZE,
-        workers: int | None = 1,
-        checkpoint: str | Path | None = None,
-        checkpoint_store: SurveyCheckpoint | None = None,
-        keep_locations: bool = False,
-    ) -> SurveyReport:
-        """Memory-bounded :meth:`survey` over a location *stream*.
-
-        Accepts either ``(county, n_locations)`` — the same sampling
-        as :meth:`survey`, point for point — or ``locations=``, any
-        iterable of :class:`~repro.geo.sampling.SamplePoint` (a
-        generator over a county→state sweep never materializes).  At
-        most ``shard_size`` locations are in flight at once, so peak
-        memory is O(shard_size) regardless of stream length.
-
-        With the default ``keep_locations=False`` the report carries
-        aggregate statistics only (``presence_stats`` /
-        ``zone_stats``): ``indicator_rates()`` and ``rates_by_zone()``
-        return *exactly* the values the batch path computes — the
-        accumulators reduce to the same integer-sum-over-n division —
-        while memory stays flat.  With ``keep_locations=True`` the
-        report retains every :class:`LocationResult` and its
-        :meth:`SurveyReport.to_json` is byte-identical to the batch
-        report for the same county/seed.
-
-        ``checkpoint`` requires county mode (an arbitrary iterable has
-        no stable identity to key resumption on) and shares its key
-        with :meth:`survey`, so a batch run can resume as a stream and
-        vice versa.  A caller that *does* own a stable identity for
-        its stream — the shard coordinator, whose manifest fingerprint
-        names each shard's points exactly — passes an already-opened
-        ``checkpoint_store`` instead; the two arguments are mutually
-        exclusive.
-        """
-        county_mode = county is not None or n_locations is not None
-        if county_mode == (locations is not None):
-            raise ValueError(
-                "provide either (county, n_locations) or locations=..."
-            )
-        if checkpoint is not None and checkpoint_store is not None:
-            raise ValueError(
-                "provide at most one of checkpoint / checkpoint_store"
-            )
-        if shard_size < 1:
-            raise ValueError(f"shard_size must be positive: {shard_size}")
-        report = SurveyReport()
-        if not keep_locations:
-            report.presence_stats = PresenceAccumulator()
-            report.zone_stats = {}
-
-        store: SurveyCheckpoint | None = checkpoint_store
-        if county_mode:
-            assert county is not None and n_locations is not None
-            report.requested_locations = max(n_locations, 0)
-            if n_locations <= 0:
-                report.coverage = 0.0
-                return report
-            points = self._select_points(county, n_locations, seed)
-            if points is None:
-                report.coverage = 0.0
-                return report
-            if store is None:
-                store = self._open_checkpoint(
-                    checkpoint, county, n_locations, seed
-                )
-            stream: Iterable[SamplePoint] = points
-        else:
-            if checkpoint is not None:
-                raise ValueError(
-                    "checkpointing a location iterable is not supported: "
-                    "an arbitrary stream has no stable identity to key "
-                    "resumption on — use (county, n_locations) mode, or "
-                    "pass checkpoint_store= if the caller owns a stable "
-                    "identity for the stream"
-                )
-            stream = locations  # type: ignore[assignment]
-
-        requested = self._decode_points(
-            stream,
-            report,
-            store=store,
-            workers=workers,
-            max_in_flight=shard_size,
-            keep_locations=keep_locations,
-        )
-        if not county_mode:
-            report.requested_locations = requested
-        if report.requested_locations:
-            report.coverage = (
-                report.completed_locations / report.requested_locations
-            )
-        else:
-            report.coverage = 0.0
-        return report
-
-    # ------------------------------------------------------------------
 
     async def survey_async(
         self,
@@ -395,62 +291,42 @@ class NeighborhoodDecoder:
         seed: int = 0,
         checkpoint: str | Path | None = None,
         max_inflight: int = 1,
-        microbatch: bool | None = None,
         checkpoint_store: SurveyCheckpoint | None = None,
         bridge: ThreadBridge | None = None,
     ) -> SurveyReport:
         """Pipelined :meth:`survey` on the running event loop.
 
-        Same sampling, same checkpoint key, same report — byte-identical
-        to the serial engine for the same arguments (DESIGN.md §15).
-        Each location flows through fetch → classify stages gated
-        separately, so imagery acquisition for upcoming locations
-        overlaps LLM calls for earlier ones; ``max_inflight`` bounds
-        the pipelined window (1 keeps it strictly sequential).  The
-        classify stage runs under an AIMD window that narrows on
+        Same sampling, same checkpoint key, same report as the blocking
+        :meth:`survey`.  Each location flows through fetch → classify
+        stages gated separately, so imagery acquisition for upcoming
+        locations overlaps LLM calls for earlier ones; ``max_inflight``
+        bounds the pipelined window (1 keeps it strictly sequential).
+        The classify stage runs under an AIMD window that narrows on
         observed rate limiting and recovers additively
-        (``report.pipeline_stats``); with ``microbatch`` (default: on
-        whenever the window allows ≥ 2 concurrent locations),
-        compatible classify calls dispatch as single batched windows
-        (``report.batch_stats``).
+        (``report.pipeline_stats``); whenever the window allows two or
+        more concurrent locations, compatible classify calls dispatch
+        as single batched windows (``report.batch_stats``).
 
         A caller that owns the survey's identity may pass an opened
         ``checkpoint_store`` instead of a ``checkpoint`` path (mutually
-        exclusive, mirroring :meth:`survey_stream`); the service daemon
-        uses this to observe per-location progress through the store's
-        ``record`` calls.  ``bridge`` lends a caller-owned
+        exclusive); the service daemon uses this to observe
+        per-location progress through the store's ``record`` calls.
+        ``bridge`` lends a caller-owned
         :class:`~repro.parallel.aio.ThreadBridge` (left open on return)
         so a long-lived host multiplexing many surveys does not pay a
         thread-pool spin-up per run.
         """
-        if checkpoint is not None and checkpoint_store is not None:
-            raise ValueError(
-                "provide at most one of checkpoint / checkpoint_store"
-            )
-        report = SurveyReport(requested_locations=max(n_locations, 0))
-        if n_locations <= 0:
-            report.coverage = 0.0
-            return report
-        points = self._select_points(county, n_locations, seed)
-        if points is None:
-            report.coverage = 0.0
-            return report
-        store = checkpoint_store
-        if store is None:
-            store = self._open_checkpoint(
-                checkpoint, county, n_locations, seed
-            )
-        await self._decode_points_async(
-            points,
-            report,
-            store=store,
-            max_inflight=max_inflight,
+        return await self._survey(
+            county,
+            n_locations,
+            locations=None,
+            seed=seed,
+            checkpoint=checkpoint,
+            checkpoint_store=checkpoint_store,
             keep_locations=True,
-            microbatch=microbatch,
+            max_inflight=max_inflight,
             bridge=bridge,
         )
-        report.coverage = report.completed_locations / n_locations
-        return report
 
     async def survey_stream_async(
         self,
@@ -459,29 +335,80 @@ class NeighborhoodDecoder:
         *,
         locations: Iterable[SamplePoint] | None = None,
         seed: int = 0,
-        max_inflight: int = DEFAULT_SHARD_SIZE,
+        max_inflight: int = DEFAULT_STREAM_INFLIGHT,
         checkpoint: str | Path | None = None,
         checkpoint_store: SurveyCheckpoint | None = None,
         keep_locations: bool = False,
-        microbatch: bool | None = None,
         bridge: ThreadBridge | None = None,
     ) -> SurveyReport:
-        """Async :meth:`survey_stream`: bounded-memory pipelined decode.
+        """Memory-bounded pipelined survey over a location *stream*.
 
-        Accepts the same ``(county, n_locations)`` / ``locations=``
-        duality; ``max_inflight`` plays the role ``shard_size`` plays
-        in the sync stream — it bounds both the pipelined window and
-        the memory footprint.  Aggregate mode
-        (``keep_locations=False``) carries ``presence_stats`` /
-        ``zone_stats`` exactly like the sync stream.
+        Accepts either ``(county, n_locations)`` — the same sampling
+        as :meth:`survey`, point for point — or ``locations=``, any
+        iterable of :class:`~repro.geo.sampling.SamplePoint` (a
+        generator over a county→state sweep never materializes).  At
+        most ``max_inflight`` locations are in flight at once, so the
+        window bounds both the pipeline and peak memory.
 
-        ``checkpoint_store`` / ``bridge`` follow :meth:`survey_async`:
-        an already-opened checkpoint (for callers that own the stream's
-        identity, like the shard coordinator and the service daemon)
-        and a caller-owned thread bridge that is left open on return.
+        With the default ``keep_locations=False`` the report carries
+        aggregate statistics only (``presence_stats`` /
+        ``zone_stats``): ``indicator_rates()`` and ``rates_by_zone()``
+        return *exactly* the values the batch report computes — the
+        accumulators reduce to the same integer-sum-over-n division —
+        while memory stays flat.  With ``keep_locations=True`` its
+        :meth:`SurveyReport.to_json` is byte-identical to the batch
+        report for the same county/seed.
+
+        ``checkpoint`` requires county mode (an arbitrary iterable has
+        no stable identity to key resumption on) and shares its key
+        with :meth:`survey`.  A caller that *does* own a stable
+        identity for its stream — the shard coordinator, whose manifest
+        fingerprint names each shard's points exactly — passes an
+        already-opened ``checkpoint_store`` instead.  ``bridge``
+        follows :meth:`survey_async`.
         """
-        county_mode = county is not None or n_locations is not None
-        if county_mode == (locations is not None):
+        return await self._survey(
+            county,
+            n_locations,
+            locations=locations,
+            seed=seed,
+            checkpoint=checkpoint,
+            checkpoint_store=checkpoint_store,
+            keep_locations=keep_locations,
+            max_inflight=max_inflight,
+            bridge=bridge,
+        )
+
+    # ------------------------------------------------------------------
+
+    async def _survey(
+        self,
+        county: County | None,
+        n_locations: int | None,
+        *,
+        locations: Iterable[SamplePoint] | None,
+        seed: int,
+        checkpoint: str | Path | None,
+        checkpoint_store: SurveyCheckpoint | None,
+        keep_locations: bool,
+        max_inflight: int,
+        bridge: ThreadBridge | None = None,
+    ) -> SurveyReport:
+        """The one survey engine behind every public entry point.
+
+        Validates and normalizes the arguments once — every entry
+        rejects a bad window, a mixed or missing location source, and
+        a conflicting checkpoint with the same ``ValueError`` — then
+        runs :meth:`_decode_points_async` over the sampled points or
+        the caller's stream.  ``keep_locations`` picks the batch
+        report (every :class:`LocationResult`) or the aggregate one.
+        """
+        if max_inflight < 1:
+            raise ValueError(
+                f"max_inflight must be positive: {max_inflight}"
+            )
+        county_mode = locations is None
+        if any((arg is None) == county_mode for arg in (county, n_locations)):
             raise ValueError(
                 "provide either (county, n_locations) or locations=..."
             )
@@ -489,19 +416,28 @@ class NeighborhoodDecoder:
             raise ValueError(
                 "provide at most one of checkpoint / checkpoint_store"
             )
+        if checkpoint is not None and not county_mode:
+            raise ValueError(
+                "checkpointing a location iterable is not supported: "
+                "an arbitrary stream has no stable identity to key "
+                "resumption on — use (county, n_locations) mode, or "
+                "pass checkpoint_store= if the caller owns a stable "
+                "identity for the stream"
+            )
         report = SurveyReport()
         if not keep_locations:
             report.presence_stats = PresenceAccumulator()
             report.zone_stats = {}
 
-        store: SurveyCheckpoint | None = checkpoint_store
+        store = checkpoint_store
         if county_mode:
             assert county is not None and n_locations is not None
             report.requested_locations = max(n_locations, 0)
-            if n_locations <= 0:
-                report.coverage = 0.0
-                return report
-            points = self._select_points(county, n_locations, seed)
+            points = (
+                self._select_points(county, n_locations, seed)
+                if n_locations > 0
+                else None
+            )
             if points is None:
                 report.coverage = 0.0
                 return report
@@ -509,35 +445,23 @@ class NeighborhoodDecoder:
                 store = self._open_checkpoint(
                     checkpoint, county, n_locations, seed
                 )
-            stream: Iterable[SamplePoint] = points
-        else:
-            if checkpoint is not None:
-                raise ValueError(
-                    "checkpointing a location iterable is not supported: "
-                    "an arbitrary stream has no stable identity to key "
-                    "resumption on — use (county, n_locations) mode, or "
-                    "pass checkpoint_store= if the caller owns a stable "
-                    "identity for the stream"
-                )
-            stream = locations  # type: ignore[assignment]
+            locations = points
 
-        requested = await self._decode_points_async(
-            stream,
+        drawn = await self._decode_points_async(
+            locations,
             report,
             store=store,
             max_inflight=max_inflight,
             keep_locations=keep_locations,
-            microbatch=microbatch,
             bridge=bridge,
         )
         if not county_mode:
-            report.requested_locations = requested
-        if report.requested_locations:
-            report.coverage = (
-                report.completed_locations / report.requested_locations
-            )
-        else:
-            report.coverage = 0.0
+            report.requested_locations = drawn
+        report.coverage = (
+            report.completed_locations / report.requested_locations
+            if report.requested_locations
+            else 0.0
+        )
         return report
 
     async def _decode_points_async(
@@ -548,21 +472,21 @@ class NeighborhoodDecoder:
         store: SurveyCheckpoint | None,
         max_inflight: int,
         keep_locations: bool,
-        microbatch: bool | None = None,
-        controller: AIMDController | None = None,
         bridge: ThreadBridge | None = None,
     ) -> int:
-        """The async twin of :meth:`_decode_points`.
+        """Fan out fetch+classify over ``points``; returns points drawn.
 
         Each location is a coroutine pipelined through two gated
         stages: fetch(+render) behind a semaphore sized to the window,
         then classify(+vote) behind the AIMD controller's slot.  Both
-        stages execute the *unchanged* sync helpers on a capped
+        stages execute the sync client helpers on a capped
         :class:`~repro.parallel.aio.ThreadBridge`, so client APIs and
         retry/breaker semantics are untouched.  Merging happens on the
-        event loop, strictly in submission order, through the same
-        :meth:`_merge_one` body as the sync engines — the ordering
-        discipline that keeps the report byte-identical.
+        event loop, strictly in submission order, through
+        :meth:`_merge_one` — the ordering discipline that keeps the
+        report byte-identical at every window.  Only the window's
+        points are held at once: it is the whole memory footprint of a
+        streamed survey.
 
         The merge loop doubles as the congestion observer: after each
         merge it reads the deltas of ``retry.rate_limited`` and
@@ -570,10 +494,6 @@ class NeighborhoodDecoder:
         narrows the classify window multiplicatively under throttle
         storms and re-widens additively when the path is clear.
         """
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be positive: {max_inflight}"
-            )
         tracer = get_tracer()
         registry = get_metrics()
         metrics_before = registry.snapshot()
@@ -581,28 +501,29 @@ class NeighborhoodDecoder:
         baselines, coalesce_before, cascade_before, fees_before = (
             self._survey_baselines(classifiers)
         )
-        # Per-location retry provenance needs locations one at a time,
-        # exactly as in the sync engine's serial backend.
+        # Per-location retry provenance (persisted into checkpoint
+        # payloads so the coordinator can reconstruct canonical totals
+        # after a crash) is only meaningful when locations run one at a
+        # time: classifier stats are shared objects, so concurrent
+        # locations interleave their deltas.
         record_provenance = max_inflight == 1
-        if controller is None:
-            controller = AIMDController(
-                initial=max_inflight, max_limit=max_inflight
-            )
-        if microbatch is None:
-            microbatch = max_inflight > 1
+        controller = AIMDController(
+            initial=max_inflight, max_limit=max_inflight
+        )
         batcher = (
-            MicroBatcher(max_batch=min(8, max_inflight)) if microbatch else None
+            MicroBatcher(max_batch=min(8, max_inflight))
+            if max_inflight > 1
+            else None
         )
         fetch_gate = asyncio.Semaphore(max_inflight)
         # Each in-flight location can park at most one sync call on the
         # bridge at a time (fetch or classify), so the window itself is
-        # the right thread cap; the floor keeps a serial pipeline from
-        # strangling the batcher's leader waits.  A caller-owned bridge
-        # (the service daemon reusing one pool across jobs) is used as
-        # handed over and must be sized to its own widest window.
+        # the right thread cap.  A caller-owned bridge (the service
+        # daemon reusing one pool across jobs) is used as handed over
+        # and must be sized to its own widest window.
         owned_bridge = bridge is None
         if bridge is None:
-            bridge = ThreadBridge(max_threads=max(2, max_inflight))
+            bridge = ThreadBridge(max_threads=max_inflight)
 
         window: dict[int, SamplePoint] = {}
         drawn = 0
@@ -623,7 +544,7 @@ class NeighborhoodDecoder:
             if owned_bridge:
                 stack.enter_context(bridge)
             root_span = stack.enter_context(
-                tracer.span("survey", workers=max_inflight, engine="async")
+                tracer.span("survey", max_inflight=max_inflight)
             )
             if batcher is not None:
                 stack.enter_context(batcher.install(classifiers))
@@ -724,7 +645,7 @@ class NeighborhoodDecoder:
     def _select_points(
         county: County, n_locations: int, seed: int
     ) -> list[SamplePoint] | None:
-        """The batch path's sampling, shared verbatim by both entries.
+        """The survey's sampling plan for ``(county, n_locations)``.
 
         Delegates to :func:`~repro.geo.sampling.plan_survey_points`,
         the same planner the shard coordinator uses for multi-county
@@ -751,140 +672,6 @@ class NeighborhoodDecoder:
                 "seed": seed,
             },
         )
-
-    def _decode_points(
-        self,
-        points: Iterable[SamplePoint],
-        report: SurveyReport,
-        *,
-        store: SurveyCheckpoint | None,
-        workers: int | None,
-        max_in_flight: int | None,
-        keep_locations: bool,
-    ) -> int:
-        """Fan out fetch+classify over ``points``; returns points drawn.
-
-        The shared core of :meth:`survey` and :meth:`survey_stream`.
-        Merging and checkpoint writes happen on the calling thread,
-        strictly in submission order — this is what keeps a parallel
-        (or streamed) survey's report identical to a serial batch one.
-        Only ``max_in_flight`` points are held at once: the in-flight
-        window is the whole memory footprint of a streamed survey.
-        """
-        tracer = get_tracer()
-        registry = get_metrics()
-        metrics_before = registry.snapshot()
-        classifiers = self._classifiers()
-        baselines, coalesce_before, cascade_before, fees_before = (
-            self._survey_baselines(classifiers)
-        )
-        executor = ParallelExecutor(
-            workers=workers, max_in_flight=max_in_flight
-        )
-        # Per-location retry provenance (persisted into checkpoint
-        # payloads so the coordinator can reconstruct canonical totals
-        # after a crash) is only meaningful when locations run one at a
-        # time: classifier stats are shared objects, so concurrent
-        # locations interleave their deltas.
-        record_provenance = executor.backend == "serial"
-
-        # The executor consumes the stream lazily; this window maps the
-        # indices of in-flight points back to their coordinates so a
-        # failure can be recorded without retaining the whole stream.
-        window: dict[int, SamplePoint] = {}
-        drawn = 0
-
-        def tracked() -> Iterator[tuple[int, SamplePoint]]:
-            nonlocal drawn
-            for index, point in enumerate(points):
-                window[index] = point
-                drawn += 1
-                yield index, point
-
-        with tracer.span("survey", workers=workers) as root_span:
-
-            def decode_one(
-                indexed: tuple[int, SamplePoint]
-            ) -> (
-                tuple[LocationResult, int, int, int, RetryStats, dict | None]
-                | dict
-            ):
-                """Fetch+classify one location (runs on a worker thread).
-
-                Checkpointed locations return their stored payload
-                without touching the network; errors propagate to the
-                consumer below, which records the failure in
-                submission order.  Fetch retries accumulate in a
-                *local* stats object merged by the consumer (also in
-                submission order); on failure the local stats travel
-                on the exception so the fault handling a doomed
-                location performed still reaches the report.  The
-                location span parents to the survey root *explicitly*
-                — implicit (contextvar) parenting does not cross the
-                worker-thread boundary.
-                """
-                index, point = indexed
-                with tracer.span(
-                    "survey.location", parent=root_span, index=index
-                ) as loc_span:
-                    if store is not None and store.has(index):
-                        loc_span.set(checkpointed=True)
-                        return store.get(index)
-                    fetch_stats = RetryStats()
-                    clf_before = (
-                        [replace(clf.retry_stats) for clf in classifiers]
-                        if record_provenance
-                        else None
-                    )
-                    try:
-                        images = self._fetch_location(
-                            index, point, fetch_stats
-                        )
-                        with tracer.span(
-                            "survey.classify", images=len(images)
-                        ):
-                            presences, degraded, skipped = (
-                                self._predict_location(images)
-                            )
-                    except (
-                        StreetViewError,
-                        CircuitOpenError,
-                        ClassificationError,
-                    ) as err:
-                        err.retry_provenance = fetch_stats  # type: ignore[attr-defined]
-                        raise
-                    return self._package_result(
-                        point,
-                        images,
-                        presences,
-                        degraded,
-                        skipped,
-                        fetch_stats,
-                        clf_before,
-                        classifiers,
-                    )
-
-            for task in executor.imap(decode_one, tracked()):
-                point = window.pop(task.index)
-                self._merge_one(
-                    task,
-                    point,
-                    report,
-                    store=store,
-                    keep_locations=keep_locations,
-                    tracer=tracer,
-                    root_span=root_span,
-                )
-
-            self._finalize_report(
-                report,
-                baselines,
-                coalesce_before,
-                cascade_before,
-                fees_before,
-            )
-        report.metrics = registry.delta_since(metrics_before)
-        return drawn
 
     def _survey_baselines(
         self, classifiers: list[LLMIndicatorClassifier]
@@ -953,10 +740,9 @@ class NeighborhoodDecoder:
     ) -> None:
         """Merge one outcome, in submission order, on the calling thread.
 
-        The single merge body shared by the sync and async engines —
-        identical failure recording, checkpoint restoration, stats
-        merging, and checkpoint writes, which is what keeps every
-        engine's report byte-identical for the same survey.
+        Failure recording, checkpoint restoration, stats merging and
+        checkpoint writes all happen here, in submission order, which
+        is what keeps the report byte-identical at every window.
         """
         registry = get_metrics()
         with tracer.span(

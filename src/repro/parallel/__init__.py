@@ -1,16 +1,16 @@
-"""Parallel execution engine for the survey and detector hot paths.
+"""Parallel execution for the survey and detector hot paths.
 
-One abstraction — :class:`~repro.parallel.executor.ParallelExecutor` —
-shared by :meth:`repro.core.pipeline.NeighborhoodDecoder.survey`
-(per-location fan-out), :class:`repro.llm.batch.BatchRunner`
-(per-request fan-out under a shared rate limiter),
-:class:`repro.core.voting.VotingEnsemble` (per-member fan-out), and
-the CPU-bound detector pipeline (chunked feature extraction, batched
-inference, concurrent experiments) via the ``process`` backend.  The
-resilience primitives it shares across thread workers (``TokenBucket``,
+:class:`~repro.parallel.executor.ParallelExecutor` is shared by
+:class:`repro.llm.batch.BatchRunner` (per-request fan-out under a
+shared rate limiter), :class:`repro.core.voting.VotingEnsemble`
+(per-member fan-out), and the CPU-bound detector pipeline (chunked
+feature extraction, batched inference, concurrent experiments) via the
+``process`` backend.  The survey engine pipelines locations on an
+event loop instead, from the pieces in :mod:`repro.parallel.aio`.  The
+resilience primitives shared across threads (``TokenBucket``,
 ``CircuitBreaker``, ``RetryStats``, usage meters) are thread-safe; see
-DESIGN.md §8 for the thread execution model and §9 for the process
-backend and its pickling constraints.
+DESIGN.md §8 for the survey engine and thread model and §9 for the
+process backend and its pickling constraints.
 """
 
 from .aio import AIMDController, MicroBatcher, ThreadBridge, imap_async

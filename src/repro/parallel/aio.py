@@ -1,11 +1,10 @@
 """Asyncio building blocks for the pipelined survey engine.
 
 The survey hot path is latency-dominated: every location pays a GSV
-fetch round-trip plus several LLM round-trips, and the thread backend
-only overlaps them at whole-location granularity.  This module holds
-the generic pieces the async engine
-(:meth:`repro.core.pipeline.NeighborhoodDecoder.survey_async`) is
-built from — deliberately free of any ``repro.core`` import, mirroring
+fetch round-trip plus several LLM round-trips.  This module holds the
+generic pieces the survey engine (every entry point of
+:class:`repro.core.pipeline.NeighborhoodDecoder`) is built from —
+deliberately free of any ``repro.core`` import, mirroring
 :mod:`repro.parallel.executor`:
 
 * :func:`imap_async` — the event-loop twin of
@@ -14,7 +13,8 @@ built from — deliberately free of any ``repro.core`` import, mirroring
   :class:`~repro.parallel.executor.TaskOutcome`.
 * :class:`ThreadBridge` — a *capped* thread pool exposed as an
   awaitable, so synchronous clients (street-view, chat) run off-loop
-  without changing their APIs.  ``asyncio.to_thread`` would share the
+  without changing their APIs, in a copy of the caller's context so
+  spans nest across the hop.  ``asyncio.to_thread`` would share the
   loop's default executor, whose size floats with the host's CPU
   count; a bridge sized to the pipeline's own concurrency keeps the
   thread budget explicit.
@@ -26,14 +26,16 @@ built from — deliberately free of any ``repro.core`` import, mirroring
   (:meth:`~repro.llm.base.ChatClient.complete_batch`), dovetailing
   with the cache's single-flight coalescing.
 
-See DESIGN.md §15 for the stage layout and the ordering discipline
-that keeps async reports byte-identical to serial ones.
+See DESIGN.md §8 for the stage layout and the ordering discipline
+that keeps reports byte-identical at every window.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
+import functools
 import threading
 from collections import deque
 from collections.abc import AsyncIterator, Awaitable, Callable, Iterable
@@ -140,10 +142,17 @@ class ThreadBridge:
         return self._closed
 
     async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fn(*args)`` on the pool in a copy of the caller's context.
+
+        The copy carries context variables across the thread hop, as
+        ``asyncio.to_thread`` does, so a span opened by ``fn`` nests
+        under the span the awaiting coroutine has open.
+        """
         loop = asyncio.get_running_loop()
-        if args:
-            return await loop.run_in_executor(self._pool, lambda: fn(*args))
-        return await loop.run_in_executor(self._pool, fn)
+        context = contextvars.copy_context()
+        return await loop.run_in_executor(
+            self._pool, functools.partial(context.run, fn, *args)
+        )
 
     def close(self) -> None:
         self._closed = True

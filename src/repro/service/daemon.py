@@ -501,7 +501,6 @@ class SurveyService:
                     spec.n_locations,
                     seed=spec.seed,
                     max_inflight=spec.max_inflight,
-                    microbatch=spec.microbatch,
                     checkpoint_store=checkpoint,
                     bridge=self.stack.bridge,
                 )
@@ -510,7 +509,6 @@ class SurveyService:
                 spec.n_locations,
                 seed=spec.seed,
                 max_inflight=spec.max_inflight,
-                microbatch=spec.microbatch,
                 checkpoint_store=checkpoint,
                 bridge=self.stack.bridge,
             )

@@ -116,7 +116,6 @@ class JobSpec:
     seed: int = 0
     priority: int = 0
     max_inflight: int = 2
-    microbatch: bool | None = None
 
     def validate(self) -> None:
         if not self.tenant or not self.tenant.strip():
@@ -139,7 +138,10 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
-        return cls(**{key: payload[key] for key in payload})
+        # Records written before micro-batching followed the window
+        # carry ``"microbatch": null``; restart recovery must still
+        # load them.  Any other unknown key is rejected.
+        return cls(**{k: v for k, v in payload.items() if k != "microbatch"})
 
 
 def estimated_fee_usd(spec: JobSpec) -> float:

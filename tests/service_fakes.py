@@ -55,7 +55,6 @@ class FakeDecoder:
         seed=0,
         checkpoint=None,
         max_inflight=1,
-        microbatch=None,
         checkpoint_store=None,
         bridge=None,
     ):

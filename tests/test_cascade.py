@@ -500,22 +500,24 @@ class TestCascadeSurvey:
         )
         assert reconcile_survey(report) == []
 
-    def test_thread_survey_matches_serial_bytes(
+    def test_pipelined_survey_matches_serial_bytes(
         self, clients, detector, calibration, county
     ):
         serial = NeighborhoodDecoder(
             street_view=StreetViewClient(counties=[county], api_key="cascade"),
             cascade=_cascade(clients, detector, calibration),
         )
-        threaded = NeighborhoodDecoder(
+        pipelined = NeighborhoodDecoder(
             street_view=StreetViewClient(counties=[county], api_key="cascade"),
             cascade=_cascade(clients, detector, calibration),
         )
         with use_metrics(MetricsRegistry()):
             serial_report = serial.survey(county, 4, seed=9)
         with use_metrics(MetricsRegistry()):
-            threaded_report = threaded.survey(county, 4, seed=9, workers=4)
-        assert serial_report.to_json() == threaded_report.to_json()
+            pipelined_report = pipelined.survey(
+                county, 4, seed=9, max_inflight=4
+            )
+        assert serial_report.to_json() == pipelined_report.to_json()
 
 
 # ----------------------------------------------------------------------

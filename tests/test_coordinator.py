@@ -197,10 +197,8 @@ class TestCoordinatedRun:
     def test_byte_identical_to_serial_and_audited(
         self, tmp_path, county, clients
     ):
-        serial = _decoder(county, clients).survey_stream(
-            locations=plan_survey_points([county], 10, seed=0),
-            workers=1,
-            keep_locations=True,
+        serial = _decoder(county, clients).survey(
+            locations=plan_survey_points([county], 10, seed=0)
         )
         tracer = Tracer()
         with use_metrics(MetricsRegistry()), use_tracer(tracer):
@@ -245,10 +243,8 @@ class TestCoordinatedRun:
     def test_crashing_shard_requeued_then_completes(
         self, tmp_path, county, clients
     ):
-        serial = _decoder(county, clients).survey_stream(
-            locations=plan_survey_points([county], 10, seed=0),
-            workers=1,
-            keep_locations=True,
+        serial = _decoder(county, clients).survey(
+            locations=plan_survey_points([county], 10, seed=0)
         )
         schedule = CrashSchedule().kill(1, 1, after_locations=1)
         with use_metrics(MetricsRegistry()):
@@ -292,10 +288,8 @@ class TestCoordinatedRun:
     def test_quarantined_shard_resumes_with_fresh_budget(
         self, tmp_path, county, clients
     ):
-        serial = _decoder(county, clients).survey_stream(
-            locations=plan_survey_points([county], 10, seed=0),
-            workers=1,
-            keep_locations=True,
+        serial = _decoder(county, clients).survey(
+            locations=plan_survey_points([county], 10, seed=0)
         )
         schedule = CrashSchedule().kill(0, 1).kill(0, 2)
         with use_metrics(MetricsRegistry()):

@@ -3,7 +3,7 @@
 The acceptance drill for the crash-safe coordinator: SIGKILL workers
 at seeded-random progress points across a 1,000+ location sharded
 survey, resume, and require the merged report to be **byte-identical**
-to an undisturbed serial ``survey_stream`` of the same frame — with
+to an undisturbed window-1 ``survey`` of the same frame — with
 zero re-billed fee units for shards that had already completed.
 """
 
@@ -44,9 +44,7 @@ def frame(county):
 @pytest.fixture(scope="module")
 def baseline(county, clients, frame):
     """The undisturbed serial run every drill must reproduce exactly."""
-    return _decoder(county, clients).survey_stream(
-        locations=frame, workers=1, keep_locations=True
-    )
+    return _decoder(county, clients).survey(locations=frame)
 
 
 def _decoder(county, clients):
@@ -155,9 +153,7 @@ class TestFrozenStragglerDrill:
         """
         n = 120
         points = plan_survey_points([county], n, seed=5)
-        serial = _decoder(county, clients).survey_stream(
-            locations=points, workers=1, keep_locations=True
-        )
+        serial = _decoder(county, clients).survey(locations=points)
         schedule = CrashSchedule().freeze(1, 1, after_locations=3)
         with use_metrics(MetricsRegistry()):
             result = _coordinator(

@@ -1,5 +1,7 @@
 """Tests for the end-to-end NeighborhoodDecoder."""
 
+import asyncio
+
 import pytest
 
 from repro.core import (
@@ -11,6 +13,7 @@ from repro.core import (
 from repro.core.indicators import ALL_INDICATORS, Indicator
 from repro.geo import make_durham_like, make_robeson_like
 from repro.gsv import StreetViewClient
+from repro.resilience import SurveyCheckpoint
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +100,7 @@ class TestNeighborhoodDecoder:
 
 
 class TestSurveyStream:
-    """The streaming engine must be observably identical to batch."""
+    """The aggregate report must be observably identical to batch."""
 
     def _decoder(self, street_view, clients, name="gemini-1.5-pro"):
         return NeighborhoodDecoder(
@@ -112,8 +115,8 @@ class TestSurveyStream:
         batch = self._decoder(street_view, clients).survey(
             county, n_locations=9, seed=4
         )
-        stream = self._decoder(street_view, clients).survey_stream(
-            county, 9, seed=4, shard_size=3, keep_locations=True
+        stream = self._decoder(street_view, clients).survey(
+            county, 9, seed=4, max_inflight=3
         )
         assert stream.to_json() == batch.to_json()
         assert stream.completed_locations == batch.completed_locations == 9
@@ -125,8 +128,8 @@ class TestSurveyStream:
         batch = self._decoder(street_view, clients).survey(
             county, n_locations=8, seed=6
         )
-        stream = self._decoder(street_view, clients).survey_stream(
-            county, 8, seed=6, shard_size=3
+        stream = self._decoder(street_view, clients).survey(
+            county, 8, seed=6, max_inflight=3, keep_locations=False
         )
         assert stream.locations == []  # memory-bounded: nothing retained
         assert stream.indicator_rates() == batch.indicator_rates()
@@ -136,8 +139,8 @@ class TestSurveyStream:
     def test_iterable_mode_consumes_a_generator(self, street_view, clients):
         county = make_durham_like(seed=3)
         points = NeighborhoodDecoder._select_points(county, 7, seed=1)
-        report = self._decoder(street_view, clients).survey_stream(
-            locations=iter(points), shard_size=2
+        report = self._decoder(street_view, clients).survey(
+            locations=iter(points), max_inflight=2, keep_locations=False
         )
         assert report.requested_locations == 7
         assert report.completed_locations == 7
@@ -151,11 +154,11 @@ class TestSurveyStream:
         decoder = self._decoder(street_view, clients)
         points = NeighborhoodDecoder._select_points(county, 2, seed=1)
         with pytest.raises(ValueError):
-            decoder.survey_stream(county, 2, locations=iter(points))
+            decoder.survey(county, 2, locations=iter(points))
         with pytest.raises(ValueError):
-            decoder.survey_stream()
+            decoder.survey()
         with pytest.raises(ValueError):
-            decoder.survey_stream(
+            decoder.survey(
                 locations=iter(points), checkpoint="somewhere.json"
             )
 
@@ -163,8 +166,88 @@ class TestSurveyStream:
         self, street_view, clients
     ):
         county = make_durham_like(seed=3)
-        report = self._decoder(street_view, clients).survey_stream(
-            county, 4, seed=2, shard_size=2
+        report = self._decoder(street_view, clients).survey(
+            county, 4, seed=2, max_inflight=2, keep_locations=False
         )
         assert set(report.coalesce_stats) >= {"coalesced"}
         assert "coalesce_stats" not in report.payload()
+
+
+def _run_sync(decoder, *args, **kwargs):
+    return decoder.survey(*args, **kwargs)
+
+
+def _run_async(decoder, *args, **kwargs):
+    return asyncio.run(decoder.survey_async(*args, **kwargs))
+
+
+def _run_stream(decoder, *args, **kwargs):
+    return asyncio.run(decoder.survey_stream_async(*args, **kwargs))
+
+
+#: Every public survey entry, called to completion.
+ENTRIES = {
+    "survey": _run_sync,
+    "survey_async": _run_async,
+    "survey_stream_async": _run_stream,
+}
+
+#: Invalid argument sets: name -> (needs ``locations=``, expected
+#: message prefix).  ``survey_async`` takes no ``locations=``, so the
+#: cases that need it run on the other two entries only.
+INVALID_ARGUMENTS = {
+    "zero-window": (False, "max_inflight must be positive"),
+    "zero-window-empty-survey": (False, "max_inflight must be positive"),
+    "no-location-source": (False, "provide either (county, n_locations)"),
+    "county-without-count": (False, "provide either (county, n_locations)"),
+    "both-location-sources": (True, "provide either (county, n_locations)"),
+    "checkpoint-and-store": (False, "provide at most one of checkpoint"),
+    "checkpoint-on-iterable": (True, "checkpointing a location iterable"),
+}
+
+
+def _invalid_call(case, county, points, tmp_path):
+    """Positional and keyword arguments of one invalid call."""
+    path = tmp_path / "survey.ckpt.json"
+    if case == "zero-window":
+        return (county, 2), {"max_inflight": 0}
+    if case == "zero-window-empty-survey":
+        return (county, 0), {"max_inflight": 0}
+    if case == "no-location-source":
+        return (None, None), {}
+    if case == "county-without-count":
+        return (county, None), {}
+    if case == "both-location-sources":
+        return (county, 2), {"locations": points}
+    if case == "checkpoint-and-store":
+        store = SurveyCheckpoint(tmp_path / "store.json", key={"k": 1})
+        return (county, 2), {"checkpoint": path, "checkpoint_store": store}
+    assert case == "checkpoint-on-iterable"
+    return (), {"locations": points, "checkpoint": path}
+
+
+@pytest.mark.parametrize(
+    ("entry", "case"),
+    [
+        (entry, case)
+        for entry in ENTRIES
+        for case, (needs_locations, _) in INVALID_ARGUMENTS.items()
+        if not (needs_locations and entry == "survey_async")
+    ],
+)
+def test_every_entry_rejects_invalid_arguments_up_front(
+    street_view, clients, tmp_path, entry, case
+):
+    county = make_durham_like(seed=3)
+    points = NeighborhoodDecoder._select_points(county, 2, seed=1)
+    decoder = NeighborhoodDecoder(
+        street_view=street_view,
+        classifier=LLMIndicatorClassifier(clients["gemini-1.5-pro"]),
+    )
+    args, kwargs = _invalid_call(case, county, points, tmp_path)
+    served = street_view.usage().images_served
+    with pytest.raises(ValueError) as raised:
+        ENTRIES[entry](decoder, *args, **kwargs)
+    assert str(raised.value).startswith(INVALID_ARGUMENTS[case][1])
+    assert street_view.usage().images_served == served
+    assert not (tmp_path / "survey.ckpt.json").exists()

@@ -1,12 +1,13 @@
 """Golden end-to-end regression test for the survey pipeline.
 
 One small survey is frozen as ``tests/data/golden_survey_report.json``
-— the exact ``SurveyReport.to_json()`` bytes.  Every execution path
-that promises byte-identity (DESIGN.md §8) must reproduce those bytes:
-the serial batch survey, the thread-pool survey, and the streaming
-engine in both serial and parallel form.  A behavioral change anywhere
-in sampling, fetching, classification, voting, or serialization shows
-up here as a diff against the frozen document.
+— the exact ``SurveyReport.to_json()`` bytes.  Every public survey
+entry promises byte-identity at any window (DESIGN.md §8), so each
+must reproduce those bytes at window 1 and at window 8: the blocking
+``survey``, ``survey_async``, and ``survey_stream_async`` retaining
+its locations.  A behavioral change anywhere in sampling, fetching,
+classification, voting, or serialization shows up here as a diff
+against the frozen document.
 
 Regenerate the fixture after an *intentional* behavior change::
 
@@ -57,12 +58,12 @@ SURVEY_SEED = 4
 MODEL_ID = "gemini-1.5-pro"
 
 PATHS = (
-    "serial",
-    "thread-4",
-    "stream-serial",
-    "stream-4",
-    "async-serial",
+    "sync-1",
+    "sync-8",
+    "async-1",
     "async-8",
+    "stream-1",
+    "stream-8",
 )
 
 
@@ -81,34 +82,26 @@ def decoder(county, clients):
 
 
 def _run_path(decoder, county, path_name: str) -> str:
-    if path_name == "serial":
-        report = decoder.survey(county, N_LOCATIONS, seed=SURVEY_SEED)
-    elif path_name == "thread-4":
+    entry, window = path_name.split("-")
+    max_inflight = int(window)
+    if entry == "sync":
         report = decoder.survey(
-            county, N_LOCATIONS, seed=SURVEY_SEED, workers=4
+            county, N_LOCATIONS, seed=SURVEY_SEED, max_inflight=max_inflight
         )
-    elif path_name == "stream-serial":
-        report = decoder.survey_stream(
-            county, N_LOCATIONS, seed=SURVEY_SEED, keep_locations=True
-        )
-    elif path_name == "stream-4":
-        report = decoder.survey_stream(
-            county,
-            N_LOCATIONS,
-            seed=SURVEY_SEED,
-            workers=4,
-            keep_locations=True,
-        )
-    elif path_name == "async-serial":
+    elif entry == "async":
         report = asyncio.run(
             decoder.survey_async(
-                county, N_LOCATIONS, seed=SURVEY_SEED, max_inflight=1
+                county, N_LOCATIONS, seed=SURVEY_SEED, max_inflight=max_inflight
             )
         )
-    elif path_name == "async-8":
+    elif entry == "stream":
         report = asyncio.run(
-            decoder.survey_async(
-                county, N_LOCATIONS, seed=SURVEY_SEED, max_inflight=8
+            decoder.survey_stream_async(
+                county,
+                N_LOCATIONS,
+                seed=SURVEY_SEED,
+                max_inflight=max_inflight,
+                keep_locations=True,
             )
         )
     else:  # pragma: no cover - parametrize guards the names
@@ -120,7 +113,7 @@ def _run_path(decoder, county, path_name: str) -> str:
 def golden_json(decoder, county) -> str:
     """The frozen bytes, regenerating when explicitly asked to."""
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        text = _run_path(decoder, county, "serial")
+        text = _run_path(decoder, county, "sync-1")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(text, encoding="utf-8")
     if not GOLDEN_PATH.exists():
@@ -174,7 +167,7 @@ def cascade_decoder(county, clients):
 @pytest.fixture(scope="module")
 def ensemble_golden_json(ensemble_decoder, county) -> str:
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        text = _run_path(ensemble_decoder, county, "serial")
+        text = _run_path(ensemble_decoder, county, "sync-1")
         ENSEMBLE_GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         ENSEMBLE_GOLDEN_PATH.write_text(text, encoding="utf-8")
     if not ENSEMBLE_GOLDEN_PATH.exists():
@@ -204,7 +197,7 @@ class TestGoldenReport:
         """Tracing the golden survey changes nothing and exports cleanly."""
         tracer = Tracer(trace_id="golden")
         with use_tracer(tracer), use_metrics(MetricsRegistry()):
-            text = _run_path(decoder, county, "thread-4")
+            text = _run_path(decoder, county, "sync-8")
         assert text == golden_json
         required = ("survey", "survey.location", "survey.classify",
                     "survey.merge")

@@ -307,11 +307,11 @@ class TestTracedSurvey:
     ):
         county = make_durham_like(seed=3)
         plain = _single_decoder(street_view, clients).survey(
-            county, n_locations=6, seed=4, workers=4
+            county, n_locations=6, seed=4, max_inflight=4
         )
         with use_tracer(Tracer(trace_id="t")), use_metrics(MetricsRegistry()):
             traced = _single_decoder(street_view, clients).survey(
-                county, n_locations=6, seed=4, workers=4
+                county, n_locations=6, seed=4, max_inflight=4
             )
         assert traced.to_json() == plain.to_json()
 
@@ -321,7 +321,7 @@ class TestTracedSurvey:
         county = make_durham_like(seed=3)
         with use_metrics(MetricsRegistry()):
             report = _single_decoder(street_view, clients).survey(
-                county, n_locations=6, seed=4, workers=4
+                county, n_locations=6, seed=4, max_inflight=4
             )
         assert nonempty_delta(report.metrics)
         assert reconcile_survey(report) == []
@@ -358,24 +358,30 @@ class TestTracedSurvey:
         )
         tracer = Tracer(trace_id="audit")
         with use_tracer(tracer), use_metrics(MetricsRegistry()):
-            report = decoder.survey(county, n_locations=4, seed=9, workers=2)
+            report = decoder.survey(
+                county, n_locations=4, seed=9, max_inflight=2
+            )
         assert report.coverage == 1.0
         assert reconcile_survey(report) == []
         assert audit_trace(tracer) == []
         names = {span.name for span in tracer.spans}
         assert set(SURVEY_STAGES) <= names
         assert {"gsv.fetch", "gsv.render"} <= names
-        # Every survey.location span hangs off the single survey root.
-        (root,) = [
-            span
-            for span in tracer.spans
-            if span.name == "survey" and span.parent_id is None
-        ]
+        # The survey is the only root, and every survey.location span
+        # hangs off it.
+        (root,) = [span for span in tracer.spans if span.parent_id is None]
+        assert root.name == "survey"
         locations = [
             span for span in tracer.spans if span.name == "survey.location"
         ]
         assert len(locations) == 4
         assert all(span.parent_id == root.span_id for span in locations)
+        # Fetches run on bridge threads yet still nest under the
+        # location that issued them.
+        location_ids = {span.span_id for span in locations}
+        fetches = [span for span in tracer.spans if span.name == "gsv.fetch"]
+        assert len(fetches) == 16
+        assert all(span.parent_id in location_ids for span in fetches)
 
     def test_audit_trace_reports_structural_problems(self):
         tracer = Tracer(trace_id="broken")

@@ -1,4 +1,4 @@
-"""Parallel execution through the pipeline layers: survey fan-out
+"""Parallel execution through the pipeline layers: pipelined survey
 determinism, batch running, and ensemble member fan-out."""
 
 from __future__ import annotations
@@ -31,33 +31,24 @@ def _decoder(county, clients, model="gemini-1.5-pro"):
 class TestParallelSurvey:
     def test_parallel_report_byte_identical_to_serial(self, county, clients):
         serial = _decoder(county, clients).survey(
-            county, n_locations=8, seed=0, workers=1
+            county, n_locations=8, seed=0
         )
         parallel = _decoder(county, clients).survey(
-            county, n_locations=8, seed=0, workers=4
+            county, n_locations=8, seed=0, max_inflight=4
         )
         assert parallel.to_json() == serial.to_json()
         assert parallel.payload() == serial.payload()
         assert parallel.fees_usd == serial.fees_usd
 
-    def test_workers_none_resolves_and_still_matches(self, county, clients):
-        serial = _decoder(county, clients).survey(
-            county, n_locations=4, seed=1, workers=1
-        )
-        auto = _decoder(county, clients).survey(
-            county, n_locations=4, seed=1, workers=None
-        )
-        assert auto.to_json() == serial.to_json()
-
     def test_parallel_resume_from_checkpoint(self, county, clients, tmp_path):
         path = tmp_path / "survey.ckpt.json"
         first = _decoder(county, clients).survey(
-            county, n_locations=6, seed=0, checkpoint=path, workers=4
+            county, n_locations=6, seed=0, checkpoint=path, max_inflight=4
         )
         assert first.fees_usd > 0
 
         resumed = _decoder(county, clients).survey(
-            county, n_locations=6, seed=0, checkpoint=path, workers=4
+            county, n_locations=6, seed=0, checkpoint=path, max_inflight=4
         )
         # Every location restored: same results, nothing re-billed.
         assert resumed.payload()["locations"] == first.payload()["locations"]

@@ -70,6 +70,14 @@ def test_job_spec_validation():
     JobSpec(tenant="a").validate()
 
 
+def test_spec_loads_a_record_with_the_retired_microbatch_key():
+    """Records written before micro-batching followed the window still load."""
+    legacy = {**JobSpec(tenant="acme").to_dict(), "microbatch": None}
+    assert JobSpec.from_dict(legacy) == JobSpec(tenant="acme")
+    with pytest.raises(TypeError):
+        JobSpec.from_dict({**legacy, "shard_size": 8})
+
+
 def test_estimated_fee_is_worst_case():
     spec = JobSpec(tenant="a", n_locations=5)
     assert estimated_fee_usd(spec) == pytest.approx(5 * 4 * 0.007)
