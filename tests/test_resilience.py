@@ -422,58 +422,129 @@ class TestCheckpointCorruption:
 
     KEY = {"county": "Durham", "n_locations": 3, "seed": 0}
 
-    def _intact(self, tmp_path):
+    def _intact(self, tmp_path, n_records=2):
         path = tmp_path / "ckpt.json"
         store = SurveyCheckpoint(path, self.KEY)
-        store.record(0, {"present": ["sidewalk"], "images": 4})
-        store.record(1, {"present": [], "images": 4})
+        for index in range(n_records):
+            store.record(index, {"present": ["sidewalk"][:index], "images": 4})
         return path
 
-    def test_truncation_at_every_byte_offset_cold_starts(self, tmp_path):
-        """No prefix of a checkpoint may crash loading or leak records.
+    def test_truncation_at_every_byte_offset_keeps_whole_records(
+        self, tmp_path
+    ):
+        """Every prefix of a log loads its whole records and nothing else.
 
-        This replays the exact failure a torn write would produce if
-        the atomic rename were ever lost: the file cut at *every*
-        possible byte offset.  Each prefix must either load fully (the
-        empty case never existed on disk) or quarantine and cold-start.
+        This replays what a process killed mid-append leaves behind:
+        the file cut at *every* byte offset.  A prefix loads exactly
+        the records whose lines are complete (never a partial one),
+        quarantines only when the header line itself is cut, counts a
+        torn tail, and leaves the file's bytes alone.  The next record
+        then reloads as the old records plus the new one, with nothing
+        of the torn tail glued in.
         """
         from repro.obs.metrics import MetricsRegistry, use_metrics
 
-        intact = self._intact(tmp_path).read_bytes()
-        reloaded = SurveyCheckpoint(tmp_path / "ckpt.json", self.KEY)
-        assert reloaded.completed_indices == (0, 1)
+        intact = self._intact(tmp_path, n_records=3).read_bytes()
+        line_ends = [
+            offset + 1
+            for offset, byte in enumerate(intact)
+            if byte == ord("\n")
+        ]
+        header_end = line_ends[0]
+        assert len(line_ends) == 4  # header + three records
 
-        for cut in range(len(intact)):
+        for cut in range(len(intact) + 1):
             path = tmp_path / f"cut_{cut}.json"
-            path.write_bytes(intact[:cut])
+            prefix = intact[:cut]
+            path.write_bytes(prefix)
             registry = MetricsRegistry()
             with use_metrics(registry):
                 store = SurveyCheckpoint(path, self.KEY)
-                # Never partially loaded: a truncated document yields
-                # nothing, and the event is counted and quarantined.
+            whole = sum(1 for end in line_ends[1:] if end <= cut)
+            if cut < header_end:
                 assert len(store) == 0, f"cut at byte {cut} leaked records"
                 assert registry.counter("checkpoint.corrupt") == 1.0
-            assert not path.exists()
-            assert path.with_suffix(".json.corrupt").exists()
-            # The store stays usable: recording resumes from cold.
-            store.record(0, {"present": [], "images": 4})
-            assert SurveyCheckpoint(path, self.KEY).completed_indices == (0,)
+                assert not path.exists()
+                assert (
+                    path.with_suffix(".json.corrupt").read_bytes() == prefix
+                )
+            else:
+                assert store.completed_indices == tuple(range(whole)), (
+                    f"cut at byte {cut}"
+                )
+                assert registry.counter("checkpoint.corrupt") == 0.0
+                torn = 0.0 if cut in line_ends else 1.0
+                assert registry.counter("checkpoint.torn_tail") == torn
+                assert path.read_bytes() == prefix  # loading never writes
+            # The store stays usable: the next record lands on whole
+            # records only.
+            store.record(7, {"present": [], "images": 4})
+            reloaded = SurveyCheckpoint(path, self.KEY)
+            expected = tuple(range(whole)) if cut >= header_end else ()
+            assert reloaded.completed_indices == expected + (7,)
+            assert reloaded.get(7) == {"present": [], "images": 4}
+            for index in expected:
+                assert reloaded.get(index) == store.get(index)
 
     def test_checksum_mismatch_quarantines(self, tmp_path):
-        import json as _json
-
+        """Bit-rot in a record with a whole line after it is corruption."""
         from repro.obs.metrics import MetricsRegistry, use_metrics
 
         path = self._intact(tmp_path)
-        doc = _json.loads(path.read_text())
-        doc["locations"]["0"]["images"] = 400  # bit-rot the body
-        path.write_text(_json.dumps(doc))
+        lines = path.read_bytes().split(b"\n")
+        assert b'"images": 4' in lines[1]  # record 0, not the final line
+        lines[1] = lines[1].replace(b'"images": 4', b'"images": 400')
+        path.write_bytes(b"\n".join(lines))
         registry = MetricsRegistry()
         with use_metrics(registry):
             store = SurveyCheckpoint(path, self.KEY)
         assert len(store) == 0
         assert registry.counter("checkpoint.corrupt") == 1.0
         assert path.with_suffix(".json.corrupt").exists()
+
+    def test_damaged_final_record_is_a_torn_tail(self, tmp_path):
+        """A whole final line that fails its checksum is dropped, not
+        quarantined: only the last append can be torn."""
+        from repro.obs.metrics import MetricsRegistry, use_metrics
+
+        path = self._intact(tmp_path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"images": 4', b'"images": 400')
+        path.write_bytes(b"\n".join(lines))
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            store = SurveyCheckpoint(path, self.KEY)
+        assert store.completed_indices == (0,)
+        assert registry.counter("checkpoint.corrupt") == 0.0
+        assert registry.counter("checkpoint.torn_tail") == 1.0
+        store.record(1, {"present": [], "images": 4})
+        assert SurveyCheckpoint(path, self.KEY).completed_indices == (0, 1)
+
+    def test_record_appends_one_line_in_place(self, tmp_path):
+        """O(1) per record: no rewrite, no rename, one new line."""
+        path = tmp_path / "ckpt.json"
+        store = SurveyCheckpoint(path, self.KEY)
+        store.record(0, {"present": [], "images": 4})
+        inode = path.stat().st_ino
+        before = path.read_bytes()
+        for index in range(1, 50):
+            store.record(index, {"present": ["sidewalk"], "images": 4})
+            after = path.read_bytes()
+            assert after.startswith(before)
+            grown = after[len(before):]
+            assert grown.endswith(b"\n") and grown.count(b"\n") == 1
+            assert path.stat().st_ino == inode
+            before = after
+        assert SurveyCheckpoint(path, self.KEY).completed_indices == tuple(
+            range(50)
+        )
+
+    def test_duplicate_index_keeps_the_last_record(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        store = SurveyCheckpoint(path, self.KEY)
+        store.record(0, {"images": 4})
+        store.record(0, {"images": 8})
+        assert SurveyCheckpoint(path, self.KEY).get(0) == {"images": 8}
 
     def test_unknown_format_version_still_raises(self, tmp_path):
         """A future format is a config bug, not corruption: fail loudly."""
@@ -500,6 +571,53 @@ class TestCheckpointCorruption:
         )
         store = SurveyCheckpoint(path, self.KEY)
         assert store.completed_indices == (0,)
+
+    @staticmethod
+    def _legacy_document(version, key, locations):
+        """A whole-JSON checkpoint exactly as versions 1 and 2 wrote it."""
+        import hashlib
+        import json as _json
+
+        payload = {
+            "format_version": version,
+            "key": key,
+            "locations": locations,
+        }
+        if version == 2:
+            body = _json.dumps(
+                {"key": key, "locations": locations}, sort_keys=True
+            )
+            payload["checksum"] = hashlib.sha256(
+                body.encode("utf-8")
+            ).hexdigest()
+        return _json.dumps(payload)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_document_migrates_on_first_record(
+        self, tmp_path, version
+    ):
+        key = {k: self.KEY[k] for k in sorted(self.KEY)}
+        locations = {
+            "0": {"present": ["sidewalk"], "images": 4},
+            "2": {"present": [], "images": 4},
+        }
+        path = tmp_path / "ckpt.json"
+        path.write_text(self._legacy_document(version, key, locations))
+        store = SurveyCheckpoint(path, self.KEY)
+        assert store.completed_indices == (0, 2)
+        store.record(1, {"present": [], "images": 3})
+        assert path.read_bytes().count(b"\n") == 4  # header + 3 records
+        reloaded = SurveyCheckpoint(path, self.KEY)
+        assert reloaded.completed_indices == (0, 1, 2)
+        assert reloaded.get(0) == locations["0"]
+        assert reloaded.get(1) == {"present": [], "images": 3}
+        # Migrated once: the next record is a plain append.
+        inode = path.stat().st_ino
+        reloaded.record(3, {"present": [], "images": 4})
+        assert path.stat().st_ino == inode
+        assert SurveyCheckpoint(path, self.KEY).completed_indices == (
+            0, 1, 2, 3,
+        )
 
 
 class TestScriptedOutageScenario:

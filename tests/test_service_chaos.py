@@ -31,7 +31,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import JobState
+from repro.resilience.checkpoint import SurveyCheckpoint
+from repro.service import JobSpec, JobState
 from repro.service.jobs import JobRecord
 from repro.service.store import canonical_fees_usd, checkpoint_key
 
@@ -39,6 +40,23 @@ pytestmark = pytest.mark.faults
 
 DRIVER = Path(__file__).parent / "data" / "service_chaos_driver.py"
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Checkpoint identity of ``job-0000``, the wide job the driver submits
+#: first.
+WIDE_JOB_KEY = checkpoint_key(
+    JobSpec(tenant="acme", n_locations=8, seed=11), "Durham"
+)
+
+
+def _checkpointed(checkpoint: Path) -> int:
+    """Locations durably recorded in the wide job's checkpoint.
+
+    Reads through the store's own loader, which never writes while it
+    loads a live log: a half-appended final line is only skipped.
+    """
+    if not checkpoint.exists():
+        return 0
+    return len(SurveyCheckpoint(checkpoint, WIDE_JOB_KEY))
 
 
 def _spawn(state_dir: Path) -> subprocess.Popen:
@@ -100,15 +118,8 @@ def test_sigkill_mid_job_restart_resumes_without_double_billing(tmp_path):
                     pytest.fail(
                         f"daemon exited before the kill window: {out}\n{err}"
                     )
-                if checkpoint.exists():
-                    try:
-                        locations = json.loads(checkpoint.read_text())[
-                            "locations"
-                        ]
-                    except (ValueError, KeyError):
-                        locations = {}
-                    if len(locations) >= 2:
-                        break
+                if _checkpointed(checkpoint) >= 2:
+                    break
                 time.sleep(0.05)
             else:
                 pytest.fail("checkpoint never grew; kill window not reached")
@@ -124,9 +135,7 @@ def test_sigkill_mid_job_restart_resumes_without_double_billing(tmp_path):
     records = _load_manifest(state_dir)
     assert records["job-0000"].state is JobState.RUNNING
     assert records["job-0000"].fees_settled_usd is None
-    survivors = len(
-        json.loads(checkpoint.read_text())["locations"]
-    )
+    survivors = _checkpointed(checkpoint)
     assert survivors >= 2
 
     # Phase 2: restart over the same state; recovery re-queues the
@@ -145,8 +154,7 @@ def test_sigkill_mid_job_restart_resumes_without_double_billing(tmp_path):
     assert killed.resumed
     assert killed.attempts == 2
     # Resumption, not redo: the post-kill run kept the survivors.
-    final_locations = json.loads(checkpoint.read_text())["locations"]
-    assert len(final_locations) == 8
+    assert _checkpointed(checkpoint) == 8
     assert records["job-0001"].state is JobState.DONE
     _assert_books_reconcile(state_dir)
 
@@ -177,13 +185,7 @@ def test_sigkill_with_exhausted_attempts_fails_clean(tmp_path):
         # the checkpoint already exists, so its mere presence would
         # let the kill land before the job is even re-dispatched.
         if kill_round == 0:
-            if not checkpoint.exists():
-                return False
-            try:
-                payload = json.loads(checkpoint.read_text())
-            except ValueError:
-                return False
-            return len(payload.get("locations", {})) >= 1
+            return _checkpointed(checkpoint) >= 1
         try:
             record = _load_manifest(state_dir)["job-0000"]
         except (OSError, ValueError, KeyError):
