@@ -111,6 +111,38 @@ class LatLon:
         )
 
 
+class SegmentedEdge:
+    """The fixed-interval sample points of one ``start``→``end`` edge.
+
+    The one statement of the paper's "segment all roadways with an
+    interval of 50 feet" formula: ``count`` points, the ``index``-th at
+    ``index * interval_m`` along the edge, ``start`` alone for a
+    zero-length edge.  :func:`segment_points` lists them all; the lazy
+    sampling frame builds one at a time with :meth:`point`.
+    """
+
+    __slots__ = ("start", "end", "interval_m", "length_m", "count")
+
+    def __init__(
+        self, start: LatLon, end: LatLon, interval_m: float = SEGMENT_INTERVAL_M
+    ) -> None:
+        if interval_m <= 0:
+            raise ValueError(f"interval must be positive: {interval_m}")
+        self.start = start
+        self.end = end
+        self.interval_m = interval_m
+        self.length_m = start.distance_m(end)
+        self.count = max(1, int(self.length_m // interval_m))
+
+    def point(self, index: int) -> LatLon:
+        """The ``index``-th sample point, ``0 <= index < count``."""
+        if self.length_m == 0.0:
+            return self.start
+        return self.start.toward(
+            self.end, index * self.interval_m / self.length_m
+        )
+
+
 def segment_points(
     start: LatLon, end: LatLon, interval_m: float = SEGMENT_INTERVAL_M
 ) -> list[LatLon]:
@@ -121,10 +153,5 @@ def segment_points(
     is the paper's "segment all roadways with an interval of 50 feet"
     operation.
     """
-    if interval_m <= 0:
-        raise ValueError(f"interval must be positive: {interval_m}")
-    length = start.distance_m(end)
-    if length == 0.0:
-        return [start]
-    count = max(1, int(length // interval_m))
-    return [start.toward(end, i * interval_m / length) for i in range(count)]
+    edge = SegmentedEdge(start, end, interval_m)
+    return [edge.point(i) for i in range(edge.count)]

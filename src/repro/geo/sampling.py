@@ -7,15 +7,21 @@ Reproduces the paper's data-collection protocol (Section IV-A):
     counties ... We obtained the coordinates for each location and
     request images ... from all four directions."
 
-``build_sampling_frame`` enumerates every 50-foot sample point on a
-county's road network; ``select_survey_locations`` draws the random
-subset of locations; each selected location expands into four
-``CaptureRequest`` records (one per cardinal heading).
+``build_sampling_frame`` indexes every 50-foot sample point on a
+county's road network without building them; ``select_survey_locations``
+draws the random subset of locations and builds only those; each
+selected location expands into four ``CaptureRequest`` records (one per
+cardinal heading).
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import overload
 
 import networkx as nx
 import numpy as np
@@ -24,7 +30,7 @@ from .coordinates import (
     CARDINAL_HEADINGS,
     SEGMENT_INTERVAL_M,
     LatLon,
-    segment_points,
+    SegmentedEdge,
 )
 from .county import County, ZoneKind
 from .roadnet import RoadClass, build_road_network, iter_edges
@@ -53,33 +59,88 @@ class CaptureRequest:
         return self.point.location
 
 
+class SamplingFrame(Sequence[SamplePoint]):
+    """A county's 50-foot sampling frame, built one point at a time.
+
+    Holds one record per road edge (its :class:`SegmentedEdge`, class,
+    bearing and the frame index of its first point), so building it
+    costs O(edges) and ``len`` is O(1).  ``frame[i]`` bisects to the
+    edge, places the one point with :meth:`SegmentedEdge.point` and
+    zones it; slicing and iteration materialize only what they visit.
+    The points are exactly those of segmenting every edge with
+    :func:`segment_points`, in :func:`iter_edges` order.
+    """
+
+    __slots__ = ("_county", "_edges", "_classes", "_bearings", "_starts", "_len")
+
+    def __init__(
+        self,
+        county: County,
+        graph: nx.Graph,
+        interval_m: float = SEGMENT_INTERVAL_M,
+    ) -> None:
+        edges = iter_edges(graph)
+        self._county = county
+        self._edges = tuple(
+            SegmentedEdge(edge.start, edge.end, interval_m) for edge in edges
+        )
+        self._classes = tuple(edge.road_class for edge in edges)
+        self._bearings = tuple(edge.bearing for edge in edges)
+        starts = tuple(accumulate((e.count for e in self._edges), initial=0))
+        self._starts = starts[:-1]
+        self._len = starts[-1]
+
+    def __len__(self) -> int:
+        return self._len
+
+    @overload
+    def __getitem__(self, index: int) -> SamplePoint: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[SamplePoint]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("sampling frame index out of range")
+        k = bisect_right(self._starts, index) - 1
+        return self._point(k, index - self._starts[k])
+
+    def __iter__(self) -> Iterator[SamplePoint]:
+        for k, edge in enumerate(self._edges):
+            for j in range(edge.count):
+                yield self._point(k, j)
+
+    def _point(self, k: int, j: int) -> SamplePoint:
+        location = self._edges[k].point(j)
+        return SamplePoint(
+            location=location,
+            county=self._county.name,
+            zone_kind=self._county.zone_at(location).kind,
+            road_class=self._classes[k],
+            road_bearing=self._bearings[k],
+        )
+
+
 def build_sampling_frame(
     county: County,
     graph: nx.Graph,
     interval_m: float = SEGMENT_INTERVAL_M,
-) -> list[SamplePoint]:
+) -> SamplingFrame:
     """Segment every road edge of ``graph`` at ``interval_m``.
 
-    Returns the full deterministic sampling frame for the county.
+    Returns the full deterministic sampling frame for the county as a
+    lazy, immutable sequence (see :class:`SamplingFrame`).
     """
-    frame = []
-    for edge in iter_edges(graph):
-        for location in segment_points(edge.start, edge.end, interval_m):
-            zone = county.zone_at(location)
-            frame.append(
-                SamplePoint(
-                    location=location,
-                    county=county.name,
-                    zone_kind=zone.kind,
-                    road_class=edge.road_class,
-                    road_bearing=edge.bearing,
-                )
-            )
-    return frame
+    return SamplingFrame(county, graph, interval_m)
 
 
 def select_survey_locations(
-    frames: dict[str, list[SamplePoint]],
+    frames: Mapping[str, Sequence[SamplePoint]],
     n_locations: int,
     seed: int = 0,
 ) -> list[SamplePoint]:
@@ -89,18 +150,38 @@ def select_survey_locations(
     county's share of the combined sampling frame, mirroring a uniform
     draw over the pooled frame.  Raises ``ValueError`` if the pooled
     frame is smaller than ``n_locations``.
+
+    The draw is over the summed frame lengths in sorted-county order,
+    so only the chosen points are ever built.
     """
-    pooled: list[SamplePoint] = []
-    for county_name in sorted(frames):
-        pooled.extend(frames[county_name])
-    if n_locations > len(pooled):
+    ordered = [frames[name] for name in sorted(frames)]
+    starts = list(accumulate((len(frame) for frame in ordered), initial=0))
+    total = starts.pop()
+    if n_locations > total:
         raise ValueError(
             f"requested {n_locations} locations but the sampling frame "
-            f"only has {len(pooled)} points"
+            f"only has {total} points"
         )
     rng = np.random.default_rng(seed)
-    indices = rng.choice(len(pooled), size=n_locations, replace=False)
-    return [pooled[int(i)] for i in sorted(indices)]
+    indices = rng.choice(total, size=n_locations, replace=False)
+    chosen = []
+    for index in sorted(int(i) for i in indices):
+        k = bisect_right(starts, index) - 1
+        chosen.append(ordered[k][index - starts[k]])
+    return chosen
+
+
+def require_distinct_counties(counties: Iterable[County]) -> None:
+    """Raise ``ValueError`` if two counties share a name.
+
+    Sampling frames are keyed by county name, so a repeated name would
+    silently drop every county but the last one of that name.
+    """
+    seen: set[str] = set()
+    for county in counties:
+        if county.name in seen:
+            raise ValueError(f"duplicate county name: {county.name!r}")
+        seen.add(county.name)
 
 
 def plan_survey_points(
@@ -119,10 +200,12 @@ def plan_survey_points(
     (pooled proportional draw over the combined frame).
 
     Returns an empty list when every county yields an empty frame;
-    raises ``ValueError`` (from :func:`select_survey_locations`) when
-    the pooled frame is smaller than ``n_locations``.
+    raises ``ValueError`` when two counties share a name or (from
+    :func:`select_survey_locations`) when the pooled frame is smaller
+    than ``n_locations``.
     """
-    frames: dict[str, list[SamplePoint]] = {}
+    require_distinct_counties(counties)
+    frames: dict[str, Sequence[SamplePoint]] = {}
     for county in counties:
         graph = build_road_network(county, seed=seed + 17)
         frames[county.name] = build_sampling_frame(county, graph)
@@ -143,7 +226,7 @@ def expand_to_captures(
     ]
 
 
-def frame_statistics(frame: list[SamplePoint]) -> dict[str, float]:
+def frame_statistics(frame: Sequence[SamplePoint]) -> dict[str, float]:
     """Descriptive statistics of a sampling frame (diagnostics)."""
     if not frame:
         return {"n_points": 0}

@@ -28,6 +28,7 @@ from ..geo.roadnet import build_road_network
 from ..geo.sampling import (
     build_sampling_frame,
     expand_to_captures,
+    require_distinct_counties,
     select_survey_locations,
 )
 from ..scene.model import BoundingBox, Scene
@@ -348,13 +349,14 @@ def build_survey_dataset(
     """Assemble the survey dataset via the (simulated) GSV API.
 
     ``n_images`` must be a multiple of 4 (one image per cardinal
-    heading at each sampled location).  Scenes and annotations are
-    deterministic in ``seed``.
+    heading at each sampled location) and county names must be
+    distinct.  Scenes and annotations are deterministic in ``seed``.
     """
     if n_images <= 0 or n_images % 4 != 0:
         raise ValueError(f"n_images must be a positive multiple of 4: {n_images}")
     if counties is None:
         counties = study_counties(seed=seed + 7)
+    require_distinct_counties(counties)
     if client is None:
         client = StreetViewClient(
             counties=counties, api_key="survey-key", generator_seed=seed
