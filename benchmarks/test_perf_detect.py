@@ -3,12 +3,14 @@
 Measures the optimizations `BENCH_detect.json` tracks (one
 document per commit, at the repo root):
 
-* **process backend** — training-tensor extraction, training, and
-  batched evaluation at ``workers=4`` (process pool) vs strictly
-  serial.  The work is pure-numpy CPU the GIL serializes, so the
+* **thread fan-out** — training-tensor extraction, training, and
+  batched evaluation at ``workers=4`` (thread pool) vs strictly
+  serial.  The work is numpy CPU that releases the GIL, so the
   speedup tracks the machine's *usable* core count: on a single-core
   host the document records ``core_capped`` instead of a speedup bar
-  (see DESIGN.md §9).
+  (see DESIGN.md §9).  The section keeps its historical
+  ``process_parallel`` name so the recorded trajectory stays
+  comparable.
 * **artifact cache** — a cold vs warm ``run_all`` of the detector
   experiments (Table I + the Fig. 2 augmentation sweep) against one
   content-addressed :class:`~repro.artifacts.ArtifactCache`: the warm
@@ -270,7 +272,7 @@ def test_detect_perf_trajectory(tmp_path):
     cores = effective_cpu_count()
     core_capped = cores < 2
 
-    # -- serial vs process-parallel ----------------------------------------
+    # -- serial vs thread-parallel -----------------------------------------
     with Stopwatch() as serial_sw:
         serial_result, serial_report = _train_and_eval(images, splits, 1)
     with Stopwatch() as parallel_sw:
@@ -279,7 +281,7 @@ def test_detect_perf_trajectory(tmp_path):
         )
     speedup = serial_sw.elapsed_s / parallel_sw.elapsed_s
 
-    # Determinism: process-parallel training and evaluation are
+    # Determinism: thread-parallel training and evaluation are
     # byte-identical to serial — same weights, same metrics.
     assert model_fingerprint(parallel_result.model) == model_fingerprint(
         serial_result.model
@@ -291,7 +293,7 @@ def test_detect_perf_trajectory(tmp_path):
     deterministic = parallel_report.rows() == serial_report.rows()
     assert deterministic
 
-    # -- chunking invariance under the process backend ---------------------
+    # -- chunking invariance under the thread fan-out ----------------------
     serial_tensors = build_training_tensors(splits[0], 16, workers=1)
     parallel_tensors = build_training_tensors(
         splits[0], 16, workers=WORKERS, chunk_size=4
@@ -355,13 +357,13 @@ def test_detect_perf_trajectory(tmp_path):
                 "core_capped": core_capped,
                 "deterministic": deterministic,
                 "note": (
-                    f"host exposes {cores} usable core(s); a process pool "
+                    f"host exposes {cores} usable core(s); a thread pool "
                     "cannot beat serial without a second core, so the "
                     "speedup bar is waived and determinism is the "
                     "acceptance criterion"
                 )
                 if core_capped
-                else f"{cores} usable cores",
+                else f"{cores} usable cores; workers run on a thread pool",
             },
             "artifact_cache": {
                 "cold_s": round(cold_sw.elapsed_s, 4),
@@ -381,7 +383,7 @@ def test_detect_perf_trajectory(tmp_path):
     # ≥1.8× at 4 workers — unless the host cannot physically deliver
     # it, in which case the document says so (`core_capped`).
     assert core_capped or speedup >= 1.8, (
-        f"process speedup {speedup:.2f}× below 1.8× on {cores} cores"
+        f"thread-pool speedup {speedup:.2f}× below 1.8× on {cores} cores"
     )
     assert warm_speedup >= 5.0, (
         f"warm artifact-cache rerun only {warm_speedup:.2f}× faster"

@@ -1,14 +1,8 @@
-"""Perf benchmark: shared-memory transport + streaming survey engine.
+"""Perf benchmark: streaming survey engine + request coalescing.
 
-Measures the three optimizations ``BENCH_stream.json`` tracks (one
+Measures the two optimizations ``BENCH_stream.json`` tracks (one
 document per commit, at the repo root):
 
-* **shm transport** — echoing 640×640 float image batches through a
-  two-worker process pool with ``multiprocessing.shared_memory``
-  transport vs plain pickle.  On a single-core host a process pool
-  cannot demonstrate the win, so the document records ``core_capped``
-  (the same honesty flag as ``BENCH_detect.json``) and byte-identity
-  becomes the acceptance criterion.
 * **streaming survey** — traced-peak memory of a 5,000-location
   synthetic survey through :meth:`NeighborhoodDecoder.survey`:
   the aggregate (streaming) path must complete under a memory ceiling
@@ -41,7 +35,6 @@ import itertools
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import LLMIndicatorClassifier, NeighborhoodDecoder
@@ -51,23 +44,12 @@ from repro.llm import build_clients
 from repro.llm.base import ChatMessage, ChatRequest
 from repro.llm.batch import BatchRunner
 from repro.llm import ImageAttachment
-from repro.parallel import (
-    ParallelExecutor,
-    SharedArrayArena,
-    effective_cpu_count,
-    shared_memory_support,
-)
 from repro.perf import Stopwatch, write_bench
 
 pytestmark = pytest.mark.perf
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "BENCH_stream.json"
-
-#: Transport payloads: the detector's eval-resolution image shape.
-IMAGE_SHAPE = (640, 640, 3)
-N_TRANSPORT_IMAGES = 12
-TRANSPORT_WORKERS = 2
 
 #: Streaming survey scale (the county-scale claim).
 STREAM_LOCATIONS = 5_000
@@ -76,18 +58,6 @@ THROUGHPUT_LOCATIONS = 1_000
 #: Coalescing batch: every unique request duplicated this many times.
 COALESCE_UNIQUE = 12
 COALESCE_COPIES = 5
-
-
-def _normalize(image: np.ndarray) -> np.ndarray:
-    """Module-level pool task: large array in, large array out."""
-    return image * np.float64(1.0 / 255.0)
-
-
-def _echo_through_pool(images: list[np.ndarray], shm: bool) -> list[np.ndarray]:
-    executor = ParallelExecutor(
-        workers=TRANSPORT_WORKERS, backend="process", shm=shm
-    )
-    return executor.map_results(_normalize, images)
 
 
 def _point_stream(base_points, n):
@@ -127,40 +97,6 @@ def _traced_survey_peak(decoder, base_points, n, keep_locations):
 
 
 def test_stream_perf_trajectory():
-    cores = effective_cpu_count()
-    core_capped = cores < 2
-    shm_available = shared_memory_support()[0] is not None
-
-    # -- shm vs pickle transport -------------------------------------------
-    rng = np.random.default_rng(33)
-    images = [
-        rng.uniform(0.0, 255.0, size=IMAGE_SHAPE)
-        for _ in range(N_TRANSPORT_IMAGES)
-    ]
-    payload_mb = images[0].nbytes * len(images) / 1e6
-
-    with Stopwatch() as pickle_sw:
-        via_pickle = _echo_through_pool(images, shm=False)
-    with Stopwatch() as shm_sw:
-        via_shm = _echo_through_pool(images, shm=True)
-    shm_speedup = pickle_sw.elapsed_s / shm_sw.elapsed_s
-
-    transport_deterministic = all(
-        np.array_equal(a, b) for a, b in zip(via_pickle, via_shm)
-    )
-    assert transport_deterministic
-
-    # Arena accounting for the same payload set, measured directly.
-    arena_stats = None
-    if shm_available:
-        with SharedArrayArena() as arena:
-            packed, handles = arena.pack(images)
-            live_at_peak = arena.live_blocks
-            for handle in handles:
-                arena.release(handle)
-            assert arena.live_blocks == 0  # every block released
-            arena_stats = {**arena.stats.as_dict(), "live_at_peak": live_at_peak}
-
     # -- streaming survey: memory + throughput -----------------------------
     calibration = build_survey_dataset(n_images=60, size=256, seed=77)
     clients = build_clients([image.scene for image in calibration])
@@ -249,31 +185,9 @@ def test_stream_perf_trajectory():
         "stream",
         {
             "config": {
-                "image_shape": list(IMAGE_SHAPE),
-                "n_transport_images": N_TRANSPORT_IMAGES,
-                "transport_workers": TRANSPORT_WORKERS,
                 "stream_locations": STREAM_LOCATIONS,
                 "coalesce_requests": len(requests),
                 "coalesce_unique": COALESCE_UNIQUE,
-            },
-            "transport": {
-                "payload_mb": round(payload_mb, 2),
-                "pickle_s": round(pickle_sw.elapsed_s, 4),
-                "shm_s": round(shm_sw.elapsed_s, 4),
-                "shm_speedup": round(shm_speedup, 3),
-                "shm_available": shm_available,
-                "effective_cpu_count": cores,
-                "core_capped": core_capped,
-                "deterministic": transport_deterministic,
-                "arena_stats": arena_stats,
-                "note": (
-                    f"host exposes {cores} usable core(s); both transports "
-                    "pay full process-pool serialization stalls, so the "
-                    "speedup bar is waived and byte-identity is the "
-                    "acceptance criterion"
-                )
-                if core_capped
-                else f"{cores} usable cores",
             },
             "streaming": {
                 "stream_locations_per_s": round(stream_locations_per_s, 2),
@@ -310,11 +224,6 @@ def test_stream_perf_trajectory():
     )
 
     assert BENCH_PATH.exists()
-    # Transport must win where the host can physically show it; a
-    # single-core host records the honesty flag instead.
-    assert core_capped or shm_speedup >= 1.2, (
-        f"shm transport only {shm_speedup:.2f}× vs pickle on {cores} cores"
-    )
     # The county-scale claim: 5,000 locations stream under a ceiling
     # the materializing run over the same locations exceeds.
     assert stream_peak < memory_ceiling, (

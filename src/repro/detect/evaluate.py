@@ -24,11 +24,11 @@ from .model import Detection, NanoDetector
 #: Images per batched forward pass.  Fixed (not derived from the
 #: worker count) so the stacked matmul shapes — and therefore the
 #: floating-point results — are identical however the work is
-#: distributed across processes.
+#: distributed across threads.
 EVAL_BATCH_SIZE = 16
 
 #: Images held in memory at once when evaluating an image *stream*.
-#: Large enough that process-pool chunks amortize, small enough that
+#: Large enough that fan-out chunks amortize, small enough that
 #: peak memory stays far below materializing a county's imagery.
 DEFAULT_EVAL_SHARD_SIZE = 4 * EVAL_BATCH_SIZE
 
@@ -319,10 +319,11 @@ class DetectionAccumulator:
 
 
 def _detect_chunk(payload) -> list[list[Detection]]:
-    """Process-pool worker: batched detection over a chunk of images.
+    """Fan-out task: batched detection over a chunk of images.
 
-    Module-level so the process backend can pickle it; the model rides
-    along in the payload (~100 KB of weights) once per chunk.
+    Every chunk shares the one model; its lazily built inference tiers
+    are deterministic, so threads that race to build one store equal
+    arrays.
     """
     model, images, conf_threshold, precision = payload
     pixels = [image.render() for image in images]
@@ -453,7 +454,7 @@ def _predict_shard(
             )
             for chunk in chunks
         ]
-        executor = ParallelExecutor(workers=workers, cpu_bound=True)
+        executor = ParallelExecutor(workers=workers)
         for chunk, results in zip(
             chunks, executor.map_results(_detect_chunk, payloads)
         ):
@@ -576,7 +577,7 @@ def evaluate_detector(
     before inference (the Fig. 3 noise ablation hooks in here).
 
     ``workers > 1`` fans rendering + batched inference out to a
-    process pool (metrics are byte-identical to serial: batch shapes
+    thread pool (metrics are byte-identical to serial: batch shapes
     are fixed and results are reassembled in image order).  ``cache``
     persists per-image detections keyed by model + image content, so
     repeated evaluations of an unchanged model skip rendering and

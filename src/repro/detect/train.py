@@ -152,14 +152,13 @@ def assign_targets(
 
 
 def _tensor_chunk(payload) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Process-pool worker: tensors for a chunk of images.
+    """Fan-out task: tensors for a chunk of images.
 
-    Module-level (and fed a single picklable payload) so the process
-    backend can ship it to children; per-image results are independent
-    of how images are chunked, which is what makes the fan-out
-    byte-identical to the serial path.  Feature extraction runs through
-    :func:`extract_features_batch` with one arena per chunk, so scratch
-    buffers are reused across the chunk's images.
+    Per-image results are independent of how images are chunked, which
+    is what makes the thread fan-out byte-identical to the serial
+    path.  Feature extraction runs through :func:`extract_features_batch`
+    with one arena per chunk, so scratch buffers are reused across the
+    chunk's images.
     """
     images, grid, use_occupancy, config = payload
     features = extract_features_batch(
@@ -195,8 +194,9 @@ def image_tensor_key(
     )
 
 
-#: Images per process-pool task: large enough to amortize pickling a
-#: task envelope, small enough to keep all workers busy on small sets.
+#: Images per fan-out task: large enough to amortize per-task overhead
+#: and reuse a chunk's scratch arena, small enough to keep all workers
+#: busy on small sets.
 TENSOR_CHUNK_SIZE = 8
 
 
@@ -216,10 +216,10 @@ def build_training_tensors(
     bbox-footprint target assignment (the design-ablation baseline).
 
     ``workers > 1`` fans the per-image work (render + feature pyramid +
-    target assignment, the suite's dominant CPU cost) out to a process
-    pool in chunks of ``chunk_size``; results are byte-identical to
-    serial for any chunking because every image is computed
-    independently and reassembled in input order.  ``cache`` (an
+    target assignment, the suite's dominant CPU cost) out to a thread
+    pool in chunks of ``chunk_size`` (numpy releases the GIL); results
+    are byte-identical to serial for any chunking because every image
+    is computed independently and reassembled in input order.  ``cache`` (an
     :class:`~repro.artifacts.ArtifactCache`) persists per-image
     tensors, so an augmentation sweep that reuses base images only
     pays for the transformed copies.
@@ -268,7 +268,7 @@ def build_training_tensors(
             missing[start : start + chunk_size]
             for start in range(0, len(missing), chunk_size)
         ]
-        executor = ParallelExecutor(workers=workers, cpu_bound=True)
+        executor = ParallelExecutor(workers=workers)
         payloads = [
             ([images[index] for index in chunk], grid, use_occupancy, config)
             for chunk in chunks
@@ -508,7 +508,7 @@ def train_detector(
     ``precomputed`` lets callers reuse ``build_training_tensors``
     output across experiments (the augmentation sweep retrains many
     times on overlapping data).  ``workers`` parallelizes tensor
-    building across processes (the SGD loop itself stays serial — it
+    building across threads (the SGD loop itself stays serial — it
     is a strict sequential dependence and already BLAS-vectorized).
     ``cache`` persists both per-image tensors and the trained weights;
     a rerun with identical inputs loads the fitted model from disk.

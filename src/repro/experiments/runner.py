@@ -82,7 +82,7 @@ class ExperimentSuite:
     """Caches shared inputs and runs every experiment.
 
     ``workers`` parallelizes the CPU-bound detector paths (tensor
-    building, evaluation) across processes and, via :meth:`run_all`,
+    building, evaluation) across threads and, via :meth:`run_all`,
     runs independent experiments concurrently.  ``artifacts`` is an
     optional :class:`~repro.artifacts.ArtifactCache`: feature tensors,
     trained weights, and per-image detector predictions persist there,
@@ -585,11 +585,9 @@ class ExperimentSuite:
         trained detector, and the default full-dataset predictions of
         every model — are warmed *before* the fan-out, so concurrent
         experiments read the caches instead of racing to build them.
-        The fan-out itself uses the thread backend: experiments share
-        those in-memory caches (which processes would have to
-        duplicate), and their heavy lifting is either BLAS (releases
-        the GIL) or already process-parallel internally via
-        ``self.workers``.
+        The fan-out runs on threads, so experiments share those
+        in-memory caches; their heavy lifting is numpy (releases the
+        GIL) and may fan out further internally via ``self.workers``.
         """
         from ..parallel import ParallelExecutor
 
@@ -609,7 +607,7 @@ class ExperimentSuite:
                 for model_id in ALL_MODEL_IDS:
                     self.model_predictions(model_id)
 
-            executor = ParallelExecutor(workers=workers, backend="auto")
+            executor = ParallelExecutor(workers=workers)
             outcomes = executor.run(
                 lambda name: PAPER_RUNNERS[name](self), names
             )

@@ -219,7 +219,7 @@ class SurveyDataset:
 
 
 def _render_one(payload) -> np.ndarray:
-    """Process-pool worker: rasterize one labeled image."""
+    """Fan-out task: rasterize one labeled image."""
     image, size = payload
     return image.render(size)
 
@@ -229,17 +229,16 @@ def render_images(
     size: int | None = None,
     workers: int | str = 1,
 ) -> list[np.ndarray]:
-    """Rasterize many labeled images, optionally across processes.
+    """Rasterize many labeled images, optionally across threads.
 
-    Rendering is the painter's algorithm over pure numpy — CPU-bound
-    work the GIL serializes — so ``workers > 1`` uses the process
-    backend.  Results come back in input order and are byte-identical
-    to calling ``image.render()`` serially (rendering is deterministic
-    per scene).
+    Rendering is the painter's algorithm over numpy kernels that
+    release the GIL, so ``workers > 1`` spreads it over a thread pool.
+    Results come back in input order and are byte-identical to calling
+    ``image.render()`` serially (rendering is deterministic per scene).
     """
     from ..parallel import ParallelExecutor
 
-    executor = ParallelExecutor(workers=workers, cpu_bound=True)
+    executor = ParallelExecutor(workers=workers)
     return executor.map_results(_render_one, [(image, size) for image in images])
 
 

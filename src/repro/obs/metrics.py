@@ -1,24 +1,23 @@
-"""Thread- and process-safe metrics: counters, gauges, histograms.
+"""Thread-safe metrics: counters, gauges, histograms, mergeable deltas.
 
-A county-scale survey fans work across threads and processes, and when
-it misbehaves the first question is always quantitative: how many
-fetches, how many cache hits, how many retries, where did the time
-go?  :class:`MetricsRegistry` answers those questions with three
-instrument kinds, all behind one lock:
+A county-scale survey fans work across threads, and when it misbehaves
+the first question is always quantitative: how many fetches, how many
+cache hits, how many retries, where did the time go?
+:class:`MetricsRegistry` answers those questions with three instrument
+kinds, all behind one lock:
 
 * **counters** — monotonically increasing floats (``inc``);
 * **gauges** — last-written values (``set_gauge``);
 * **histograms** — fixed-bucket-edge distributions (``observe``),
   recording per-bucket counts plus total count and sum.
 
-Process safety is achieved by *delta merging* rather than shared
-state: a child process accumulates into its own module-level registry
-(every process imports a fresh one), and the
-:class:`~repro.parallel.executor.ParallelExecutor` process backend
-snapshots the child registry around each task and ships the delta
-back inside the :class:`~repro.parallel.executor.TaskOutcome`.  The
-parent merges deltas in submission order, so the merged totals are
-deterministic for a deterministic workload.
+Threads write the one registry directly.  Work that runs in another
+process (the coordinator's shard workers) aggregates by *delta
+merging* rather than shared state: the child accumulates into its own
+module-level registry, ships the delta back with its result, and the
+parent folds it in with :meth:`MetricsRegistry.merge` in a fixed
+order, so the merged totals are deterministic for a deterministic
+workload.
 
 Snapshots are plain sorted dicts (JSON-ready); ``delta_since``
 subtracts two snapshots so callers can report exactly what one survey
@@ -208,7 +207,7 @@ class MetricsRegistry:
 
         Counters and histogram buckets add; gauges overwrite.  This is
         how child-process contributions land in the parent: the
-        executor merges each task's delta in submission order, keeping
+        coordinator merges each shard's delta in a fixed order, keeping
         the merged totals deterministic.
         """
         counters = delta.get("counters", {})

@@ -1,11 +1,9 @@
 """Name-keyed reusable tensor buffers for the detector hot paths.
 
-The shared-memory arena (:mod:`repro.parallel.shm`) solved the
-*cross-process* allocation problem: ship large arrays without pickling.
-This module generalizes the idea to the *intra-process* hot loops: the
-fused feature kernel touches ~30 scratch images per input image, and
-the SGD loop gathers/standardizes/activates the same batch-shaped
-tensors thousands of times per training run.  Allocating those afresh
+The detector's hot loops allocate the same scratch tensors over and
+over: the fused feature kernel touches ~30 scratch images per input
+image, and the SGD loop gathers/standardizes/activates the same
+batch-shaped tensors thousands of times per training run.  Allocating those afresh
 each iteration costs both allocator time and cache locality; a
 :class:`TensorArena` hands the same buffer back every time a call site
 asks for the same ``(name, shape, dtype)``.

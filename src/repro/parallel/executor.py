@@ -1,82 +1,53 @@
 """The one fan-out loop: ordered, bounded, cancellable task execution.
 
-The paper's workload splits into two regimes and each gets a backend:
+Every hot path that fans out — the LLM batch runner, the voting
+ensemble, and the detector's rendering, feature extraction and batched
+inference — goes through :class:`ParallelExecutor`.  It has two
+strategies, chosen from the worker count alone:
 
-* the survey path (GSV fetch + LLM classify) is dominated by simulated
-  network latency, so **threads** overlap the waits;
-* the detector path (rendering, feature extraction, training, batched
-  inference) is pure-numpy CPU work the GIL serializes, so
-  **processes** are the only way to use more than one core.
+* **one worker** runs each task inline as the consumer advances (the
+  exact serial semantics);
+* **more workers** run tasks on a ``concurrent.futures`` thread pool.
+  That serves both regimes the paper's workload has: threads overlap
+  the survey path's simulated network waits, and the detector path's
+  numpy kernels release the GIL, so CPU-bound chunks scale across
+  cores on threads as well (DESIGN.md §9).
 
-:class:`ParallelExecutor` gives every hot path the same concurrency
-shape regardless of backend:
+Whatever the strategy, the executor gives the same concurrency shape:
 
-* **backends** — ``serial`` (run inline, the exact legacy semantics),
-  ``thread`` (a ``concurrent.futures`` thread pool), or ``process``
-  (a ``ProcessPoolExecutor``; tasks ship to children as picklable
-  :class:`TaskEnvelope` objects).  ``auto`` picks ``serial`` for one
-  worker, then ``process`` when the call site declares itself
-  ``cpu_bound`` and ``thread`` otherwise.
 * **ordered collection** — results stream back in *submission* order
   regardless of completion order, which is what keeps parallel runs
   byte-identical to serial ones: downstream merging never observes a
   reordering.
 * **bounded in-flight work** — at most ``max_in_flight`` tasks are
   submitted ahead of the consumer, so a million-location survey never
-  materializes a million futures (and a process pool never queues a
-  gigabyte of pickled images).
+  materializes a million futures.
 * **cooperative cancellation** — a ``should_cancel`` predicate
   (typically "is the circuit breaker open?") is consulted before each
   new submission; once it fires, unsubmitted work is marked cancelled
-  without ever running and already-running tasks are drained.  Both
-  pooled backends cancel queued futures and join their workers on
-  early consumer exit, so no child process outlives its generator.
+  without ever running and already-running tasks are drained.  The
+  pool cancels queued futures and joins its threads on early consumer
+  exit, so no worker outlives its generator.
 
 Workers never see raised exceptions swallowed: a task that raises is
 captured into its :class:`TaskOutcome` and re-raised by
-:meth:`TaskOutcome.result`, mirroring ``RetryOutcome``.  The process
-backend additionally converts transport failures (unpicklable task,
-unpicklable result, a crashed child) into error outcomes instead of
-tearing down the whole iteration.
-
-Pickling constraints of the process backend (see DESIGN.md §9): the
-callable must be importable from the child (a module-level function,
-a ``functools.partial`` of one, or a picklable bound method) and both
-items and results must survive a round-trip through ``pickle``.
-
-Large numpy arrays are exempt from that round-trip: the process
-backend owns a :class:`~repro.parallel.shm.SharedArrayArena` and ships
-qualifying tensors through ``multiprocessing.shared_memory`` blocks
-(see DESIGN.md §10).  The swap happens inside :class:`TaskEnvelope`,
-so call sites pass plain arrays and workers receive plain (read-only)
-arrays — nothing changes at the API surface, and on hosts without shm
-the arena degrades to pickle with a recorded reason.
+:meth:`TaskOutcome.result`, mirroring ``RetryOutcome``.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
-from ..obs.metrics import get_metrics, nonempty_delta
-from .shm import (
-    DEFAULT_MIN_SHARE_BYTES,
-    SharedArrayArena,
-    ShmTransport,
-    discard_result,
-    pack_result,
-    resolve_item,
-)
+from ..obs.metrics import get_metrics
 
 __all__ = [
     "ParallelExecutor",
     "TaskCancelledError",
-    "TaskEnvelope",
     "TaskOutcome",
     "effective_cpu_count",
     "resolve_workers",
@@ -89,20 +60,12 @@ class TaskCancelledError(RuntimeError):
 
 @dataclass
 class TaskOutcome:
-    """What one submitted task did, in submission order.
-
-    ``metrics`` carries the metrics delta a child *process*
-    accumulated while running the task (``None`` for in-process
-    backends, which write to the parent registry directly).  The
-    executor merges it into the parent's registry as the outcome is
-    consumed, then clears it.
-    """
+    """What one submitted task did, in submission order."""
 
     index: int
     value: Any = None
     error: Exception | None = None
     cancelled: bool = False
-    metrics: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -117,65 +80,9 @@ class TaskOutcome:
         return self.value
 
 
-@dataclass(frozen=True)
-class TaskEnvelope:
-    """One unit of work shipped to a child process.
-
-    Bundling ``(fn, index, item)`` into a single picklable object keeps
-    the process backend's submission path symmetric with the thread
-    backend's and puts the pickling boundary in one place: if either
-    the callable or the item cannot cross it, the failure surfaces as
-    an error outcome for exactly that task.
-
-    When ``transport`` is set, the item may contain
-    :class:`~repro.parallel.shm.SharedArrayHandle` placeholders where
-    the parent's arena swapped out large arrays; :meth:`run` resolves
-    them to zero-copy read-only views before calling ``fn`` and packs
-    large *result* arrays into fresh shared blocks on the way back, so
-    the callable never sees a handle — shared-memory transport is
-    invisible at both ends of the task.
-    """
-
-    fn: Callable[[Any], Any]
-    index: int
-    item: Any
-    transport: ShmTransport | None = None
-
-    def run(self) -> TaskOutcome:
-        item = self.item
-        if self.transport is not None:
-            item = resolve_item(item)
-        # This code runs inside a worker process: its module-level
-        # registry is private to the child, so the per-task delta is
-        # exactly what this task contributed (the pool reuses workers,
-        # hence the before-snapshot rather than assuming zero).
-        registry = get_metrics()
-        before = registry.snapshot()
-        outcome = ParallelExecutor._execute(self.fn, self.index, item)
-        delta = registry.delta_since(before)
-        if nonempty_delta(delta):
-            outcome.metrics = delta
-        if self.transport is not None and outcome.ok:
-            outcome.value = pack_result(outcome.value, self.transport)
-        return outcome
-
-
-def _run_envelope(envelope: TaskEnvelope) -> TaskOutcome:
-    """Module-level trampoline so the submitted callable always pickles."""
-    return envelope.run()
-
-
 def _consume(outcome: TaskOutcome) -> TaskOutcome:
-    """Book one outcome as it reaches the consumer, in submission order.
-
-    Merges any child-process metrics delta into the parent registry
-    (submission order makes the merged totals deterministic) and
-    counts the task's fate.
-    """
+    """Count one outcome's fate as it reaches the consumer."""
     registry = get_metrics()
-    if outcome.metrics:
-        registry.merge(outcome.metrics)
-        outcome.metrics = None
     if outcome.cancelled:
         registry.inc("parallel.tasks.cancelled")
     elif outcome.error is not None:
@@ -183,34 +90,6 @@ def _consume(outcome: TaskOutcome) -> TaskOutcome:
     else:
         registry.inc("parallel.tasks.completed")
     return outcome
-
-
-def _release_handles(
-    arena: SharedArrayArena | None, handles: dict[int, list], index: int
-) -> None:
-    """Release the item blocks the arena shared for one task."""
-    if arena is None:
-        return
-    for handle in handles.pop(index, ()):
-        arena.release(handle)
-
-
-def _discard_result_blocks(future: Future) -> None:
-    """Done-callback: reclaim result blocks nobody will ever resolve.
-
-    Attached to in-flight futures when the consumer abandons an
-    iteration early — the worker may have already copied its result
-    into fresh shared blocks, and without a consumer those would
-    outlive the run.
-    """
-    if future.cancelled():
-        return
-    try:
-        outcome = future.result()
-    except Exception:  # noqa: BLE001 - transport failure, nothing to reclaim
-        return
-    if outcome.ok:
-        discard_result(outcome.value)
 
 
 def effective_cpu_count() -> int:
@@ -251,58 +130,31 @@ class ParallelExecutor:
     workers:
         Worker count; ``None``, ``0``, or ``"auto"`` resolves to
         :func:`effective_cpu_count` (production default), ``1`` runs
-        serially.
-    backend:
-        ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
-        (serial when the resolved worker count is 1, otherwise
-        process when ``cpu_bound`` and thread when not).
+        serially, more runs a thread pool of that size.
     max_in_flight:
         Maximum tasks submitted but not yet consumed; defaults to
         ``2 × workers``.  Bounds memory on huge surveys.
-    cpu_bound:
-        Call-site hint consumed by ``backend="auto"``: CPU-bound work
-        (rendering, feature extraction, detector inference) needs
-        processes to scale past the GIL, latency-bound work is better
-        off with threads.
-    shm:
-        Whether the process backend ships large numpy arrays through
-        shared memory (default) instead of pickling them.  Ignored by
-        the serial and thread backends, which share an address space
-        already.
-    shm_min_bytes:
-        Arrays below this size ride pickle even with ``shm`` on — a
-        shared block's syscall overhead only amortizes for bulk
-        payloads.
     """
 
     def __init__(
         self,
         workers: int | str | None = 1,
-        backend: str = "auto",
         max_in_flight: int | None = None,
-        cpu_bound: bool = False,
-        shm: bool = True,
-        shm_min_bytes: int = DEFAULT_MIN_SHARE_BYTES,
     ) -> None:
-        if backend not in ("serial", "thread", "process", "auto"):
-            raise ValueError(f"unknown backend: {backend!r}")
         self.workers = resolve_workers(workers)
-        if backend == "auto":
-            if self.workers == 1:
-                backend = "serial"
-            else:
-                backend = "process" if cpu_bound else "thread"
-        self.backend = backend
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be positive")
         self.max_in_flight = max_in_flight or 2 * self.workers
-        self.shm = shm
-        self.shm_min_bytes = shm_min_bytes
+
+    @property
+    def backend(self) -> str:
+        """``"serial"`` for one worker, ``"thread"`` otherwise."""
+        return "serial" if self.workers == 1 else "thread"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelExecutor(workers={self.workers}, "
-            f"backend={self.backend!r}, max_in_flight={self.max_in_flight})"
+            f"max_in_flight={self.max_in_flight})"
         )
 
     # ------------------------------------------------------------------
@@ -316,49 +168,17 @@ class ParallelExecutor:
     ) -> Iterator[TaskOutcome]:
         """Yield one :class:`TaskOutcome` per item, in submission order.
 
-        The serial backend runs each task inline as the consumer
-        advances (identical to the pre-parallel code path); the pooled
-        backends keep up to ``max_in_flight`` tasks running ahead of
-        the consumer.
+        One worker runs each task inline as the consumer advances
+        (identical to the pre-parallel code path); more workers keep up
+        to ``max_in_flight`` tasks running ahead of the consumer.
         """
-        if self.backend == "serial":
+        if self.workers == 1:
             yield from self._imap_serial(fn, items, should_cancel)
-        elif self.backend == "thread":
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                yield from self._imap_pooled(pool, fn, items, should_cancel)
-        else:
-            # The intent-ledger directory makes abrupt worker death
-            # (SIGKILL mid-result) leak-free: workers journal each
-            # result block's name into it before creation, and
-            # arena.close() reclaims whatever no consumer resolved.
-            arena = (
-                SharedArrayArena(
-                    min_bytes=self.shm_min_bytes,
-                    ledger_dir=tempfile.mkdtemp(prefix="repro_shm_ledger_"),
-                )
-                if self.shm
-                else None
-            )
-            try:
-                # Context-manager exit joins the children, so a consumer
-                # that stops early never leaks worker processes.
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    yield from self._imap_pooled(
-                        pool, fn, items, should_cancel, arena
-                    )
-            finally:
-                # The pool has joined by now: no child still maps any
-                # block, so force-unlinking whatever survived (nothing,
-                # unless the consumer bailed mid-task) is safe — and
-                # the ledger sweep inside close() reclaims result
-                # blocks stranded by workers that died abruptly.
-                if arena is not None:
-                    arena.close()
-                    if arena.stats.orphans_reclaimed:
-                        get_metrics().inc(
-                            "shm.orphans.reclaimed",
-                            arena.stats.orphans_reclaimed,
-                        )
+            return
+        # Context-manager exit joins the threads, so a consumer that
+        # stops early never leaks workers.
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            yield from self._imap_pooled(pool, fn, items, should_cancel)
 
     def run(
         self,
@@ -392,37 +212,14 @@ class ParallelExecutor:
                 continue
             yield _consume(ParallelExecutor._execute(fn, index, item))
 
-    def _submit(
-        self,
-        pool: ThreadPoolExecutor | ProcessPoolExecutor,
-        fn,
-        index,
-        item,
-        arena: SharedArrayArena | None = None,
-        handles: dict[int, list] | None = None,
-    ) -> Future:
-        if self.backend == "process":
-            transport = None
-            if arena is not None and arena.enabled:
-                item, task_handles = arena.pack(item)
-                if task_handles and handles is not None:
-                    handles[index] = task_handles
-                transport = arena.transport()
-            return pool.submit(
-                _run_envelope, TaskEnvelope(fn, index, item, transport)
-            )
-        return pool.submit(self._execute, fn, index, item)
-
     def _imap_pooled(
         self,
-        pool: ThreadPoolExecutor | ProcessPoolExecutor,
+        pool: ThreadPoolExecutor,
         fn: Callable[[Any], Any],
         items: Iterable[Any],
         should_cancel: Callable[[], bool] | None,
-        arena: SharedArrayArena | None = None,
     ) -> Iterator[TaskOutcome]:
         pending: deque[tuple[int, Future | None]] = deque()
-        handles: dict[int, list] = {}
         iterator = enumerate(items)
         exhausted = False
         cancelling = False
@@ -439,57 +236,22 @@ class ParallelExecutor:
                     if cancelling:
                         pending.append((index, None))
                     else:
-                        try:
-                            future = self._submit(
-                                pool, fn, index, item, arena, handles
-                            )
-                        except Exception as err:  # noqa: BLE001
-                            # A pool already broken by a crashed child
-                            # raises at *submit* time; surface it as
-                            # this task's outcome like any other
-                            # transport failure instead of aborting
-                            # the sweep mid-iteration.
-                            future = Future()
-                            future.set_exception(err)
-                        pending.append((index, future))
+                        pending.append(
+                            (index, pool.submit(self._execute, fn, index, item))
+                        )
                 if not pending:
                     break
                 index, future = pending.popleft()
                 if future is None:
                     yield _consume(TaskOutcome(index=index, cancelled=True))
                     continue
-                try:
-                    outcome = future.result()
-                except Exception as err:  # noqa: BLE001 - transport failure
-                    # The process backend surfaces pickling errors
-                    # and crashed children here; report them as the
-                    # task's outcome instead of aborting the sweep.
-                    outcome = TaskOutcome(index=index, error=err)
-                finally:
-                    # The worker is done with this task's item blocks
-                    # either way; drop the parent's references now so
-                    # live shared memory stays bounded by in-flight
-                    # work, not sweep length.
-                    _release_handles(arena, handles, index)
-                if arena is not None and outcome.ok:
-                    try:
-                        outcome.value = arena.unpack_result(outcome.value)
-                    except Exception as err:  # noqa: BLE001 - transport failure
-                        outcome = TaskOutcome(index=index, error=err)
-                yield _consume(outcome)
+                yield _consume(future.result())
         finally:
-            # A consumer that stops early (or a generator close)
-            # must not leave queued tasks running — and any result
-            # block a finished-but-unconsumed task already created
-            # must still be reclaimed once its future settles.
-            for index, future in pending:
-                if future is None:
-                    continue
-                future.cancel()
-                if arena is not None:
-                    future.add_done_callback(_discard_result_blocks)
-            for index in list(handles):
-                _release_handles(arena, handles, index)
+            # A consumer that stops early (or a generator close) must
+            # not leave queued tasks running.
+            for _, future in pending:
+                if future is not None:
+                    future.cancel()
 
     @staticmethod
     def _execute(fn: Callable[[Any], Any], index: int, item: Any) -> TaskOutcome:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .llm.base import ChatClient, ChatRequest, ChatResponse
-from .parallel import effective_cpu_count, shared_memory_support
+from .parallel import effective_cpu_count
 from .resilience.clock import Clock, WallClock
 
 __all__ = [
@@ -112,23 +112,13 @@ def machine_info() -> dict:
     bounds any measured speedup.  The raw logical count is kept
     alongside for context (containers routinely report many logical
     CPUs while pinning the process to a fraction of them).
-
-    ``shared_memory`` records whether the process backend's zero-copy
-    array transport is available; when it is not, the recorded reason
-    documents that every process-backend measurement in the artifact
-    paid pickle transport instead.
     """
-    shm_cls, shm_reason = shared_memory_support()
-    shm_status: dict = {"available": shm_cls is not None}
-    if shm_reason is not None:
-        shm_status["fallback_reason"] = shm_reason
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": effective_cpu_count(),
         "cpu_count_logical": os.cpu_count(),
         "numpy": np.__version__,
-        "shared_memory": shm_status,
     }
 
 
@@ -171,10 +161,6 @@ HEADLINE_METRICS: dict[str, list[dict]] = {
         },
     ],
     "stream": [
-        {
-            "path": "transport.shm_speedup",
-            "waived_by": "transport.core_capped",
-        },
         {"path": "streaming.stream_locations_per_s"},
         {"path": "coalescing.hit_rate"},
     ],

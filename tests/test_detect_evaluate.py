@@ -137,6 +137,49 @@ class TestStreamingEvaluation:
                 assert a.score == b.score  # exact, not approx
                 assert np.array_equal(a.box, b.box)
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("precision", ["float64", "float32", "int8"])
+    def test_predict_images_thread_workers_match_serial(
+        self, trained, precision, workers
+    ):
+        import copy
+        import sys
+
+        from repro.detect import predict_images
+
+        model, images = trained
+        serial = predict_images(
+            copy.deepcopy(model),
+            images,
+            conf_threshold=0.05,
+            batch_size=4,
+            precision=precision,
+        )
+        # One shared model with a cold tier cache: the concurrent chunks
+        # race to build the precision tier lazily.  A short switch
+        # interval makes the threads interleave inside that build.
+        model.__dict__.pop("_tier_cache", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = predict_images(
+                model,
+                images,
+                conf_threshold=0.05,
+                workers=workers,
+                batch_size=4,
+                precision=precision,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parallel) == len(serial) == len(images)
+        for got_dets, want_dets in zip(parallel, serial):
+            assert len(got_dets) == len(want_dets)
+            for got, want in zip(got_dets, want_dets):
+                assert got.indicator == want.indicator
+                assert got.score == want.score  # exact, not approx
+                assert got.box.tobytes() == want.box.tobytes()
+
     @pytest.mark.parametrize("shard_size", [5, 16, 100])
     def test_evaluate_detector_streaming_report_identical(
         self, trained, shard_size

@@ -10,6 +10,7 @@ from repro.gsv import (
     cropped_image,
     rotated_image,
 )
+from repro.gsv.dataset import render_images
 
 
 class TestBuildSurveyDataset:
@@ -127,3 +128,14 @@ class TestAugmentedCopies:
         image = replace(small_dataset[0], render_ops=(("zoom", 2),))
         with pytest.raises(ValueError):
             image.render(128)
+
+
+class TestRenderImagesFanOut:
+    def test_thread_workers_match_serial_byte_for_byte(self, small_dataset):
+        images = list(small_dataset)[:8]
+        parallel = render_images(images, workers=2)
+        serial = render_images(images, workers=1)
+        assert len(parallel) == len(serial) == len(images)
+        for got, want in zip(parallel, serial):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

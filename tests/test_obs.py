@@ -1,10 +1,10 @@
 """Tests for the observability layer: metrics, tracing, and the audit.
 
 Covers the :mod:`repro.obs` package in isolation (registry semantics,
-span lifecycle, JSONL export) and integrated with the pipeline: the
-process-backend delta merge, the determinism audit on a traced survey,
-and the payload-invisibility guarantee (tracing on vs off yields
-byte-identical reports).
+span lifecycle, JSONL export) and integrated with the pipeline:
+metrics written from thread fan-out, the determinism audit on a traced
+survey, and the payload-invisibility guarantee (tracing on vs off
+yields byte-identical reports).
 """
 
 from __future__ import annotations
@@ -240,11 +240,11 @@ class TestTracer:
         assert [span.name for span in tracer.spans] == ["inside"]
 
 
-# -- process-backend delta merge ---------------------------------------
+# -- thread fan-out metrics ---------------------------------------------
 
 
-def _count_in_child(value: int) -> int:
-    """Module-level so it pickles; writes the child's own registry."""
+def _count_in_task(value: int) -> int:
+    """Writes the active registry from inside a fan-out task."""
     metrics = get_metrics()
     metrics.inc("child.work")
     metrics.inc("child.value_total", value)
@@ -253,15 +253,16 @@ def _count_in_child(value: int) -> int:
 
 
 class TestProcessDeltaMerge:
-    def test_child_process_metrics_merge_into_parent(self):
+    def test_thread_backend_writes_parent_registry_directly(self):
+        """No delta shipping in-process — and crucially no double count."""
         items = list(range(6))
         registry = MetricsRegistry()
         with use_metrics(registry):
-            executor = ParallelExecutor(workers=2, backend="process")
-            results = [
-                outcome.result() for outcome in executor.run(_count_in_child, items)
-            ]
-        assert results == [item * 2 for item in items]
+            executor = ParallelExecutor(workers=4)
+            outcomes = executor.run(_count_in_task, items)
+        assert [outcome.result() for outcome in outcomes] == [
+            item * 2 for item in items
+        ]
         assert registry.counter("child.work") == len(items)
         assert registry.counter("child.value_total") == sum(items)
         assert registry.counter("parallel.tasks.completed") == len(items)
@@ -270,17 +271,6 @@ class TestProcessDeltaMerge:
         assert hist["sum"] == pytest.approx(sum(items))
         # values 0,1,2 | 3,4,5 -> buckets <=2, <=5, overflow
         assert hist["counts"] == [3, 3, 0]
-
-    def test_thread_backend_writes_parent_registry_directly(self):
-        """No delta shipping in-process — and crucially no double count."""
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            executor = ParallelExecutor(workers=4, backend="thread")
-            outcomes = executor.run(_count_in_child, list(range(6)))
-        assert all(outcome.ok for outcome in outcomes)
-        assert all(outcome.metrics is None for outcome in outcomes)
-        assert registry.counter("child.work") == 6
-        assert registry.counter("parallel.tasks.completed") == 6
 
 
 # -- traced surveys -----------------------------------------------------

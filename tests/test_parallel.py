@@ -13,7 +13,6 @@ from repro.llm.batch import TokenBucket
 from repro.parallel import (
     ParallelExecutor,
     TaskCancelledError,
-    TaskEnvelope,
     TaskOutcome,
     effective_cpu_count,
     resolve_workers,
@@ -27,7 +26,6 @@ from repro.resilience import (
 
 
 def _square(item: int) -> int:
-    """Module-level so it pickles into child processes."""
     return item * item
 
 
@@ -35,10 +33,6 @@ def _fail_on_three(item: int) -> int:
     if item == 3:
         raise ValueError("boom at 3")
     return item
-
-
-def _return_unpicklable(item: int):
-    return lambda: item  # closures cannot cross the pickle boundary
 
 
 class TestResolveWorkers:
@@ -66,7 +60,9 @@ class TestParallelExecutor:
         assert ParallelExecutor(workers=4).backend == "thread"
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
+        # The strategy follows from the worker count alone; there is no
+        # backend knob to pass.
+        with pytest.raises(TypeError):
             ParallelExecutor(workers=2, backend="fork")
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -157,69 +153,6 @@ class TestParallelExecutor:
             ParallelExecutor(workers=2).map_results(
                 _fail_on_three, list(range(6))
             )
-
-
-class TestProcessBackend:
-    def test_auto_prefers_process_for_cpu_bound(self):
-        assert ParallelExecutor(workers=4, cpu_bound=True).backend == "process"
-        assert ParallelExecutor(workers=4, cpu_bound=False).backend == "thread"
-        # One worker stays serial regardless of the hint.
-        assert ParallelExecutor(workers=1, cpu_bound=True).backend == "serial"
-
-    def test_results_come_back_in_submission_order(self):
-        executor = ParallelExecutor(workers=2, backend="process")
-        outcomes = executor.run(_square, list(range(8)))
-        assert [outcome.index for outcome in outcomes] == list(range(8))
-        assert [outcome.result() for outcome in outcomes] == [
-            item * item for item in range(8)
-        ]
-
-    def test_task_error_is_captured_per_task(self):
-        outcomes = ParallelExecutor(workers=2, backend="process").run(
-            _fail_on_three, list(range(6))
-        )
-        assert [outcome.ok for outcome in outcomes] == [
-            True, True, True, False, True, True
-        ]
-        with pytest.raises(ValueError, match="boom at 3"):
-            outcomes[3].result()
-        assert outcomes[5].result() == 5
-
-    def test_unpicklable_result_becomes_error_outcome(self):
-        """Transport failures mark one task failed, not the whole sweep."""
-        outcomes = ParallelExecutor(workers=2, backend="process").run(
-            _return_unpicklable, [0, 1]
-        )
-        assert all(not outcome.ok for outcome in outcomes)
-        assert all(not outcome.cancelled for outcome in outcomes)
-        with pytest.raises(Exception):
-            outcomes[0].result()
-
-    def test_cancellation_skips_unsubmitted_work(self):
-        fired = threading.Event()
-
-        def cancel_after_first() -> bool:
-            if fired.is_set():
-                return True
-            fired.set()
-            return False
-
-        executor = ParallelExecutor(
-            workers=2, backend="process", max_in_flight=2
-        )
-        outcomes = executor.run(
-            _square, list(range(20)), should_cancel=cancel_after_first
-        )
-        cancelled = [outcome for outcome in outcomes if outcome.cancelled]
-        assert cancelled, "cancellation should have marked the tail"
-        with pytest.raises(TaskCancelledError):
-            cancelled[0].result()
-        assert [outcome.index for outcome in outcomes] == list(range(20))
-
-    def test_envelope_runs_inline(self):
-        outcome = TaskEnvelope(_square, index=7, item=3).run()
-        assert outcome.index == 7
-        assert outcome.result() == 9
 
 
 class TestTokenBucketThreadSafety:
