@@ -19,11 +19,11 @@ Key scheme (see DESIGN.md §9):
   size, the lazy ``render_ops`` pipeline, annotations, and occupancy
   overrides.  Two images with equal fingerprints render and supervise
   identically.
-* :func:`model_fingerprint` — config plus the raw little-endian bytes
-  of every weight tensor; byte-identical models hash identically.
+* :func:`model_fingerprint` — config, input size, and the raw
+  little-endian bytes of every weight tensor; byte-identical models
+  trained at the same image size hash identically.
 * :func:`tensors_fingerprint` — shape + bytes of a training-tensor
-  triple, used to key trained weights on *what the trainer saw* so a
-  precomputed-tensor path and a from-images path hit the same entry.
+  triple, used to key trained weights on *what the trainer saw*.
 
 Storage is one file per artifact (``.npz`` for arrays, ``.json`` for
 structured payloads) under ``root/<kind>/<key[:2]>/<key>``, written
@@ -95,7 +95,7 @@ def image_fingerprint(image) -> str:
 
 
 def model_fingerprint(model) -> str:
-    """Content hash of a trained detector: config + raw weight bytes."""
+    """Content hash of a trained detector: config, input size, weights."""
     hasher = hashlib.sha256()
     config = model.config
     hasher.update(
@@ -110,6 +110,7 @@ def model_fingerprint(model) -> str:
             )
         ).encode()
     )
+    hasher.update(f"input_size={model.input_size}".encode())
     for name in ("w1", "b1", "w2", "b2", "feat_mean", "feat_std"):
         tensor = getattr(model, name)
         if tensor is None:

@@ -37,11 +37,17 @@ PEAK_BATCH_SIZE = 16
 def extract_peaks(
     detector: NanoDetector, images: Sequence[LabeledImage]
 ) -> np.ndarray:
-    """Per-image per-indicator peak scores, ``(N, C)`` canonical order."""
+    """Per-image per-indicator peak scores, ``(N, C)`` canonical order.
+
+    Images render at ``detector.input_size`` — the scale tier 0 scores
+    captures at — whatever ``size`` they carry, so calibration and
+    routing always see the same features.  A detector without a
+    recorded size renders each image at its own ``size``.
+    """
     chunks = []
     for start in range(0, len(images), PEAK_BATCH_SIZE):
         batch = images[start : start + PEAK_BATCH_SIZE]
-        pixels = [image.render() for image in batch]
+        pixels = [image.render(detector.input_size) for image in batch]
         scores, _ = detector.predict_cells_batch(pixels)
         chunks.append(NanoDetector.indicator_scores(scores))
     if not chunks:

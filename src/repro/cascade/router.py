@@ -1,11 +1,12 @@
 """The three-tier cascade classifier (DESIGN.md §13).
 
-Tier 0 runs the nano detector on every image and converts its
-per-indicator peak scores into calibrated probabilities
-(:class:`~repro.llm.calibration.MarginCalibration`).  An indicator
-whose calibrated *doubt* — ``min(p, 1-p)`` — is within the configured
-tolerance is answered by the detector's lean alone.  Doubt beyond the
-tolerance escalates:
+Tier 0 runs the nano detector on every image, rendered at the
+detector's own ``input_size`` (the size it was trained and calibrated
+at), and converts its per-indicator peak scores into calibrated
+probabilities (:class:`~repro.llm.calibration.MarginCalibration`).
+An indicator whose calibrated *doubt* — ``min(p, 1-p)`` — is within
+the configured tolerance is answered by the detector's lean alone.
+Doubt beyond the tolerance escalates:
 
 * **mid band** (``threshold < doubt <= deep_factor * threshold``) —
   a single-LLM *scout* is asked only about the doubted indicators; a
@@ -137,6 +138,11 @@ class CascadeClassifier:
     field): :meth:`predict_location` has the same contract as the
     classifier/ensemble branches plus skipped-vote provenance.
 
+    Tier 0 renders every capture at ``detector.input_size``,
+    whatever ``size`` the capture carries: the detector's features and
+    its calibration were both fit at that scale, and GSV bills per
+    image, not per pixel.
+
     Fees and tokens land in per-tier buckets of ``meter``
     (:meth:`~repro.gsv.api.UsageMeter.record_stage`), and routing
     counts in ``stats`` — both are cross-checked against the metrics
@@ -173,6 +179,12 @@ class CascadeClassifier:
             raise ValueError(
                 f"precision must be one of {PRECISIONS}: {self.precision}"
             )
+        if self.detector.input_size is None:
+            raise ValueError(
+                "detector has no input_size (trained from bare tensors "
+                "or saved before sizes were recorded); retrain it with "
+                "train_detector on labeled images"
+            )
 
     def classifiers(self) -> list[LLMIndicatorClassifier]:
         """Every classifier whose retry stats the survey must merge."""
@@ -187,12 +199,13 @@ class CascadeClassifier:
 
         Returns ``(presences, degraded_votes, skipped_votes)`` —
         the same contract as the decoder's ensemble branch.  The
-        detector forward is batched over the whole location.
+        detector forward is batched over the whole location, on pixels
+        rendered at the detector's ``input_size``.
         """
         if not images:
             return [], 0, 0
         metrics = get_metrics()
-        pixels = [image.render() for image in images]
+        pixels = [image.render(self.detector.input_size) for image in images]
         scores, _ = self.detector.predict_cells_batch(
             pixels, precision=self.precision
         )

@@ -145,6 +145,11 @@ class NanoDetector:
     b2: np.ndarray | None = None
     feat_mean: np.ndarray | None = None
     feat_std: np.ndarray | None = None
+    #: Pixel size of the square images the weights were trained on
+    #: (``None`` when trained from bare tensors).  Features are
+    #: scale-dependent, so consumers that score captures render them
+    #: at this size.
+    input_size: int | None = None
 
     @property
     def output_dim(self) -> int:
@@ -600,12 +605,13 @@ class NanoDetector:
             "b2": self.b2.tolist(),
             "feat_mean": self.feat_mean.tolist(),
             "feat_std": self.feat_std.tolist(),
+            "input_size": self.input_size,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NanoDetector":
         config = ModelConfig(**payload["config"])
-        model = cls(config=config)
+        model = cls(config=config, input_size=payload.get("input_size"))
         model.w1 = np.asarray(payload["w1"], dtype=np.float64)
         model.b1 = np.asarray(payload["b1"], dtype=np.float64)
         model.w2 = np.asarray(payload["w2"], dtype=np.float64)

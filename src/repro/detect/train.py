@@ -333,13 +333,14 @@ def _weights_key(
     box_targets: np.ndarray,
     model_config: ModelConfig,
     train_config: TrainConfig,
+    input_size: int | None,
 ) -> str:
     """Artifact-cache key for trained weights.
 
-    Keyed on *what the trainer saw* — the tensor bytes plus both
-    configs — so the precomputed-tensor path and the from-images path
-    address the same entry, and any change to data or hyperparameters
-    changes the key.
+    Keyed on *what the trainer saw* — the tensor bytes, the image size
+    the model records, and both configs — so the precomputed-tensor
+    path and the from-images path address the same entry for the same
+    images, and any change to data or hyperparameters changes the key.
     """
     from ..artifacts import fingerprint, tensors_fingerprint
 
@@ -347,6 +348,7 @@ def _weights_key(
         {
             "artifact": "detector-weights",
             "tensors": tensors_fingerprint(features, obj_targets, box_targets),
+            "input_size": input_size,
             "model_config": repr(model_config),
             "train_config": repr(train_config),
         }
@@ -512,6 +514,9 @@ def train_detector(
     is a strict sequential dependence and already BLAS-vectorized).
     ``cache`` persists both per-image tensors and the trained weights;
     a rerun with identical inputs loads the fitted model from disk.
+    The model records the training images' shared ``size`` as its
+    :attr:`~NanoDetector.input_size` (``None`` when trained from
+    ``precomputed`` tensors alone); mixed sizes raise ``ValueError``.
 
     ``incremental=True`` (requires ``cache`` and ``images``) enables
     delta fine-tuning: if a previous run with the same configs trained
@@ -528,6 +533,12 @@ def train_detector(
         train_config = TrainConfig()
     if not images and precomputed is None:
         raise ValueError("no training images")
+    sizes = sorted({image.size for image in images})
+    if len(sizes) > 1:
+        raise ValueError(
+            f"training images must share one size; got sizes {sizes}"
+        )
+    input_size = sizes[0] if sizes else None
 
     if precomputed is not None:
         features, obj_targets, box_targets = precomputed
@@ -550,7 +561,12 @@ def train_detector(
     weights_key = None
     if cache is not None:
         weights_key = _weights_key(
-            features, obj_targets, box_targets, model_config, train_config
+            features,
+            obj_targets,
+            box_targets,
+            model_config,
+            train_config,
+            input_size,
         )
         stored = cache.get_json("models", weights_key)
         if stored is not None:
@@ -655,6 +671,7 @@ def train_detector(
             arena=arena,
         )
 
+    model.input_size = input_size
     if cache is not None:
         if weights_key is not None and mode == "full":
             cache.put_json(

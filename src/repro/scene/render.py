@@ -1,6 +1,8 @@
-"""Scene rasterizer: ground truth in, 640×640 RGB pixels out.
+"""Scene rasterizer: ground truth in, square RGB pixels out.
 
-This is the reproduction's stand-in for the Google Street View camera.
+The output size is a parameter; :data:`DEFAULT_SIZE` (640×640, the
+paper's GSV request size) is the default.  This is the reproduction's
+stand-in for the Google Street View camera.
 Scenes render with a painter's algorithm — sky, terrain, background
 buildings and vegetation, roadway, sidewalk, lane markings, poles and
 wires, then foreground occluders — so the detector substrate trains on

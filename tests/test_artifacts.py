@@ -13,7 +13,12 @@ from repro.artifacts import (
     tensors_fingerprint,
 )
 from repro.detect.model import ModelConfig, NanoDetector
-from repro.detect.train import TrainConfig, build_training_tensors, train_detector
+from repro.detect.train import (
+    TrainConfig,
+    _weights_key,
+    build_training_tensors,
+    train_detector,
+)
 from repro.gsv.dataset import build_survey_dataset
 
 
@@ -64,6 +69,17 @@ class TestFingerprints:
         base = model_fingerprint(model)
         assert base == model_fingerprint(model)
         model.w1[0, 0] += 1.0
+        assert model_fingerprint(model) != base
+
+    def test_model_fingerprint_tracks_input_size(self, images):
+        model = train_detector(
+            images,
+            model_config=ModelConfig(grid=4, hidden=8),
+            train_config=TrainConfig(epochs=1, seed=5),
+        ).model
+        assert model.input_size == 128
+        base = model_fingerprint(model)
+        model.input_size = None
         assert model_fingerprint(model) != base
 
     def test_model_fingerprint_rejects_untrained(self):
@@ -141,3 +157,33 @@ class TestCachedPipeline:
         assert cache.stats()["by_kind"]["models"]["hits"] == 1
         assert model_fingerprint(cold.model) == model_fingerprint(warm.model)
         assert warm.loss_history == pytest.approx(cold.loss_history)
+        assert warm.model.input_size == cold.model.input_size == 128
+
+    def test_weights_key_tracks_input_size(self, cache, images):
+        model_config = ModelConfig(grid=4, hidden=8)
+        train_config = TrainConfig(epochs=1, seed=5)
+        tensors = build_training_tensors(images, grid=4)
+        keys = {
+            _weights_key(*tensors, model_config, train_config, size)
+            for size in (None, 128, 256)
+        }
+        assert len(keys) == 3
+        # The same tensors without images (no recorded size) miss the
+        # sized entry instead of returning a model that claims a size.
+        sized = train_detector(
+            images,
+            model_config=model_config,
+            train_config=train_config,
+            precomputed=tensors,
+            cache=cache,
+        )
+        bare = train_detector(
+            [],
+            model_config=model_config,
+            train_config=train_config,
+            precomputed=tensors,
+            cache=cache,
+        )
+        assert sized.mode == bare.mode == "full"
+        assert cache.stats()["by_kind"]["models"] == {"hits": 0, "misses": 2}
+        assert (sized.model.input_size, bare.model.input_size) == (128, None)

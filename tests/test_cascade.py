@@ -2,7 +2,8 @@
 
 Covers the router's tier partitioning and threshold-0 ensemble
 equivalence, the escalation-monotonicity property (raising the doubt
-tolerance never escalates more indicators), the calibration round-trip
+tolerance never escalates more indicators), tier 0 and calibration
+rendering at the detector's input size, the calibration round-trip
 through the artifact cache, the early-exit voting oracle, and — under
 the ``faults`` marker — a seeded mid-survey LLM outage that must
 degrade to detector-only answers without losing coverage.
@@ -10,6 +11,7 @@ degrade to detector-only answers without losing coverage.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,7 +31,11 @@ from repro.cascade import (
     recommend_threshold,
     token_fee_usd,
 )
-from repro.cascade.calibrate import THRESHOLD_GRID, extract_peaks
+from repro.cascade.calibrate import (
+    THRESHOLD_GRID,
+    extract_peaks,
+    presence_matrix,
+)
 from repro.cascade.frontier import micro_f1
 from repro.core.classifier import (
     ClassificationError,
@@ -39,10 +45,12 @@ from repro.core.classifier import (
 from repro.core.indicators import ALL_INDICATORS, IndicatorPresence
 from repro.core.pipeline import NeighborhoodDecoder
 from repro.core.voting import VotingEnsemble, decided_presence
+from repro.detect.model import NanoDetector
 from repro.detect.train import TrainConfig, train_detector
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient, build_survey_dataset
 from repro.llm.base import ChatClient, Usage
+from repro.llm.calibration import fit_margin_calibration
 from repro.llm.errors import ServerError
 from repro.llm.paper_targets import GPT_4O_MINI
 from repro.obs.audit import reconcile_survey
@@ -454,6 +462,86 @@ class TestCascadeRouter:
         baseline_f1 = micro_f1(baseline_predictions, truths)
         cascade_f1 = micro_f1(predictions, truths)
         assert cascade_f1 >= baseline_f1 - 0.01
+
+
+# ----------------------------------------------------------------------
+# Tier 0 scores pixels at the detector's own input size.
+
+
+def _at_size(images, size):
+    """Copies of ``images`` that carry a different capture ``size``."""
+    return [dataclasses.replace(image, size=size) for image in images]
+
+
+def _lean_f1(probabilities, truths):
+    """Micro-F1 of calibrated presence leans (``p >= 0.5``)."""
+    predicted = probabilities >= 0.5
+    tp = int((predicted & truths).sum())
+    fp = int((predicted & ~truths).sum())
+    fn = int((~predicted & truths).sum())
+    return 2 * tp / (2 * tp + fp + fn)
+
+
+class TestTierZeroResolution:
+    def test_detector_records_its_training_size(self, detector):
+        assert detector.input_size == 256
+
+    def test_capture_size_does_not_change_routing(
+        self, clients, detector, calibration, eval_images
+    ):
+        large = _at_size(eval_images, 640)
+        runs = []
+        for images in (eval_images, large):
+            cascade = _cascade(clients, detector, calibration, threshold=0.05)
+            presences = cascade.predict_location(images)
+            runs.append(
+                (presences, cascade.stats.snapshot(), cascade.meter.stage_totals())
+            )
+        assert runs[0] == runs[1]
+        stats = runs[0][1]
+        assert stats["tier0_indicators"] < len(eval_images) * N_INDICATORS
+
+    def test_calibration_ignores_holdout_size(
+        self, detector, calibration, holdout
+    ):
+        large = fit_cascade_calibration(detector, _at_size(holdout, 640))
+        assert len(large.curves) == len(calibration.curves)
+        for got, want in zip(large.curves, calibration.curves):
+            assert np.array_equal(got.positions, want.positions)
+            assert np.array_equal(got.values, want.values)
+
+    def test_input_size_f1_holds_against_640_renders(
+        self, detector, calibration, holdout
+    ):
+        """The int8-style accuracy gate for the smaller tier-0 renders.
+
+        Tier 0 decides presence by the calibrated lean.  At the
+        detector's ``input_size`` that lean must score within 0.01
+        micro-F1 of two 640-px alternatives on held-out scenes: 640
+        renders under the same calibration (what routing did before it
+        rendered at ``input_size``), and 640 renders under a
+        calibration fit on 640 renders.
+        """
+        scenes = build_survey_dataset(n_images=48, size=640, seed=57).images
+        truths = presence_matrix(scenes)
+
+        def peaks(images, size):
+            scores, _ = detector.predict_cells_batch(
+                [image.render(size) for image in images]
+            )
+            return NanoDetector.indicator_scores(scores)
+
+        calibration_640 = fit_margin_calibration(
+            peaks(holdout, 640), presence_matrix(holdout)
+        )
+        peaks_640 = peaks(scenes, 640)
+        f1_input = _lean_f1(
+            calibration.probabilities(peaks(scenes, detector.input_size)),
+            truths,
+        )
+        for reference in (calibration, calibration_640):
+            f1_640 = _lean_f1(reference.probabilities(peaks_640), truths)
+            assert f1_input >= f1_640 - 0.01, (f1_input, f1_640)
 
 
 # ----------------------------------------------------------------------

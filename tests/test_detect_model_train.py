@@ -1,8 +1,11 @@
 """Tests for the NanoDetector model, target assignment, and training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.cascade import CascadeClassifier
 from repro.core.indicators import ALL_INDICATORS, Indicator
 from repro.detect import (
     CELL_COVER_THRESHOLD,
@@ -143,6 +146,19 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_detector([])
 
+    def test_rejects_mixed_training_sizes(self, small_dataset):
+        images = small_dataset.split(seed=0).train[:4]
+        mixed = [*images[:2], *(replace(image, size=640) for image in images[2:])]
+        with pytest.raises(ValueError, match="share one size"):
+            train_detector(mixed, train_config=TrainConfig(epochs=1))
+
+    def test_precomputed_only_has_no_input_size(self, small_dataset):
+        tensors = build_training_tensors(small_dataset.split(seed=0).train[:8], 16)
+        result = train_detector(
+            [], train_config=TrainConfig(epochs=1, seed=0), precomputed=tensors
+        )
+        assert result.model.input_size is None
+
     def test_precomputed_tensors_reused(self, small_dataset):
         splits = small_dataset.split(seed=0)
         tensors = build_training_tensors(splits.train[:20], 16)
@@ -264,6 +280,34 @@ class TestPersistence:
         for a, b in zip(original, recovered):
             assert a.indicator == b.indicator
             assert a.score == pytest.approx(b.score)
+
+    @pytest.fixture(scope="class")
+    def sized_model(self, small_dataset):
+        return train_detector(
+            small_dataset.split(seed=0).train[:16],
+            model_config=ModelConfig(hidden=32),
+            train_config=TrainConfig(epochs=1, seed=0),
+        ).model
+
+    def test_input_size_round_trips(self, sized_model, tmp_path):
+        assert sized_model.input_size == 256
+        payload = sized_model.to_dict()
+        assert payload["input_size"] == 256
+        assert NanoDetector.from_dict(payload).input_size == 256
+        path = tmp_path / "model.json"
+        sized_model.save(path)
+        assert NanoDetector.load(path).input_size == 256
+
+    def test_legacy_payload_has_no_input_size(self, sized_model):
+        payload = sized_model.to_dict()
+        del payload["input_size"]
+        legacy = NanoDetector.from_dict(payload)
+        assert legacy.input_size is None
+        # Construction validates the detector before any tier runs.
+        with pytest.raises(ValueError, match="retrain"):
+            CascadeClassifier(
+                detector=legacy, calibration=None, scout=None, ensemble=None
+            )
 
     def test_untrained_model_raises(self):
         model = NanoDetector()
