@@ -4,8 +4,9 @@ Spins up the §16 :class:`~repro.service.SurveyService` over a shared
 client stack, submits a mixed schedule from two tenants — different
 priorities, a budget-capped tenant, one job cancelled while queued —
 drains it, and prints the durable books the daemon kept: per-job state
-and settlement, per-tenant ledgers, and the delivery order the
-priority scheduler actually chose.
+and settlement, per-tenant ledgers, the order the priority scheduler
+dispatched the jobs in, and the order they finished (jobs run
+concurrently within the shared bridge's thread budget).
 
 Everything shown here survives a crash: re-running the daemon over the
 same ``state_dir`` resumes interrupted jobs from their per-location
@@ -19,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 from repro.service import (
+    DEFAULT_MIDDLEWARE,
     CallbackSink,
     JobSpec,
     ServiceStack,
@@ -28,6 +30,12 @@ from repro.service import (
 
 
 async def main():
+    dispatched = []
+
+    async def record_dispatch(ctx, call_next):
+        dispatched.append(ctx.record.job_id)
+        return await call_next()
+
     delivered = []
     sink = CallbackSink(
         lambda record, report: delivered.append(
@@ -47,7 +55,11 @@ async def main():
     with tempfile.TemporaryDirectory() as tmp:
         stack = ServiceStack()
         async with SurveyService(
-            stack, Path(tmp) / "state", quotas=quotas, sinks=(sink,)
+            stack,
+            Path(tmp) / "state",
+            quotas=quotas,
+            sinks=(sink,),
+            middleware=DEFAULT_MIDDLEWARE + (record_dispatch,),
         ) as service:
             urgent = await service.submit(
                 JobSpec(tenant="acme", n_locations=3, seed=11, priority=5)
@@ -72,13 +84,15 @@ async def main():
 
             await service.run_until_idle()
 
-            # Sinks fire at every terminal transition: the queued
-            # cancellation lands first (it was terminal before the
-            # drain), then completions in priority order.
-            print(f"\nsink delivery order: {delivered}")
-            completed = [j for j, state in delivered if state == "done"]
-            assert completed[0] == urgent
-            assert completed[-1] == backfill
+            # The scheduler dispatches in priority order; the three
+            # jobs then run side by side and finish in whatever order
+            # their work takes.  Sinks fire at every terminal
+            # transition, so the queued cancellation lands first.
+            print(f"\ndispatch order: {dispatched}")
+            print(f"sink delivery order: {delivered}")
+            assert dispatched == [urgent, metered, backfill]
+            assert delivered[0] == (doomed, "cancelled")
+            assert sorted(j for j, _ in delivered[1:]) == sorted(dispatched)
             for job_id in (urgent, backfill, metered, doomed):
                 record = await service.status(job_id)
                 print(

@@ -45,6 +45,7 @@ from ..gsv.dataset import LabeledImage
 from ..llm.base import Usage
 from ..llm.calibration import MarginCalibration
 from ..obs.metrics import get_metrics
+from ..obs.scope import tally
 
 #: Default doubt tolerance — calibrated against the paper-synthetic
 #: benchmark (see ``benchmarks/test_perf_cascade.py``): the largest
@@ -89,7 +90,10 @@ class CascadeStats:
     disagreed with the detector's lean; ``deep_escalations`` — doubt
     beyond the deep band skipped the scout), and
     ``detector_fallbacks`` counts indicators answered by the detector
-    lean because an LLM tier failed outright.
+    lean because an LLM tier failed outright.  Every increment is also
+    tallied (``cascade.<field>``) into the caller's
+    :class:`~repro.obs.scope.Tally`, which is what a survey report's
+    ``cascade_stats`` sums.
     """
 
     images: int = 0
@@ -123,6 +127,8 @@ class CascadeStats:
                 if name not in self.FIELDS:
                     raise ValueError(f"unknown cascade counter: {name}")
                 setattr(self, name, getattr(self, name) + delta)
+        for name, delta in deltas.items():
+            tally(f"cascade.{name}", delta)
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
@@ -185,10 +191,6 @@ class CascadeClassifier:
                 "or saved before sizes were recorded); retrain it with "
                 "train_detector on labeled images"
             )
-
-    def classifiers(self) -> list[LLMIndicatorClassifier]:
-        """Every classifier whose retry stats the survey must merge."""
-        return [self.scout, *self.ensemble.classifiers.values()]
 
     # ------------------------------------------------------------------
 

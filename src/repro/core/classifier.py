@@ -30,6 +30,7 @@ from ..llm.base import (
 )
 from ..llm.errors import RateLimitError, ServerError
 from ..llm.language import Language
+from ..parallel.aio import batched_complete
 from ..resilience.clock import Clock, WallClock
 from ..resilience.retry import RetryPolicy, RetryStats
 from .indicators import Indicator, IndicatorPresence
@@ -202,6 +203,8 @@ class LLMIndicatorClassifier:
         Returns ``(response text, token usage)``; the request built for
         the full indicator set is identical to what ``ChatClient.ask``
         would build, so responses stay bit-equal to the legacy path.
+        Inside a pipelined survey the call joins the micro-batch window
+        of the batcher installed in the caller's context.
         """
         if self.config.few_shot_exemplars:
             from .fewshot import build_few_shot_request
@@ -228,7 +231,7 @@ class LLMIndicatorClassifier:
                 temperature=self.config.temperature,
                 top_p=self.config.top_p,
             )
-        response = self.client.complete(request)
+        response = batched_complete(self.client, request)
         return response.content, response.usage
 
     def classify(

@@ -22,7 +22,7 @@ import asyncio
 import contextlib
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # cascade imports core; keep the runtime edge one-way
     from ..cascade.router import CascadeClassifier
 
 from ..gsv.api import (
+    FEE_PER_IMAGE_USD,
     StreetViewClient,
     StreetViewError,
     TransientNetworkError,
@@ -44,6 +45,7 @@ from ..geo.sampling import (
     plan_survey_points,
 )
 from ..obs.metrics import get_metrics
+from ..obs.scope import Tally, use_tally
 from ..obs.trace import get_tracer
 from ..parallel.aio import (
     AIMDController,
@@ -63,6 +65,13 @@ from .voting import VotingEnsemble
 
 #: Default window of :meth:`NeighborhoodDecoder.survey_stream_async`.
 DEFAULT_STREAM_INFLIGHT = 64
+
+#: ``SurveyReport.coalesce_stats`` key → the cache's tally name.
+_COALESCE_TALLIES = {
+    "coalesced": "llm.cache.coalesced",
+    "cache_hits": "llm.cache.hits",
+    "upstream_calls": "llm.cache.misses",
+}
 
 
 @dataclass
@@ -484,7 +493,11 @@ class NeighborhoodDecoder:
         retry/breaker semantics are untouched.  Merging happens on the
         event loop, strictly in submission order, through
         :meth:`_merge_one` — the ordering discipline that keeps the
-        report byte-identical at every window.  Only the window's
+        report byte-identical at every window.  Each location runs in
+        its own :class:`~repro.obs.scope.Tally` scope, and the report's
+        fees, retries, cache and cascade counters are the sum of those
+        tallies, so surveys overlapping on one decoder (or one daemon
+        stack) never see each other's work.  Only the window's
         points are held at once: it is the whole memory footprint of a
         streamed survey.
 
@@ -497,15 +510,13 @@ class NeighborhoodDecoder:
         tracer = get_tracer()
         registry = get_metrics()
         metrics_before = registry.snapshot()
-        classifiers = self._classifiers()
-        baselines, coalesce_before, cascade_before, fees_before = (
-            self._survey_baselines(classifiers)
-        )
-        # Per-location retry provenance (persisted into checkpoint
-        # payloads so the coordinator can reconstruct canonical totals
-        # after a crash) is only meaningful when locations run one at a
-        # time: classifier stats are shared objects, so concurrent
-        # locations interleave their deltas.
+        report.coalesce_stats = dict.fromkeys(_COALESCE_TALLIES, 0)
+        if self.cascade is not None:
+            report.cascade_stats = dict.fromkeys(self.cascade.stats.FIELDS, 0)
+        # Per-location retry provenance is persisted into checkpoint
+        # payloads (the coordinator rebuilds canonical totals from it
+        # after a crash) only at window 1, which keeps checkpoint bytes
+        # identical to the format's established shape.
         record_provenance = max_inflight == 1
         controller = AIMDController(
             initial=max_inflight, max_limit=max_inflight
@@ -519,8 +530,9 @@ class NeighborhoodDecoder:
         # Each in-flight location can park at most one sync call on the
         # bridge at a time (fetch or classify), so the window itself is
         # the right thread cap.  A caller-owned bridge (the service
-        # daemon reusing one pool across jobs) is used as handed over
-        # and must be sized to its own widest window.
+        # daemon reusing one pool across concurrent jobs) is used as
+        # handed over; its owner keeps the windows it lends within
+        # the bridge's threads.
         owned_bridge = bridge is None
         if bridge is None:
             bridge = ThreadBridge(max_threads=max_inflight)
@@ -547,34 +559,26 @@ class NeighborhoodDecoder:
                 tracer.span("survey", max_inflight=max_inflight)
             )
             if batcher is not None:
-                stack.enter_context(batcher.install(classifiers))
+                stack.enter_context(batcher.install())
 
             async def decode_one(
                 indexed: tuple[int, SamplePoint]
-            ) -> (
-                tuple[LocationResult, int, int, int, RetryStats, dict | None]
-                | dict
-            ):
+            ) -> tuple[LocationResult, int, int, int, Tally] | dict:
                 index, point = indexed
-                with tracer.span(
+                # The location's own books: every shared object it runs
+                # through tallies into this scope, on whichever bridge
+                # thread the work lands.
+                scope = Tally()
+                with use_tally(scope), tracer.span(
                     "survey.location", parent=root_span, index=index
                 ) as loc_span:
                     if store is not None and store.has(index):
                         loc_span.set(checkpointed=True)
                         return store.get(index)
-                    fetch_stats = RetryStats()
-                    clf_before = (
-                        [replace(clf.retry_stats) for clf in classifiers]
-                        if record_provenance
-                        else None
-                    )
                     try:
                         async with fetch_gate:
                             images = await bridge.run(
-                                self._fetch_location,
-                                index,
-                                point,
-                                fetch_stats,
+                                self._fetch_location, index, point
                             )
                         async with controller.slot():
                             with tracer.span(
@@ -592,17 +596,14 @@ class NeighborhoodDecoder:
                         CircuitOpenError,
                         ClassificationError,
                     ) as err:
-                        err.retry_provenance = fetch_stats  # type: ignore[attr-defined]
+                        err.tally = scope  # type: ignore[attr-defined]
                         raise
-                    return self._package_result(
-                        point,
-                        images,
-                        presences,
+                    return (
+                        self._location_result(point, presences),
+                        len(images),
                         degraded,
                         skipped,
-                        fetch_stats,
-                        clf_before,
-                        classifiers,
+                        scope,
                     )
 
             throttle_base = throttle_level()
@@ -616,6 +617,7 @@ class NeighborhoodDecoder:
                     report,
                     store=store,
                     keep_locations=keep_locations,
+                    record_provenance=record_provenance,
                     tracer=tracer,
                     root_span=root_span,
                 )
@@ -626,13 +628,6 @@ class NeighborhoodDecoder:
                     controller.on_success()
                 throttle_base = throttle_now
 
-            self._finalize_report(
-                report,
-                baselines,
-                coalesce_before,
-                cascade_before,
-                fees_before,
-            )
             if batcher is not None:
                 report.batch_stats = batcher.stats()
             report.pipeline_stats = controller.stats()
@@ -673,58 +668,22 @@ class NeighborhoodDecoder:
             },
         )
 
-    def _survey_baselines(
-        self, classifiers: list[LLMIndicatorClassifier]
-    ) -> tuple[dict[int, RetryStats], dict, dict | None, float]:
-        """Snapshot the shared counters a survey reports deltas of."""
-        baselines = {
-            id(clf): replace(clf.retry_stats) for clf in classifiers
-        }
-        coalesce_before = self._coalesce_totals()
-        cascade_before = (
-            self.cascade.stats.snapshot() if self.cascade is not None else None
-        )
-        fees_before = self.street_view.usage().fees_usd
-        return baselines, coalesce_before, cascade_before, fees_before
-
-    def _package_result(
-        self,
-        point: SamplePoint,
-        images: Sequence[LabeledImage],
-        presences: list[IndicatorPresence],
-        degraded: int,
-        skipped: int,
-        fetch_stats: RetryStats,
-        clf_before: list[RetryStats] | None,
-        classifiers: list[LLMIndicatorClassifier],
-    ) -> tuple[LocationResult, int, int, int, RetryStats, dict | None]:
-        """Fold one decoded location into the tuple the merge loop eats."""
+    @staticmethod
+    def _location_result(
+        point: SamplePoint, presences: list[IndicatorPresence]
+    ) -> LocationResult:
+        """One location's result: the union over its headings."""
         union = [
             ind
             for ind in ALL_INDICATORS
             if any(presence[ind] for presence in presences)
         ]
-        result = LocationResult(
+        return LocationResult(
             latitude=point.location.lat,
             longitude=point.location.lon,
             county=point.county,
             zone_kind=point.zone_kind.value,
             presence=IndicatorPresence(union),
-        )
-        retry_payload = None
-        if clf_before is not None:
-            provenance = RetryStats()
-            provenance.merge(fetch_stats)
-            for clf, base in zip(classifiers, clf_before):
-                provenance.merge(_stats_since(clf.retry_stats, base))
-            retry_payload = provenance.as_dict()
-        return (
-            result,
-            len(images),
-            degraded,
-            skipped,
-            fetch_stats,
-            retry_payload,
         )
 
     def _merge_one(
@@ -735,12 +694,13 @@ class NeighborhoodDecoder:
         *,
         store: SurveyCheckpoint | None,
         keep_locations: bool,
+        record_provenance: bool,
         tracer,
         root_span,
     ) -> None:
         """Merge one outcome, in submission order, on the calling thread.
 
-        Failure recording, checkpoint restoration, stats merging and
+        Failure recording, checkpoint restoration, tally folding and
         checkpoint writes all happen here, in submission order, which
         is what keeps the report byte-identical at every window.
         """
@@ -755,9 +715,10 @@ class NeighborhoodDecoder:
                 CircuitOpenError,
                 ClassificationError,
             ) as err:
-                provenance = getattr(err, "retry_provenance", None)
-                if provenance is not None:
-                    report.retry_stats.merge(provenance)
+                # A failed location still spent fees and retries.
+                scope = getattr(err, "tally", None)
+                if scope is not None:
+                    self._fold_tally(report, scope)
                 registry.inc("survey.locations.failed")
                 report.failed_locations.append(
                     FailedLocation(
@@ -771,10 +732,8 @@ class NeighborhoodDecoder:
             if isinstance(outcome, dict):
                 self._restore_location(report, outcome, keep_locations)
                 return
-            result, n_images, degraded, skipped, fetch_stats, retry = (
-                outcome
-            )
-            report.retry_stats.merge(fetch_stats)
+            result, n_images, degraded, skipped, scope = outcome
+            retry = self._fold_tally(report, scope)
             self._record_result(
                 report,
                 result,
@@ -787,45 +746,42 @@ class NeighborhoodDecoder:
                 store.record(
                     task.index,
                     self._location_payload(
-                        result, n_images, degraded, retry, skipped
+                        result,
+                        n_images,
+                        degraded,
+                        retry.as_dict() if record_provenance else None,
+                        skipped,
                     ),
                 )
 
-    def _finalize_report(
-        self,
-        report: SurveyReport,
-        baselines: dict[int, RetryStats],
-        coalesce_before: dict,
-        cascade_before: dict | None,
-        fees_before: float,
-    ) -> None:
-        """Book the end-of-run deltas against the pre-survey baselines."""
-        report.fees_usd = self.street_view.usage().fees_usd - fees_before
-        for clf in self._classifiers():
-            report.retry_stats.merge(
-                _stats_since(clf.retry_stats, baselines[id(clf)])
-            )
-        report.coalesce_stats = _totals_since(
-            self._coalesce_totals(), coalesce_before
-        )
-        if cascade_before is not None:
-            assert self.cascade is not None
-            report.cascade_stats = _totals_since(
-                self.cascade.stats.snapshot(), cascade_before
-            )
+    @staticmethod
+    def _fold_tally(report: SurveyReport, scope: Tally) -> RetryStats:
+        """Add one location's tally to the report; returns its retries.
+
+        Imagery fees, retries, cache traffic and cascade routing each
+        come from the location's own :class:`~repro.obs.scope.Tally`,
+        never from the shared meter, classifiers or cache, so a survey
+        that overlaps another (two daemon jobs on one stack) reports
+        exactly its own work.  Cache counters of a micro-batch window
+        land in its leader's location; the survey's sum is exact.
+        """
+        retry = RetryStats.from_dict(scope.section("retry"))
+        report.retry_stats.merge(retry)
+        # One addition per image, in location order: the same float
+        # sum a fresh meter accumulates and the coordinator's merge
+        # rebuilds, not images * fee.
+        for _ in range(int(scope.get("gsv.images_billed"))):
+            report.fees_usd += FEE_PER_IMAGE_USD
+        for key, name in _COALESCE_TALLIES.items():
+            report.coalesce_stats[key] += int(scope.get(name))
+        for name, value in scope.section("cascade").items():
+            report.cascade_stats[name] += int(value)
+        return retry
 
     # ------------------------------------------------------------------
 
-    def _classifiers(self) -> list[LLMIndicatorClassifier]:
-        if self.classifier is not None:
-            return [self.classifier]
-        if self.cascade is not None:
-            return self.cascade.classifiers()
-        assert self.ensemble is not None
-        return list(self.ensemble.classifiers.values())
-
     def _fetch_location(
-        self, index: int, point: SamplePoint, stats: RetryStats
+        self, index: int, point: SamplePoint
     ) -> list[LabeledImage]:
         """Fetch all headings of one location under the retry policy."""
         images: list[LabeledImage] = []
@@ -838,7 +794,6 @@ class NeighborhoodDecoder:
                 giveup=(StreetViewError,),
                 clock=self.clock,
                 breaker=self.gsv_breaker,
-                stats=stats,
             )
             served = outcome.result()
             images.append(
@@ -949,20 +904,6 @@ class NeighborhoodDecoder:
             skipped=payload.get("skipped_votes", 0),
         )
 
-    def _coalesce_totals(self) -> dict[str, int]:
-        """Sum coalescing/caching counters across the LLM clients."""
-        totals = {"coalesced": 0, "cache_hits": 0, "upstream_calls": 0}
-        seen: set[int] = set()
-        for clf in self._classifiers():
-            client = getattr(clf, "client", None)
-            if client is None or id(client) in seen:
-                continue
-            seen.add(id(client))
-            totals["coalesced"] += getattr(client, "coalesced", 0)
-            totals["cache_hits"] += getattr(client, "hits", 0)
-            totals["upstream_calls"] += getattr(client, "misses", 0)
-        return totals
-
 
 def location_from_payload(payload: dict) -> LocationResult:
     """Rebuild a :class:`LocationResult` from its checkpoint payload.
@@ -980,15 +921,3 @@ def location_from_payload(payload: dict) -> LocationResult:
             Indicator.from_string(value) for value in payload["present"]
         ),
     )
-
-
-def _totals_since(
-    current: dict[str, int], baseline: dict[str, int]
-) -> dict[str, int]:
-    """Per-key deltas of two counter snapshots."""
-    return {key: current[key] - baseline[key] for key in current}
-
-
-def _stats_since(current: RetryStats, baseline: RetryStats) -> RetryStats:
-    """The portion of ``current`` accumulated after ``baseline``."""
-    return current.subtract(baseline)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..geo.coordinates import CARDINAL_HEADINGS, LatLon, normalize_heading
 from ..obs.metrics import get_metrics
+from ..obs.scope import tally
 from ..obs.trace import get_tracer
 from ..geo.county import County, ZoneKind
 from ..geo.roadnet import RoadClass
@@ -115,6 +116,10 @@ class UsageMeter:
     the split against.  The headline totals (``requests`` /
     ``images_served`` / ``fees_usd``) remain the sum over imagery
     exactly as before — stage buckets are attribution, not new billing.
+
+    Each billed image is also tallied (``gsv.images_billed``) into the
+    caller's :class:`~repro.obs.scope.Tally`: the per-location bill a
+    survey report sums, however many surveys share the meter.
     """
 
     requests: int = 0
@@ -134,6 +139,7 @@ class UsageMeter:
             bucket.requests += 1
             bucket.images += 1
             bucket.fees_usd += FEE_PER_IMAGE_USD
+        tally("gsv.images_billed")
 
     def record_metadata(self) -> None:
         # Metadata requests are free, matching the real API.

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import IO
 
 from ..obs.metrics import get_metrics
+from ..obs.scope import tally
 from ..obs.trace import get_tracer
 from .base import ChatClient, ChatRequest, ChatResponse, Usage
 
@@ -104,8 +105,10 @@ class CachingChatClient(ChatClient):
     upstream call; every other worker blocks on that flight and shares
     its response (or its exception) without touching the inner client
     — one call, one fee, however wide the fan-out.  ``coalesced``
-    counts the followers.  Usable as a context manager; leaving the
-    ``with`` block compacts the journal.
+    counts the followers.  Hits, misses and followers are also tallied
+    into the caller's :class:`~repro.obs.scope.Tally`, so concurrent
+    surveys sharing one cache each see their own counts.  Usable as a
+    context manager; leaving the ``with`` block compacts the journal.
     """
 
     def __init__(
@@ -137,6 +140,7 @@ class CachingChatClient(ChatClient):
             if cached is not None:
                 self.hits += 1
                 metrics.inc("llm.cache.hits")
+                tally("llm.cache.hits")
                 self.stats.record(Usage(0, 0))  # logical request, zero tokens
                 return _response_from_record(cached)
             flight = self._inflight.get(key)
@@ -186,6 +190,7 @@ class CachingChatClient(ChatClient):
                 if cached is not None:
                     self.hits += 1
                     metrics.inc("llm.cache.hits")
+                    tally("llm.cache.hits")
                     self.stats.record(Usage(0, 0))
                     responses[pos] = _response_from_record(cached)
                     continue
@@ -232,6 +237,7 @@ class CachingChatClient(ChatClient):
         with self._lock:
             self.coalesced += 1
             get_metrics().inc("llm.cache.coalesced")
+            tally("llm.cache.coalesced")
             if flight.error is None:
                 self.stats.record(Usage(0, 0))
         if flight.error is not None:
@@ -271,6 +277,7 @@ class CachingChatClient(ChatClient):
             with self._lock:
                 self.misses += 1
                 get_metrics().inc("llm.cache.misses")
+                tally("llm.cache.misses")
                 self._cache[key] = record
                 self.stats.record(response.usage)
                 self._append(key, record)

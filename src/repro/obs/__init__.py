@@ -9,6 +9,9 @@ The measurement substrate under the survey pipeline (DESIGN.md §11):
   (counters, gauges, fixed-bucket histograms) whose child-process
   deltas merge back through the
   :class:`~repro.parallel.executor.ParallelExecutor` result path.
+* :mod:`repro.obs.scope` — per-location :class:`Tally` books that
+  shared objects (usage meter, response cache, retry loop, cascade
+  counters) record into through a context variable.
 * :mod:`repro.obs.audit` — cross-checks the metrics books against the
   survey report's counters and validates trace structure.
 
@@ -31,6 +34,7 @@ from .metrics import (
     reset_metrics,
     use_metrics,
 )
+from .scope import Tally, tally, use_tally
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -50,6 +54,7 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
+    "Tally",
     "Tracer",
     "audit_trace",
     "get_metrics",
@@ -57,6 +62,8 @@ __all__ = [
     "reconcile_survey",
     "reset_metrics",
     "set_tracer",
+    "tally",
     "use_metrics",
+    "use_tally",
     "use_tracer",
 ]

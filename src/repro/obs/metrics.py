@@ -26,6 +26,7 @@ or suite run contributed, regardless of what else the registry saw.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from contextlib import contextmanager
 
@@ -254,29 +255,41 @@ def nonempty_delta(delta: dict) -> bool:
 
 
 #: The process-wide default registry.  Instrumented library code reads
-#: it through :func:`get_metrics` at call time, so tests (and the
-#: CLI) can swap in a scoped registry with :func:`use_metrics`.
+#: the active registry through :func:`get_metrics` at call time, so
+#: tests, the CLI and the service daemon can scope a registry of their
+#: own with :func:`use_metrics`.
 _DEFAULT = MetricsRegistry()
-_active = _DEFAULT
+_active: contextvars.ContextVar[MetricsRegistry | None] = contextvars.ContextVar(
+    "repro_obs_active_metrics", default=None
+)
 
 
 def get_metrics() -> MetricsRegistry:
-    """The currently active registry (the process default, usually)."""
-    return _active
+    """The registry scoped to the current context, else the process default."""
+    registry = _active.get()
+    return _DEFAULT if registry is None else registry
 
 
 def reset_metrics() -> None:
     """Clear the active registry (test isolation helper)."""
-    _active.reset()
+    get_metrics().reset()
 
 
 @contextmanager
 def use_metrics(registry: MetricsRegistry):
-    """Temporarily route instrumentation into ``registry``."""
-    global _active
-    previous = _active
-    _active = registry
+    """Route instrumentation in the current context into ``registry``.
+
+    The scope is a context variable, not a process global: two
+    concurrent tasks (two daemon jobs) each see their own registry.
+    It reaches every thread that runs in a copy of this context —
+    :class:`~repro.parallel.aio.ThreadBridge` and
+    :class:`~repro.parallel.executor.ParallelExecutor` workers — but
+    not a raw ``threading.Thread``, which starts in an empty context
+    and records into the process default unless started through
+    ``contextvars.copy_context().run``.
+    """
+    token = _active.set(registry)
     try:
         yield registry
     finally:
-        _active = previous
+        _active.reset(token)

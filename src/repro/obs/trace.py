@@ -17,7 +17,9 @@ Cross-thread edges (the survey root → its fan-out locations) pass
 The default tracer is :data:`NULL_TRACER`, whose ``span()`` returns a
 shared no-op handle — no allocation, no clock reads, no lock — so
 instrumented hot paths cost nearly nothing until someone actually
-turns tracing on (``repro trace ...`` or :func:`use_tracer`).
+turns tracing on (``repro trace ...`` or :func:`use_tracer`).  Like
+the innermost span, the active tracer is a context variable, so
+concurrent tasks can trace into different tracers.
 
 Timing uses ``time.perf_counter`` (monotonic); span ids are a
 per-tracer counter, so two identical runs produce structurally
@@ -258,27 +260,45 @@ class NullTracer:
 
 #: Shared no-op tracer; also the process-wide default.
 NULL_TRACER = NullTracer()
-_active: Tracer | NullTracer = NULL_TRACER
+_default: Tracer | NullTracer = NULL_TRACER
+_scoped: contextvars.ContextVar[Tracer | NullTracer | None] = (
+    contextvars.ContextVar("repro_obs_scoped_tracer", default=None)
+)
 
 
 def get_tracer() -> Tracer | NullTracer:
-    """The currently active tracer (:data:`NULL_TRACER` by default)."""
-    return _active
+    """The tracer scoped to the current context, else the process default.
+
+    The default is :data:`NULL_TRACER` until :func:`set_tracer`
+    installs another.
+    """
+    tracer = _scoped.get()
+    return _default if tracer is None else tracer
 
 
 def set_tracer(tracer: Tracer | NullTracer | None) -> None:
-    """Install the process-wide tracer (``None`` restores the no-op)."""
-    global _active
-    _active = tracer if tracer is not None else NULL_TRACER
+    """Install the process-wide tracer (``None`` restores the no-op).
+
+    This is the fallback every context without a :func:`use_tracer`
+    scope sees, raw threads included.
+    """
+    global _default
+    _default = tracer if tracer is not None else NULL_TRACER
 
 
 @contextmanager
 def use_tracer(tracer: Tracer | NullTracer):
-    """Temporarily install ``tracer`` as the process-wide default."""
-    global _active
-    previous = _active
-    _active = tracer
+    """Trace the current context into ``tracer`` for the block.
+
+    The scope is a context variable, so concurrent tasks (two daemon
+    jobs) each trace into their own tracer.  It reaches threads that
+    run in a copy of this context — the
+    :class:`~repro.parallel.aio.ThreadBridge` and
+    :class:`~repro.parallel.executor.ParallelExecutor` workers — but
+    not a raw ``threading.Thread``, which sees the process default.
+    """
+    token = _scoped.set(tracer)
     try:
         yield tracer
     finally:
-        _active = previous
+        _scoped.reset(token)

@@ -14,7 +14,13 @@ meters) are thread-safe; see DESIGN.md §8 for the survey engine and
 thread model and §9 for the detector's thread fan-out.
 """
 
-from .aio import AIMDController, MicroBatcher, ThreadBridge, imap_async
+from .aio import (
+    AIMDController,
+    MicroBatcher,
+    ThreadBridge,
+    batched_complete,
+    imap_async,
+)
 from .arena import TensorArena
 from .executor import (
     ParallelExecutor,
@@ -32,6 +38,7 @@ __all__ = [
     "TaskCancelledError",
     "TaskOutcome",
     "TensorArena",
+    "batched_complete",
     "effective_cpu_count",
     "imap_async",
     "resolve_workers",

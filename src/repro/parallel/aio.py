@@ -49,6 +49,7 @@ __all__ = [
     "AIMDController",
     "MicroBatcher",
     "ThreadBridge",
+    "batched_complete",
     "imap_async",
 ]
 
@@ -349,9 +350,9 @@ class MicroBatcher:
     table underneath, duplicate fingerprints inside one window are
     still billed once.
 
-    :meth:`install` wraps a set of classifiers' clients in
-    transparent proxies for the duration of a ``with`` block — the
-    async engine's integration point.
+    :meth:`install` makes the batcher active in the current context
+    for a ``with`` block — the async engine's integration point; the
+    classifier reaches it through :func:`batched_complete`.
     """
 
     def __init__(self, max_batch: int = 8, max_wait_s: float = 0.002) -> None:
@@ -422,23 +423,21 @@ class MicroBatcher:
             slot.done.set()
 
     @contextlib.contextmanager
-    def install(self, classifiers: Iterable[Any]):
-        """Route the classifiers' clients through this batcher.
+    def install(self):
+        """Route the current context's classify calls through this batcher.
 
-        Each classifier's ``client`` is replaced with a transparent
-        proxy whose ``complete`` funnels into :meth:`submit`;
-        everything else (stats, model name, coalescing counters)
-        delegates to the original.  Restored on exit, even on error.
+        Classifiers send every request through :func:`batched_complete`,
+        which submits it to the batcher installed in the caller's
+        context (bridge threads run in a copy of it).  No client is
+        touched: a concurrent survey with its own batcher, or none, is
+        unaffected, and a nested install restores the outer batcher
+        on exit, even on error.
         """
-        originals: list[tuple[Any, Any]] = []
+        token = _active_batcher.set(self)
         try:
-            for clf in classifiers:
-                originals.append((clf, clf.client))
-                clf.client = _BatchProxy(clf.client, self)
             yield self
         finally:
-            for clf, client in originals:
-                clf.client = client
+            _active_batcher.reset(token)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -448,17 +447,15 @@ class MicroBatcher:
         }
 
 
-class _BatchProxy:
-    """Drop-in client wrapper routing ``complete`` through a batcher."""
+#: The batcher :meth:`MicroBatcher.install` made active in this context.
+_active_batcher: contextvars.ContextVar[MicroBatcher | None] = (
+    contextvars.ContextVar("repro_parallel_active_batcher", default=None)
+)
 
-    __slots__ = ("_inner", "_batcher")
 
-    def __init__(self, inner: Any, batcher: MicroBatcher) -> None:
-        self._inner = inner
-        self._batcher = batcher
-
-    def complete(self, request: Any) -> Any:
-        return self._batcher.submit(self._inner, request)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
+def batched_complete(client: Any, request: Any) -> Any:
+    """``client.complete(request)``, via the context's batcher if any."""
+    batcher = _active_batcher.get()
+    if batcher is None:
+        return client.complete(request)
+    return batcher.submit(client, request)

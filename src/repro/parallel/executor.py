@@ -7,7 +7,9 @@ strategies, chosen from the worker count alone:
 
 * **one worker** runs each task inline as the consumer advances (the
   exact serial semantics);
-* **more workers** run tasks on a ``concurrent.futures`` thread pool.
+* **more workers** run tasks on a ``concurrent.futures`` thread pool,
+  each task in a copy of the submitting context (so a
+  :func:`~repro.obs.metrics.use_metrics` scope reaches its workers).
   That serves both regimes the paper's workload has: threads overlap
   the survey path's simulated network waits, and the detector path's
   numpy kernels release the GIL, so CPU-bound chunks scale across
@@ -36,6 +38,7 @@ captured into its :class:`TaskOutcome` and re-raised by
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -236,8 +239,17 @@ class ParallelExecutor:
                     if cancelling:
                         pending.append((index, None))
                     else:
+                        # Each task runs in its own copy of the caller's
+                        # context, so scoped metrics, tracers and tallies
+                        # reach the worker as they would inline.
+                        context = contextvars.copy_context()
                         pending.append(
-                            (index, pool.submit(self._execute, fn, index, item))
+                            (
+                                index,
+                                pool.submit(
+                                    context.run, self._execute, fn, index, item
+                                ),
+                            )
                         )
                 if not pending:
                     break

@@ -25,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from ..obs.metrics import get_metrics
+from ..obs.scope import tally
 from .breaker import CircuitBreaker, CircuitOpenError
 from .clock import Clock, WallClock
 
@@ -89,19 +90,6 @@ class RetryStats:
                 self.breaker_blocks += 1
             if not outcome.ok:
                 self.failures += 1
-        # Absorb is the single funnel every retried operation passes
-        # through exactly once, so it doubles as the metrics tap; the
-        # global books stay reconcilable with any report built by
-        # merging RetryStats deltas (see repro.obs.audit).
-        metrics = get_metrics()
-        metrics.inc("retry.operations")
-        metrics.inc("retry.attempts", outcome.attempts)
-        metrics.inc("retry.retries", outcome.retries)
-        metrics.inc("retry.slept_s", outcome.slept_s)
-        if outcome.breaker_blocked:
-            metrics.inc("retry.breaker_blocks")
-        if not outcome.ok:
-            metrics.inc("retry.failures")
 
     def merge(self, other: "RetryStats") -> None:
         with self._lock:
@@ -115,8 +103,7 @@ class RetryStats:
     def subtract(self, baseline: "RetryStats") -> "RetryStats":
         """The portion accumulated after ``baseline`` (``self - baseline``).
 
-        Used to carve a shared stats object into per-phase deltas —
-        e.g. the survey pipeline's per-classifier accounting and the
+        Used to carve a stats object into per-phase deltas — e.g. the
         coordinator's "retries spent on locations that ultimately
         failed" remainder.
         """
@@ -282,6 +269,34 @@ class RetryPolicy:
                 if breaker is not None:
                     breaker.record_failure()
                 break
+        _book(outcome)
         if stats is not None:
             stats.absorb(outcome)
         return outcome
+
+
+def _book(outcome: RetryOutcome) -> None:
+    """Count one finished operation in the metrics and the active tally.
+
+    :meth:`RetryPolicy.execute` is the single funnel every retried
+    operation passes through exactly once, so it is the tap for both
+    books: the metrics registry stays reconcilable with any report
+    built from per-location tallies (see :mod:`repro.obs.audit`), and
+    a survey location's tally holds exactly the fault handling its
+    own fetches and classifications performed, however many other
+    locations share the classifier.
+    """
+    counts = [
+        ("retry.operations", 1),
+        ("retry.attempts", outcome.attempts),
+        ("retry.retries", outcome.retries),
+        ("retry.slept_s", outcome.slept_s),
+    ]
+    if outcome.breaker_blocked:
+        counts.append(("retry.breaker_blocks", 1))
+    if not outcome.ok:
+        counts.append(("retry.failures", 1))
+    metrics = get_metrics()
+    for name, value in counts:
+        metrics.inc(name, value)
+        tally(name, value)

@@ -3,8 +3,8 @@
 The service layer (DESIGN.md §16) turns the async survey engines into
 a long-lived daemon: many tenants submit survey / classify / cascade
 jobs, one shared :class:`~repro.service.stack.ServiceStack` (cache,
-limiter, breaker, meter, thread bridge) executes them serially under
-per-tenant quotas and fee budgets, and every job leaves a durable
+limiter, breaker, meter, thread bridge) runs them concurrently within
+the bridge's thread budget under per-tenant quotas and fee budgets, and every job leaves a durable
 record, an exactly-once settlement, a span tree, and a reconciled
 metrics delta behind.  ``repro serve`` is the CLI front end.
 """

@@ -8,26 +8,37 @@ tenants and multiplexes them onto the existing async engines
 one LLM cache, one rate limiter, one circuit breaker, one usage meter,
 one warm thread bridge.
 
-**Execution model — concurrent admission, serial execution.**  The
-admission APIs (``submit`` / ``status`` / ``cancel`` / ``watch`` /
-``grant_budget``) are coroutines and may interleave freely, but jobs
-*execute* strictly one at a time: the scheduler drains a priority
-queue (priority desc, submission order asc) and awaits each job to
-completion before dispatching the next.  Inside one job the engine
-still pipelines up to ``spec.max_inflight`` locations — the daemon
-multiplexes *tenants over time*, not engine runs over each other.
-Serial execution is what makes three guarantees cheap:
+**Execution model — jobs run concurrently within one thread budget.**
+The admission APIs (``submit`` / ``status`` / ``cancel`` / ``watch`` /
+``grant_budget``) are coroutines and may interleave freely.  One
+dispatcher (behind both ``run_until_idle`` and the background loop)
+starts jobs in priority order (priority desc, submission order asc),
+each as its own task, while the ``max_inflight`` windows of the
+running jobs plus the next job's fit in the shared bridge's
+``max_threads``.  Each in-flight location holds at most one bridge
+thread, so every running job gets its whole window; a job that does
+not fit yet holds back the jobs behind it, so wide jobs are never
+starved; ``submit`` rejects a window wider than the bridge, so every
+admitted job can eventually run.  The engines spend their time
+waiting on imagery and LLM round trips, so overlapping jobs turns
+queue wait into useful work.  Overlap changes nothing a job reports:
 
 * per-job observability — each job runs under its own
   :class:`~repro.obs.trace.Tracer` and
-  :class:`~repro.obs.metrics.MetricsRegistry` (installed with the
-  ``use_tracer`` / ``use_metrics`` swaps), so every job gets a clean
-  span tree rooted at ``service.job`` and a windowed metrics delta
-  that :func:`~repro.obs.audit.reconcile_survey` can check;
-* byte-identical reports — a job's report equals a standalone
-  ``survey_async`` run with the same parameters, because nothing else
-  touches the registry or meter mid-run;
-* exact fee attribution — the meter delta a job observes is its own.
+  :class:`~repro.obs.metrics.MetricsRegistry`, installed with
+  ``use_tracer`` / ``use_metrics``.  Both are context-scoped, so every
+  job gets a clean span tree rooted at ``service.job`` and a metrics
+  delta that :func:`~repro.obs.audit.reconcile_survey` can check;
+* byte-identical reports — every location tallies its fees, retries,
+  cache traffic and cascade routing into its own
+  :class:`~repro.obs.scope.Tally`, never reading the shared meter,
+  classifier or cache, so a job's report equals a standalone
+  ``survey_async`` run with the same parameters however it overlaps;
+* who pays — a tenant's bill is the imagery fee rebuilt from its
+  job's own checkpoint (below).  Two running jobs that request the
+  same LLM response share one upstream call through the cache, but
+  that never moves either bill; which job the cache counts as the
+  leader depends on timing and is observability only.
 
 **Billing — reserve, run, settle, exactly once.**  At dispatch the
 scheduler reserves the spec's worst-case imagery estimate against the
@@ -153,6 +164,10 @@ class SurveyService:
         self._idle.set()
         self._runner: asyncio.Task | None = None
         self._running = False
+        #: Running jobs: job id → (task, the bridge threads it holds).
+        self._jobs: dict[str, tuple[asyncio.Task, int]] = {}
+        #: Most jobs this daemon has run at once (observability).
+        self.peak_running = 0
         self._closed = False
         self.recovered: list[str] = self._recover()
 
@@ -245,6 +260,12 @@ class SurveyService:
         self._require_open()
         spec.validate()
         quota = self.quota_for(spec.tenant)
+        threads = self.stack.bridge.max_threads
+        if spec.max_inflight > threads:
+            raise TenantQuotaError(
+                f"tenant {spec.tenant!r}: max_inflight {spec.max_inflight} "
+                f"exceeds the shared bridge's {threads} threads"
+            )
         if spec.n_locations > quota.max_locations_per_job:
             raise TenantQuotaError(
                 f"tenant {spec.tenant!r}: {spec.n_locations} locations "
@@ -370,12 +391,21 @@ class SurveyService:
         self._wake.set()
 
     def _next_dispatch(self) -> JobRecord | None:
-        """Highest-priority affordable QUEUED job; FIFO within a tier.
+        """The head job, if it fits the thread budget now; else ``None``.
 
-        Jobs whose tenant can no longer afford their reservation are
-        skipped when the tenant's policy is ``pause`` (they wait for a
-        grant) and failed clean when it is ``reject`` — the budget may
-        have shrunk since admission while earlier jobs settled.
+        The head is the highest-priority affordable QUEUED job, FIFO
+        within a tier.  Jobs whose tenant cannot afford their
+        reservation are skipped when the tenant's policy is ``pause``
+        (they wait for a grant) and failed clean when it is ``reject``
+        — but only once the tenant holds no reservation: a running job
+        of the same tenant will settle at or below its estimate, and a
+        serial daemon would have waited for that settlement before
+        judging the next job.
+
+        The head runs only if the ``max_inflight`` of every running job
+        plus its own fits in the shared bridge's threads; a head that
+        does not fit blocks the jobs behind it, so a wide job is never
+        starved by narrow ones overtaking it.
         """
         candidates = sorted(
             (
@@ -389,7 +419,9 @@ class SurveyService:
             ledger = self._ledger(record.spec.tenant)
             estimate = estimated_fee_usd(record.spec)
             if ledger.can_afford(estimate):
-                return record
+                break
+            if ledger.reserved_usd > 0:
+                continue
             if self.quota_for(record.spec.tenant).on_budget_exhausted == (
                 "reject"
             ):
@@ -403,24 +435,26 @@ class SurveyService:
                 record.fees_settled_usd = 0.0
                 self.store.flush()
                 self._finish_side_effects(record)
-        return None
+        else:
+            return None
+        in_use = sum(threads for _, threads in self._jobs.values())
+        if in_use + record.spec.max_inflight > self.stack.bridge.max_threads:
+            return None
+        return record
 
     async def run_until_idle(self) -> int:
-        """Drain every runnable job serially; returns how many ran.
+        """Run every runnable job to completion; returns how many ran.
 
-        The deterministic entry point tests and the ``--selftest``
-        drill use instead of the background scheduler: same dispatch
-        order, same billing, no task scheduling nondeterminism.
+        The entry point tests and the ``--selftest`` drill use instead
+        of the background scheduler.  It is the same dispatcher: jobs
+        start in priority-then-FIFO order and run concurrently within
+        the bridge's thread budget; it returns once nothing is running
+        and nothing queued can start (every job is terminal or waiting
+        for a budget grant).  A job re-queued after a failed attempt
+        counts once per dispatch.
         """
         self._require_open()
-        ran = 0
-        while True:
-            record = self._next_dispatch()
-            if record is None:
-                self._idle.set()
-                return ran
-            await self._run_one(record)
-            ran += 1
+        return await self._dispatch(until_idle=True)
 
     async def start(self) -> None:
         """Launch the background scheduler loop."""
@@ -429,11 +463,11 @@ class SurveyService:
             return
         self._running = True
         self._runner = asyncio.get_running_loop().create_task(
-            self._scheduler_loop()
+            self._dispatch(until_idle=False)
         )
 
     async def stop(self) -> None:
-        """Stop the scheduler after the in-flight job (if any) finishes."""
+        """Stop dispatching and wait for every running job to finish."""
         self._running = False
         self._wake.set()
         if self._runner is not None:
@@ -444,30 +478,66 @@ class SurveyService:
         """Wait until nothing is dispatchable (all terminal or paused)."""
         await self._idle.wait()
 
-    async def _scheduler_loop(self) -> None:
-        while self._running:
-            record = self._next_dispatch()
-            if record is None:
+    async def _dispatch(self, *, until_idle: bool) -> int:
+        """The one dispatcher behind ``run_until_idle`` and ``start``.
+
+        Launches every job that fits, then sleeps until a job finishes
+        or an admission call kicks it.  The background loop keeps going
+        until :meth:`stop`; then it launches nothing more and returns
+        once the running jobs have finished.
+        """
+        launched = 0
+        while True:
+            self._reap()
+            if until_idle or self._running:
+                while (record := self._next_dispatch()) is not None:
+                    self._launch(record)
+                    launched += 1
+            if not self._jobs:
                 self._idle.set()
-                self._wake.clear()
-                await self._wake.wait()
-                continue
-            await self._run_one(record)
-        self._idle.set()
+                if until_idle or not self._running:
+                    return launched
+            # No await since the checks above, so no kick can be lost.
+            self._wake.clear()
+            await self._wake.wait()
+
+    def _reap(self) -> None:
+        """Forget finished job tasks; a daemon fault in one re-raises."""
+        for job_id, (task, _) in list(self._jobs.items()):
+            if task.done():
+                del self._jobs[job_id]
+                task.result()
 
     # -- execution ------------------------------------------------------
 
-    async def _run_one(self, record: JobRecord) -> None:
+    def _launch(self, record: JobRecord) -> None:
+        """Reserve and mark the job RUNNING, then run it as its own task.
+
+        The reservation and the RUNNING flush happen here, before the
+        task is created, so the next :meth:`_next_dispatch` already
+        sees the tenant's reserved budget and the threads this job
+        holds.
+        """
         spec = record.spec
-        ledger = self._ledger(spec.tenant)
         estimate = estimated_fee_usd(spec)
-        ledger.reserve(estimate)
+        self._ledger(spec.tenant).reserve(estimate)
         record.transition(JobState.RUNNING)
         record.attempts += 1
         record.started_at = self.clock.now()
         record.cancel_requested = False
         self.store.flush()
         self._notify(record, "running")
+        task = asyncio.get_running_loop().create_task(
+            self._run_one(record, estimate)
+        )
+        self._jobs[record.job_id] = (task, spec.max_inflight)
+        self.peak_running = max(self.peak_running, len(self._jobs))
+        self._idle.clear()
+        task.add_done_callback(lambda _: self._wake.set())
+
+    async def _run_one(self, record: JobRecord, estimate: float) -> None:
+        spec = record.spec
+        ledger = self._ledger(spec.tenant)
 
         county = self.stack.county(spec.county_seed)
         key = checkpoint_key(spec, county.name)

@@ -189,11 +189,12 @@ def run_selftest(state_dir: str | Path | None = None) -> int:
 
     Three jobs, two tenants, one shared stack: a priority-2 survey, a
     default-priority survey for a second tenant, and an aggregate
-    classify job — drained serially, then audited: every job DONE,
-    every DONE survey report byte-identical to a standalone
-    ``survey_async`` run with the same parameters against a fresh
-    stack, every settlement equal to the canonical checkpoint fee, and
-    every tenant ledger non-negative.  Prints one line per check.
+    classify job — drained (the jobs run concurrently), then audited:
+    every job DONE, every DONE survey report byte-identical to a
+    standalone ``survey_async`` run with the same parameters against a
+    fresh stack, every settlement equal to the canonical checkpoint
+    fee, and every tenant ledger non-negative.  Prints one line per
+    check.
     """
 
     async def drill(root: Path) -> int:

@@ -17,7 +17,8 @@ this codebase's clients:
   touch;
 * one :class:`~repro.parallel.aio.ThreadBridge` lent to every engine
   run, so jobs reuse a warm thread pool instead of spinning one up
-  each (the ``service.multiplex_overhead`` benchmark's main lever).
+  each (the ``service.multiplex_overhead`` benchmark's main lever);
+  its ``max_threads`` is the budget concurrent jobs share.
 
 Decoders are built lazily per ``(profile, county_seed)`` and reuse the
 shared pieces, so a job's report is byte-identical to a standalone
@@ -54,7 +55,9 @@ from .jobs import ServiceError
 
 __all__ = ["RateLimitedChatClient", "ServiceStack"]
 
-#: Widest per-job pipeline window the shared bridge is sized for.
+#: Threads of the shared bridge: the daemon's whole thread budget.  No
+#: job may ask for a wider window, and the windows of all running jobs
+#: together never exceed it (see :mod:`repro.service.daemon`).
 MAX_JOB_INFLIGHT = 16
 
 

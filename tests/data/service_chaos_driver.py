@@ -3,7 +3,11 @@
 Usage: ``python service_chaos_driver.py <state_dir>``
 
 First run (empty state): submits two jobs — a wide survey the parent
-test SIGKILLs mid-flight, then a small one — and drains.  A rerun over
+test SIGKILLs mid-flight, then a small one — and drains.  The small
+job's window is sized so that it and the wide job's window together
+exceed the shared bridge's threads: the daemon runs jobs concurrently
+only within that budget, so the small job waits for the wide one and
+is never in flight when a kill lands.  A rerun over
 the same state directory recovers the manifest the kill left behind
 (re-queue or fail-clean) and drains whatever is runnable.  Prints one
 JSON line with the final census so the parent can assert without
@@ -33,8 +37,11 @@ async def main(state_dir: Path) -> int:
             await service.submit(
                 JobSpec(tenant="acme", n_locations=8, seed=11)
             )
+            wide = service.stack.bridge.max_threads
             await service.submit(
-                JobSpec(tenant="beta", n_locations=2, seed=7)
+                JobSpec(
+                    tenant="beta", n_locations=2, seed=7, max_inflight=wide
+                )
             )
         await service.run_until_idle()
         print(

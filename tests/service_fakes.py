@@ -14,11 +14,13 @@ invariant under test — runs the production code path.
 
 from __future__ import annotations
 
+import asyncio
 import json
 from types import SimpleNamespace
 
 from repro.resilience.clock import VirtualClock
 from repro.service.jobs import CAPTURES_PER_LOCATION
+from repro.service.stack import MAX_JOB_INFLIGHT
 
 
 class FakeReport:
@@ -43,6 +45,11 @@ class FakeDecoder:
     which the run should raise — *after* earlier locations were
     durably recorded, modelling a mid-job crash the next attempt
     resumes past (the plan entry is consumed, so the retry succeeds).
+
+    With ``stack.overlap`` set, each location first yields to the event
+    loop, as the real engine does at every bridge hop, so concurrently
+    dispatched jobs interleave; otherwise a run never yields and jobs
+    cannot overlap.
     """
 
     def __init__(self, stack: "FakeStack") -> None:
@@ -65,10 +72,16 @@ class FakeDecoder:
         self.stack.peak_concurrent = max(
             self.stack.peak_concurrent, self.stack.concurrent
         )
+        self.stack.threads += max_inflight
+        self.stack.peak_threads = max(
+            self.stack.peak_threads, self.stack.threads
+        )
         try:
             fees = 0.0
             fail_at = self.stack.fail_plan.pop(seed, None)
             for index in range(n_locations):
+                if self.stack.overlap:
+                    await asyncio.sleep(0)
                 if checkpoint_store.has(index):
                     continue
                 if fail_at is not None and index >= fail_at:
@@ -80,6 +93,7 @@ class FakeDecoder:
             return FakeReport(n_locations, round(fees, 9))
         finally:
             self.stack.concurrent -= 1
+            self.stack.threads -= max_inflight
 
     # The daemon calls the stream engine for "classify" jobs with the
     # same owned-store contract; aggregate vs retained is irrelevant
@@ -90,15 +104,22 @@ class FakeDecoder:
 class FakeStack:
     """Duck-typed :class:`ServiceStack` for scheduler-level tests."""
 
-    def __init__(self, clock=None) -> None:
+    def __init__(self, clock=None, *, overlap: bool = False) -> None:
         self.clock = clock or VirtualClock()
-        self.bridge = SimpleNamespace(closed=False)
+        self.bridge = SimpleNamespace(
+            closed=False, max_threads=MAX_JOB_INFLIGHT
+        )
         self.closed = False
+        #: Yield to the loop before each location (see FakeDecoder).
+        self.overlap = overlap
         #: seed -> location index to fail at (consumed on use).
         self.fail_plan: dict[int, int] = {}
         self.started = 0
         self.concurrent = 0
         self.peak_concurrent = 0
+        #: Sum of the running jobs' windows, and its peak.
+        self.threads = 0
+        self.peak_threads = 0
 
     def county(self, seed: int):
         return SimpleNamespace(name="Durham")

@@ -378,6 +378,7 @@ class TestSingleFlight:
         follower gets the leader's response, the fee is paid once,
         and the broken journal only costs persistence.
         """
+        import contextvars
         import threading
 
         from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -393,10 +394,14 @@ class TestSingleFlight:
             responses.append(caching.complete(request))
 
         with use_metrics(MetricsRegistry()) as registry:
-            leader = threading.Thread(target=call)
+            leader = threading.Thread(
+                target=contextvars.copy_context().run, args=(call,)
+            )
             leader.start()
             assert gated.entered.wait(10.0)
-            follower = threading.Thread(target=call)
+            follower = threading.Thread(
+                target=contextvars.copy_context().run, args=(call,)
+            )
             follower.start()
             import time
 

@@ -17,6 +17,7 @@ counts a correct lock discipline guarantees:
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 
@@ -34,7 +35,9 @@ def _hammer(worker, n_threads: int = N_THREADS) -> None:
     """Run ``worker(thread_index)`` on ``n_threads`` threads, joined.
 
     A barrier lines every thread up first so the contended window is
-    as wide as possible; worker exceptions propagate to the test.
+    as wide as possible; worker exceptions propagate to the test.  Each
+    thread runs in a copy of the caller's context, so a registry scoped
+    with ``use_metrics`` reaches it.
     """
     barrier = threading.Barrier(n_threads)
     errors: list[BaseException] = []
@@ -47,7 +50,9 @@ def _hammer(worker, n_threads: int = N_THREADS) -> None:
             errors.append(err)
 
     threads = [
-        threading.Thread(target=run, args=(index,))
+        threading.Thread(
+            target=contextvars.copy_context().run, args=(run, index)
+        )
         for index in range(n_threads)
     ]
     for thread in threads:

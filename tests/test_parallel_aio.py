@@ -8,6 +8,7 @@ engine is byte-identical to the serial survey.
 """
 
 import asyncio
+import contextvars
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from repro.parallel import (
     AIMDController,
     MicroBatcher,
     ThreadBridge,
+    batched_complete,
     imap_async,
 )
 from repro.resilience import VirtualClock
@@ -225,6 +227,9 @@ class _ScriptedBatchClient:
             raise self.error
         return [f"ans:{request}" for request in requests]
 
+    def complete(self, request):
+        return f"direct:{request}"
+
 
 class TestMicroBatcher:
     def test_validates_parameters(self):
@@ -241,10 +246,15 @@ class TestMicroBatcher:
         def call(i):
             results[i] = batcher.submit(client, f"q{i}")
 
-        threads = [
-            threading.Thread(target=call, args=(i,)) for i in range(4)
-        ]
         with use_metrics(MetricsRegistry()) as registry:
+            # Raw threads start in an empty context: run each in a copy
+            # of this one so the scoped registry reaches it.
+            threads = [
+                threading.Thread(
+                    target=contextvars.copy_context().run, args=(call, i)
+                )
+                for i in range(4)
+            ]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -299,19 +309,29 @@ class TestMicroBatcher:
         assert first.batch_calls == [["a"]]
         assert second.batch_calls == [["b"]]
 
-    def test_install_swaps_and_restores_classifier_clients(self):
+    def test_install_routes_calls_without_touching_clients(self):
         class _Clf:
             def __init__(self, client):
                 self.client = client
 
         client = _ScriptedBatchClient()
         clf = _Clf(client)
-        batcher = MicroBatcher(max_batch=8, max_wait_s=0.001)
-        with batcher.install([clf]):
-            assert clf.client is not client
-            assert clf.client.complete("q") == "ans:q"
-            assert clf.client.batch_calls is client.batch_calls  # delegation
-        assert clf.client is client  # restored on exit
+        outer = MicroBatcher(max_batch=8, max_wait_s=0.001)
+        inner = MicroBatcher(max_batch=8, max_wait_s=0.001)
+        with outer.install():
+            assert clf.client is client  # nothing swapped
+            assert batched_complete(clf.client, "q") == "ans:q"
+            with inner.install():
+                assert batched_complete(clf.client, "r") == "ans:r"
+            # The nested install restored the outer batcher on exit.
+            assert batched_complete(clf.client, "s") == "ans:s"
+        assert clf.client is client
+        assert client.batch_calls == [["q"], ["r"], ["s"]]
+        assert outer.stats()["batched_requests"] == 2
+        assert inner.stats()["batched_requests"] == 1
+        # Outside any install a call goes straight to the client.
+        assert batched_complete(clf.client, "t") == "direct:t"
+        assert client.batch_calls == [["q"], ["r"], ["s"]]
 
 
 class TestTokenBucketAsyncAcquire:

@@ -2,9 +2,10 @@
 
 Everything here is deterministic: stacks run on a
 :class:`~repro.resilience.VirtualClock`, jobs drain through
-``run_until_idle`` (the serial dispatch path the background scheduler
-also uses), and mid-stream cancellation is injected through the
-middleware chain rather than racing a wall clock.
+``run_until_idle`` (the dispatcher the background scheduler also
+uses; jobs overlap within the bridge's thread budget), and mid-stream
+cancellation is injected through the middleware chain rather than
+racing a wall clock.
 
 The centerpiece is the golden multi-tenant session: three jobs from
 two tenants through one shared stack, every DONE report byte-identical
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -193,12 +195,19 @@ def test_unknown_job_raises(clients, tmp_path):
 
 
 def test_priority_ordering_with_fifo_ties(clients, tmp_path):
-    finished: list[str] = []
+    # Jobs run concurrently, so finish order is up to the engine; the
+    # scheduler's contract is the order it dispatches them in.
+    dispatched: list[str] = []
+
+    async def record_dispatch(ctx, call_next):
+        dispatched.append(ctx.record.job_id)
+        return await call_next()
 
     async def drill():
-        sink = CallbackSink(lambda record, _: finished.append(record.job_id))
         async with SurveyService(
-            make_stack(clients), tmp_path, sinks=[sink]
+            make_stack(clients),
+            tmp_path,
+            middleware=DEFAULT_MIDDLEWARE + (record_dispatch,),
         ) as service:
             low = await service.submit(
                 JobSpec(tenant="a", n_locations=1, priority=0, seed=1)
@@ -216,7 +225,7 @@ def test_priority_ordering_with_fifo_ties(clients, tmp_path):
             return high, mid, mid2, low
 
     expected = run(drill())
-    assert tuple(finished) == expected
+    assert tuple(dispatched) == expected
 
 
 def test_cancel_queued_job_is_immediate_and_free(clients, tmp_path):
@@ -319,6 +328,9 @@ def test_golden_multitenant_session(clients, tmp_path):
         ) as service:
             ids = [await service.submit(spec) for spec in GOLDEN_SPECS]
             assert await service.run_until_idle() == len(GOLDEN_SPECS)
+            # The jobs overlapped, so the byte-identity below covers
+            # concurrent execution.
+            assert service.peak_running >= 2
             out = []
             for spec, job_id in zip(GOLDEN_SPECS, ids):
                 record = await service.status(job_id)
@@ -401,6 +413,82 @@ def test_session_is_deterministic_across_fresh_daemons(clients, tmp_path):
     first = run(one_pass(tmp_path / "a"))
     second = run(one_pass(tmp_path / "b"))
     assert first == second
+
+
+def test_each_tenant_pays_for_its_own_imagery_on_a_shared_cache(
+    clients, tmp_path
+):
+    """Who pays: two tenants submit the same spec together.  Both jobs
+    run at once and share every LLM response (single-flight), yet each
+    settles the full imagery fee rebuilt from its own checkpoint."""
+    spec = JobSpec(tenant="acme", n_locations=3, seed=21)
+
+    async def session():
+        stack = make_stack(clients)
+        async with SurveyService(stack, tmp_path / "state") as service:
+            ids = [
+                await service.submit(spec),
+                await service.submit(replace(spec, tenant="beta")),
+            ]
+            assert await service.run_until_idle() == 2
+            assert service.peak_running == 2
+            records = [await service.status(job_id) for job_id in ids]
+            reports = [await service.result(job_id) for job_id in ids]
+            key = checkpoint_key(spec, stack.county(spec.county_seed).name)
+            canonical = [
+                canonical_fees_usd(service.store.checkpoint_path(job_id), key)
+                for job_id in ids
+            ]
+            ledgers = [
+                service.ledger_snapshot(tenant) for tenant in ("acme", "beta")
+            ]
+            return records, reports, canonical, ledgers, (
+                stack.chat_client().misses
+            )
+
+    async def alone():
+        with make_stack(clients) as fresh:
+            await fresh.decoder(spec.kind, spec.county_seed).survey_async(
+                fresh.county(spec.county_seed),
+                spec.n_locations,
+                seed=spec.seed,
+                max_inflight=spec.max_inflight,
+            )
+            return fresh.chat_client().misses
+
+    records, reports, canonical, ledgers, upstream = run(session())
+    assert [record.state for record in records] == [JobState.DONE] * 2
+    assert reports[0] == reports[1]
+    fee = estimated_fee_usd(spec)
+    assert canonical == [fee, fee]
+    for record, ledger, paid in zip(records, ledgers, canonical):
+        assert record.fees_settled_usd == paid
+        assert ledger["settled_usd"] == paid
+        assert ledger["reserved_usd"] == 0.0
+    assert upstream == run(alone())
+
+
+def test_submit_rejects_a_window_wider_than_the_bridge(clients, tmp_path):
+    async def drill():
+        stack = make_stack(clients)
+        async with SurveyService(stack, tmp_path) as service:
+            wide = stack.bridge.max_threads + 1
+            with pytest.raises(TenantQuotaError) as caught:
+                await service.submit(
+                    JobSpec(tenant="acme", n_locations=1, max_inflight=wide)
+                )
+            assert str(wide) in str(caught.value)
+            assert str(stack.bridge.max_threads) in str(caught.value)
+            assert service.counts()["submitted"] == 0
+            await service.submit(
+                JobSpec(
+                    tenant="acme",
+                    n_locations=1,
+                    max_inflight=stack.bridge.max_threads,
+                )
+            )
+
+    run(drill())
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ daemon restarts, then asserts the invariants that must hold under
 * exactly-once billing — every terminal job's settlement equals the
   canonical fee rebuilt from its durable checkpoint, and each tenant's
   ledger equals the sum of its jobs' settlements.
+
+The background-scheduler schedules run the same checks while jobs run
+concurrently: the fake engine yields at every location, so submits,
+cancels and grants land between the steps of several running jobs.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import random
 import pytest
 
 from repro.service import (
+    DEFAULT_MIDDLEWARE,
     AdmissionError,
     JobSpec,
     JobState,
@@ -218,24 +223,141 @@ def test_restart_mid_running_job_never_double_settles(tmp_path):
     asyncio.run(drill())
 
 
-def test_jobs_never_run_concurrently(tmp_path):
-    """The single-runner execution model: however many jobs queue up,
-    the fake engine never observes two runs in flight."""
+def test_jobs_run_concurrently_within_the_thread_budget(tmp_path):
+    """Queued jobs overlap, but the windows of the running jobs never
+    sum past the shared bridge's threads."""
 
     async def drill():
-        stack = FakeStack()
+        stack = FakeStack(overlap=True)
         service = SurveyService(
             stack, tmp_path / "state", max_queue_depth=32, close_stack=True
         )
         for index in range(12):
             await service.submit(
-                JobSpec(tenant=TENANTS[index % 4], n_locations=2, seed=index)
+                JobSpec(
+                    tenant=TENANTS[index % 4],
+                    n_locations=3,
+                    seed=index,
+                    max_inflight=(4, 6, 8)[index % 3],
+                )
             )
         await service.start()
         await asyncio.sleep(0)
         await service.drain()
         await service.close()
         assert stack.started == 12
-        assert stack.peak_concurrent == 1
+        assert stack.peak_concurrent >= 2
+        assert service.peak_running == stack.peak_concurrent
+        assert stack.peak_threads <= stack.bridge.max_threads
+        assert service.counts()["done"] == 12
 
     asyncio.run(drill())
+
+
+@pytest.mark.parametrize("schedule_seed", [0, 1, 2, 3, 4])
+def test_background_scheduler_interleavings_preserve_invariants(
+    schedule_seed, tmp_path
+):
+    """Submits, cancels and grants race the background scheduler while
+    its jobs run concurrently; every invariant holds at every step."""
+    rng = random.Random(2000 + schedule_seed)
+
+    async def drill():
+        stack = FakeStack(overlap=True)
+        service = SurveyService(
+            stack,
+            tmp_path / "state",
+            quotas=dict(QUOTAS),
+            max_queue_depth=8,
+            max_attempts=2,
+            close_stack=True,
+        )
+        await service.start()
+        submitted: list[str] = []
+        for step in range(80):
+            op = rng.random()
+            if op < 0.45:
+                spec = JobSpec(
+                    tenant=rng.choice(TENANTS),
+                    kind=rng.choice(("survey", "classify")),
+                    n_locations=rng.randint(1, 4),
+                    seed=step,
+                    priority=rng.randint(0, 3),
+                    max_inflight=rng.randint(1, 8),
+                )
+                if rng.random() < 0.15:
+                    stack.fail_plan[spec.seed] = rng.randint(
+                        0, spec.n_locations - 1
+                    )
+                try:
+                    submitted.append(await service.submit(spec))
+                except AdmissionError:
+                    pass
+            elif op < 0.60 and submitted:
+                await service.cancel(rng.choice(submitted))
+            elif op < 0.70:
+                await service.grant_budget(
+                    rng.choice(TENANTS), rng.uniform(0.0, 0.2)
+                )
+            # Let the running jobs advance a random number of steps.
+            for _ in range(rng.randint(0, 6)):
+                await asyncio.sleep(0)
+            assert_invariants(service, idle=False)
+            assert stack.threads <= stack.bridge.max_threads
+        await service.drain()
+        assert_invariants(service, idle=True)
+        await service.stop()
+        assert_invariants(service, idle=True)
+        for job_id in submitted:
+            assert job_id in service.store.records
+        for record in service.store.records.values():
+            if record.terminal:
+                continue
+            assert record.state is JobState.QUEUED
+            assert service.quota_for(record.spec.tenant).on_budget_exhausted == (
+                "pause"
+            )
+        await service.close()
+        return stack.peak_concurrent
+
+    assert asyncio.run(drill()) >= 2
+
+
+def test_reject_policy_waits_for_its_tenants_running_settlement(tmp_path):
+    """A reject-policy job that looks unaffordable only because its
+    tenant's running job still holds a reservation is not failed: it
+    waits for that settlement, as a serial daemon would have."""
+
+    async def cancel_first(ctx, call_next):
+        if ctx.record.seq == 0:
+            ctx.record.cancel_requested = True  # settles 1 of 2 locations
+        return await call_next()
+
+    async def drill():
+        stack = FakeStack(overlap=True)
+        # $0.07 holds the first job's $0.056 reservation but not the
+        # second's $0.028 beside it; once the first settles $0.028
+        # for its one location, the second fits.
+        quota = TenantQuota(budget_usd=0.07, on_budget_exhausted="reject")
+        service = SurveyService(
+            stack,
+            tmp_path / "state",
+            quotas={"beta": quota},
+            middleware=DEFAULT_MIDDLEWARE + (cancel_first,),
+            close_stack=True,
+        )
+        first = await service.submit(
+            JobSpec(tenant="beta", n_locations=2, seed=1)
+        )
+        second = await service.submit(
+            JobSpec(tenant="beta", n_locations=1, seed=2)
+        )
+        assert await service.run_until_idle() == 2
+        states = [
+            (await service.status(job_id)).state for job_id in (first, second)
+        ]
+        assert_invariants(service, idle=True)
+        await service.close()
+        return states
+
+    assert asyncio.run(drill()) == [JobState.CANCELLED, JobState.DONE]
