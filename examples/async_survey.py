@@ -4,12 +4,14 @@ Races the same latency-bound county survey at window 1 (strictly
 serial) and at window 8 (the pipeline open, DESIGN.md §8) under
 simulated API round-trips, then proves both reports are byte-identical
 and prints what the engine's adaptive machinery actually did (peak
-in-flight window, micro-batch dispatches).
+in-flight window, micro-batch dispatches).  Exits 1 when the reports
+differ.
 
 Run:  python examples/async_survey.py
 """
 
 import asyncio
+import sys
 import time
 
 from repro import build_survey_dataset
@@ -79,7 +81,8 @@ def main():
         f"{batches['batches']} dispatches "
         f"(largest window {batches['max_batch_size']})"
     )
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,6 +16,7 @@ injectable clock.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..gsv.dataset import LabeledImage
@@ -30,7 +31,7 @@ from ..llm.base import (
 )
 from ..llm.errors import RateLimitError, ServerError
 from ..llm.language import Language
-from ..parallel.aio import batched_complete
+from ..parallel.aio import active_batcher, batched_complete
 from ..resilience.clock import Clock, WallClock
 from ..resilience.retry import RetryPolicy, RetryStats
 from .indicators import Indicator, IndicatorPresence
@@ -143,6 +144,12 @@ class LLMIndicatorClassifier:
         Raises :class:`ClassificationError` (a ``RuntimeError``) when
         the retry budget is exhausted.
         """
+        return self._classify(image, self._asked(indicators))
+
+    def _asked(
+        self, indicators: tuple[Indicator, ...] | None
+    ) -> tuple[Indicator, ...]:
+        """The questions to ask: the configured set or a subset of it."""
         asked = self.config.indicators if indicators is None else indicators
         if not asked:
             raise ValueError("no indicators to classify")
@@ -151,18 +158,40 @@ class LLMIndicatorClassifier:
             raise ValueError(
                 f"indicators outside the configured set: {sorted(unknown)}"
             )
+        return asked
+
+    def _classify(
+        self,
+        image: LabeledImage,
+        asked: tuple[Indicator, ...],
+        first: Future | None = None,
+    ) -> ClassificationOutcome:
+        """Classify ``image`` on validated indicators under the retry policy.
+
+        ``first`` is attempt 1 when it was already dispatched — a
+        finished seat of a batched window, holding its response or its
+        error.  Every later attempt sends a fresh request, so retries,
+        usage and attempt counts are what the one-by-one path records.
+        """
         spent: list[Usage] = []
 
         def attempt() -> tuple[str, IndicatorPresence]:
-            text, usage = self._request(image, asked)
-            if usage is not None:
-                spent.append(usage)
+            nonlocal first
+            if first is None:
+                response = batched_complete(
+                    self.client, self._request(image, asked)
+                )
+            else:
+                seat, first = first, None
+                response = seat.result()
+            if response.usage is not None:
+                spent.append(response.usage)
             parsed = parse_answers(
-                text,
+                response.content,
                 expected=len(asked),
                 language=self.config.language,
             )
-            return text, answers_to_presence(parsed, asked)
+            return response.content, answers_to_presence(parsed, asked)
 
         outcome = self.config.retry_policy().execute(
             attempt,
@@ -197,19 +226,18 @@ class LLMIndicatorClassifier:
         self,
         image: LabeledImage,
         indicators: tuple[Indicator, ...],
-    ) -> tuple[str, Usage | None]:
-        """Issue one chat request for ``image`` (zero- or few-shot).
+    ) -> ChatRequest:
+        """The chat request for ``image`` (zero- or few-shot).
 
-        Returns ``(response text, token usage)``; the request built for
-        the full indicator set is identical to what ``ChatClient.ask``
-        would build, so responses stay bit-equal to the legacy path.
-        Inside a pipelined survey the call joins the micro-batch window
-        of the batcher installed in the caller's context.
+        The request built for the full indicator set is identical to
+        what ``ChatClient.ask`` would build, so responses stay
+        bit-equal to the legacy path.  Building it bills nothing: the
+        caller sends it, alone or in a location's batched window.
         """
         if self.config.few_shot_exemplars:
             from .fewshot import build_few_shot_request
 
-            request = build_few_shot_request(
+            return build_few_shot_request(
                 model=self.client.model_name,
                 image=image,
                 exemplars=self.config.few_shot_exemplars,
@@ -218,31 +246,49 @@ class LLMIndicatorClassifier:
                 temperature=self.config.temperature,
                 top_p=self.config.top_p,
             )
-        else:
-            request = ChatRequest(
-                model=self.client.model_name,
-                messages=(
-                    ChatMessage(
-                        role="user",
-                        text=self.prompt_for(indicators),
-                        images=(ImageAttachment(scene=image.scene),),
-                    ),
+        return ChatRequest(
+            model=self.client.model_name,
+            messages=(
+                ChatMessage(
+                    role="user",
+                    text=self.prompt_for(indicators),
+                    images=(ImageAttachment(scene=image.scene),),
                 ),
-                temperature=self.config.temperature,
-                top_p=self.config.top_p,
-            )
-        response = batched_complete(self.client, request)
-        return response.content, response.usage
+            ),
+            temperature=self.config.temperature,
+            top_p=self.config.top_p,
+        )
 
     def classify(
         self,
         images: Sequence[LabeledImage],
         indicators: tuple[Indicator, ...] | None = None,
     ) -> list[ClassificationOutcome]:
-        """Classify a batch of images."""
+        """Classify a batch of images (one survey location's captures).
+
+        Without a :class:`~repro.parallel.aio.MicroBatcher` active in
+        the caller's context (the window-1 survey, plain library use)
+        each image goes through :meth:`classify_image` in turn.  Inside
+        a pipelined survey every image's request is built up front and
+        the whole set goes out as one batched dispatch, so the location
+        pays one LLM round-trip instead of one per image; each image
+        then runs its own retry loop with its batched seat as attempt
+        1.  A lone image joins the batcher's shared window instead.
+        The indicator set is validated before anything is sent.
+        """
+        batcher = active_batcher()
+        if batcher is None or len(images) < 2:
+            return [
+                self.classify_image(image, indicators=indicators)
+                for image in images
+            ]
+        asked = self._asked(indicators)
+        seats = batcher.submit_many(
+            self.client, [self._request(image, asked) for image in images]
+        )
         return [
-            self.classify_image(image, indicators=indicators)
-            for image in images
+            self._classify(image, asked, first=seat)
+            for image, seat in zip(images, seats)
         ]
 
     def predictions(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +126,49 @@ def estimate_prompt_tokens(request: ChatRequest) -> int:
     return max(1, text_chars // 4) + IMAGE_PROMPT_TOKENS * len(request.images)
 
 
+class BatchError(Exception):
+    """A batched dispatch in which at least one request failed.
+
+    ``outcomes`` lines up with the batch's requests: each entry is
+    that request's :class:`ChatResponse`, or the exception it failed
+    with.  A request the dispatch never sent carries the error that
+    stopped it.  The first failure is also the ``__cause__``.
+    """
+
+    def __init__(self, outcomes: Sequence[ChatResponse | Exception]) -> None:
+        self.outcomes = list(outcomes)
+        failed = [o for o in self.outcomes if isinstance(o, Exception)]
+        super().__init__(
+            f"{len(failed)} of {len(self.outcomes)} batched requests failed"
+        )
+        self.__cause__ = failed[0] if failed else None
+
+    @property
+    def served(self) -> list[ChatResponse]:
+        """The responses the dispatch did deliver, in request order."""
+        return [o for o in self.outcomes if not isinstance(o, Exception)]
+
+
+def complete_each(
+    complete: Callable[[ChatRequest], ChatResponse],
+    requests: Sequence[ChatRequest],
+) -> list[ChatResponse]:
+    """Serve ``requests`` one after another as one batch window.
+
+    Stops at the first failure and raises :class:`BatchError`: the
+    requests before it keep their responses, the failed one and every
+    one after it carry the error.
+    """
+    responses: list[ChatResponse] = []
+    for request in requests:
+        try:
+            responses.append(complete(request))
+        except Exception as err:
+            unsent = len(requests) - len(responses)
+            raise BatchError([*responses, *[err] * unsent])
+    return responses
+
+
 @dataclass
 class ClientStats:
     """Cumulative usage across a client's lifetime.
@@ -173,12 +216,14 @@ class ChatClient(abc.ABC):
         The default is a plain serial loop, so every client supports
         batching without code changes; clients whose transport has a
         real batched endpoint (or a per-call latency worth amortizing)
-        override this.  Responses come back in request order, and a
-        failure raises just as :meth:`complete` would — callers that
-        need per-request outcomes should use
+        override this.  Responses come back in request order.  A
+        failure raises :class:`BatchError`, whose ``outcomes`` keep the
+        responses already served — they were billed, so a caller must
+        not re-send them — and give every failed or unsent request its
+        error.  Callers that want retries per request should use
         :class:`~repro.llm.batch.BatchRunner` instead.
         """
-        return [self.complete(request) for request in requests]
+        return complete_each(self.complete, requests)
 
     def ask(
         self,

@@ -30,7 +30,7 @@ from typing import IO
 from ..obs.metrics import get_metrics
 from ..obs.scope import tally
 from ..obs.trace import get_tracer
-from .base import ChatClient, ChatRequest, ChatResponse, Usage
+from .base import BatchError, ChatClient, ChatRequest, ChatResponse, Usage
 
 
 class _Flight:
@@ -178,10 +178,16 @@ class CachingChatClient(ChatClient):
         micro-batching entry point, sharing the same single-flight
         table as :meth:`complete` so a threaded worker and a batched
         one never double-bill the same fingerprint.
+
+        A dispatch that fails part-way still caches what it served and
+        releases the flights it failed, so followers see the failure
+        and the next request re-leads.  Any failure raises
+        :class:`~repro.llm.base.BatchError` with every position's
+        response or error.
         """
         metrics = get_metrics()
         keys = [request_fingerprint(request) for request in requests]
-        responses: list[ChatResponse | None] = [None] * len(requests)
+        outcomes: list[ChatResponse | Exception | None] = [None] * len(requests)
         followers: list[tuple[int, _Flight]] = []
         leaders: list[tuple[int, _Flight]] = []  # positions whose flight we lead
         with self._lock:
@@ -192,7 +198,7 @@ class CachingChatClient(ChatClient):
                     metrics.inc("llm.cache.hits")
                     tally("llm.cache.hits")
                     self.stats.record(Usage(0, 0))
-                    responses[pos] = _response_from_record(cached)
+                    outcomes[pos] = _response_from_record(cached)
                     continue
                 flight = self._inflight.get(key)
                 if flight is not None:
@@ -218,18 +224,25 @@ class CachingChatClient(ChatClient):
                         f"inner client answered {len(answered)} of "
                         f"{len(batch)} batched requests"
                     )
+            except BatchError as partial:
+                answered = partial.outcomes
             except Exception as err:
-                for (pos, flight) in leaders:
-                    self._resolve_flight(keys[pos], flight, error=err)
-                raise
-            for (pos, flight), response in zip(leaders, answered):
-                self._resolve_flight(keys[pos], flight, response=response)
-                responses[pos] = response
+                answered = [err] * len(batch)
+            for (pos, flight), outcome in zip(leaders, answered):
+                if isinstance(outcome, Exception):
+                    self._resolve_flight(keys[pos], flight, error=outcome)
+                else:
+                    self._resolve_flight(keys[pos], flight, response=outcome)
+                outcomes[pos] = outcome
 
         for pos, flight in followers:
-            responses[pos] = self._follow(flight)
-        assert all(response is not None for response in responses)
-        return responses  # type: ignore[return-value]
+            try:
+                outcomes[pos] = self._follow(flight)
+            except Exception as err:
+                outcomes[pos] = err
+        if any(isinstance(outcome, Exception) for outcome in outcomes):
+            raise BatchError(outcomes)
+        return outcomes  # type: ignore[return-value]
 
     def _follow(self, flight: _Flight) -> ChatResponse:
         """Wait (outside the lock) on a leader's flight and share it."""

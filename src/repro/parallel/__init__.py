@@ -18,6 +18,7 @@ from .aio import (
     AIMDController,
     MicroBatcher,
     ThreadBridge,
+    active_batcher,
     batched_complete,
     imap_async,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "TaskCancelledError",
     "TaskOutcome",
     "TensorArena",
+    "active_batcher",
     "batched_complete",
     "effective_cpu_count",
     "imap_async",

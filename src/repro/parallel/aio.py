@@ -21,10 +21,11 @@ deliberately free of any ``repro.core`` import, mirroring
 * :class:`AIMDController` — additive-increase/multiplicative-decrease
   window control for the in-flight LLM stage, fed by observed
   throttle signals (rate-limited retries, token-bucket waits).
-* :class:`MicroBatcher` — groups compatible pending classify calls per
-  client into one batched dispatch window
-  (:meth:`~repro.llm.base.ChatClient.complete_batch`), dovetailing
-  with the cache's single-flight coalescing.
+* :class:`MicroBatcher` — sends a survey location's classify requests
+  as one batched dispatch window
+  (:meth:`~repro.llm.base.ChatClient.complete_batch`) and groups lone
+  pending requests per client into shared windows, dovetailing with
+  the cache's single-flight coalescing.
 
 See DESIGN.md §8 for the stage layout and the ordering discipline
 that keeps reports byte-identical at every window.
@@ -38,8 +39,8 @@ import contextvars
 import functools
 import threading
 from collections import deque
-from collections.abc import AsyncIterator, Awaitable, Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import AsyncIterator, Awaitable, Callable, Iterable, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 from ..obs.metrics import get_metrics
@@ -49,6 +50,7 @@ __all__ = [
     "AIMDController",
     "MicroBatcher",
     "ThreadBridge",
+    "active_batcher",
     "batched_complete",
     "imap_async",
 ]
@@ -308,41 +310,39 @@ class AIMDController:
         }
 
 
-class _BatchSlot:
-    """One caller's seat in a micro-batch window."""
-
-    __slots__ = ("done", "response", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.response: Any = None
-        self.error: Exception | None = None
-
-
 class _BatchWindow:
     """Pending requests accumulating toward one batched dispatch."""
 
     __slots__ = ("entries", "closed", "full")
 
     def __init__(self) -> None:
-        self.entries: list[tuple[Any, _BatchSlot]] = []
+        self.entries: list[tuple[Any, Future]] = []
         self.closed = False
         self.full = threading.Event()
 
 
 class MicroBatcher:
-    """Group concurrent ``complete`` calls into batched dispatches.
+    """Group ``complete`` calls into batched dispatches.
 
-    Bridge threads funnel their classify calls through
-    :meth:`submit`; the first caller into an empty window becomes the
-    *leader*, waits up to ``max_wait_s`` for companions (returning
-    immediately once ``max_batch`` seats fill), then dispatches the
-    whole window as one
-    :meth:`~repro.llm.base.ChatClient.complete_batch` call and
-    distributes the responses.  Requests for different inner clients
-    never share a window — models must not cross-serve — and a window
-    leader's failure propagates to every seat, exactly as if each had
-    made the call itself.
+    Two ways in, both ending in one
+    :meth:`~repro.llm.base.ChatClient.complete_batch` call per window:
+
+    * :meth:`submit_many` — one caller's related requests (a survey
+      location's images) dispatch together at once, however many.
+      They already amortize the round-trip, so they never wait for
+      companions.
+    * :meth:`submit` — a lone request.  The first caller into an empty
+      window becomes the *leader*, waits up to ``max_wait_s`` for
+      companions (returning immediately once ``max_batch`` seats
+      fill), then dispatches the whole window.
+
+    Requests for different inner clients never share a window —
+    models must not cross-serve.  Failure is per seat: when the
+    client raises a :class:`~repro.llm.base.BatchError`, each seat
+    gets its own response or error, so the seats a failed window did
+    serve keep their answers (they were billed) and only the failed
+    and unsent ones see an error to retry.  Any other exception fails
+    every seat, exactly as if each had made the call itself.
 
     The wait is real time by design: batching is a latency/amortization
     trade for *concurrent* traffic, and ``max_wait_s`` bounds the
@@ -352,7 +352,8 @@ class MicroBatcher:
 
     :meth:`install` makes the batcher active in the current context
     for a ``with`` block — the async engine's integration point; the
-    classifier reaches it through :func:`batched_complete`.
+    classifier reaches it through :func:`active_batcher` and
+    :func:`batched_complete`.
     """
 
     def __init__(self, max_batch: int = 8, max_wait_s: float = 0.002) -> None:
@@ -369,7 +370,8 @@ class MicroBatcher:
         self.max_batch_seen = 0
 
     def submit(self, client: Any, request: Any) -> Any:
-        slot = _BatchSlot()
+        """Send one request in a shared window; returns its response."""
+        seat: Future = Future()
         key = id(client)
         with self._lock:
             window = self._windows.get(key)
@@ -379,16 +381,26 @@ class MicroBatcher:
                 leading = True
             else:
                 leading = False
-            window.entries.append((request, slot))
+            window.entries.append((request, seat))
             if len(window.entries) >= self.max_batch:
                 window.closed = True
                 window.full.set()
         if leading:
             self._lead(key, window, client)
-        slot.done.wait()
-        if slot.error is not None:
-            raise slot.error
-        return slot.response
+        return seat.result()
+
+    def submit_many(self, client: Any, requests: Sequence[Any]) -> list[Future]:
+        """Dispatch ``requests`` now as one window of their own.
+
+        Returns one finished :class:`~concurrent.futures.Future` per
+        request, in order: ``result()`` gives that request's response
+        or raises its error.  ``max_batch`` does not apply — the
+        requests are one caller's, sent together by design.
+        """
+        entries = [(request, Future()) for request in requests]
+        if entries:
+            self._dispatch(client, entries)
+        return [seat for _, seat in entries]
 
     def _lead(self, key: int, window: _BatchWindow, client: Any) -> None:
         window.full.wait(self.max_wait_s)
@@ -397,30 +409,37 @@ class MicroBatcher:
             if self._windows.get(key) is window:
                 del self._windows[key]
             entries = list(window.entries)
+        self._dispatch(client, entries)
+
+    def _dispatch(self, client: Any, entries: list[tuple[Any, Future]]) -> None:
+        """Send one window and settle every seat in it."""
         try:
-            responses = client.complete_batch(
-                [request for request, _ in entries]
-            )
-            if len(responses) != len(entries):  # pragma: no cover
+            outcomes = client.complete_batch([request for request, _ in entries])
+            if len(outcomes) != len(entries):  # pragma: no cover
                 raise RuntimeError(
-                    f"client answered {len(responses)} of "
+                    f"client answered {len(outcomes)} of "
                     f"{len(entries)} batched requests"
                 )
         except Exception as err:  # noqa: BLE001 - re-raised per seat
-            for _, slot in entries:
-                slot.error = err
-                slot.done.set()
-            return
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += len(entries)
-            self.max_batch_seen = max(self.max_batch_seen, len(entries))
-        metrics = get_metrics()
-        metrics.inc("llm.microbatch.batches")
-        metrics.inc("llm.microbatch.requests", len(entries))
-        for (_, slot), response in zip(entries, responses):
-            slot.response = response
-            slot.done.set()
+            # A BatchError names each seat's fate; duck-typed, so this
+            # layer stays free of repro.llm.
+            outcomes = getattr(err, "outcomes", None)
+            if outcomes is None or len(outcomes) != len(entries):
+                outcomes = [err] * len(entries)
+        served = sum(not isinstance(o, Exception) for o in outcomes)
+        if served:
+            with self._lock:
+                self.batches += 1
+                self.batched_requests += served
+                self.max_batch_seen = max(self.max_batch_seen, len(entries))
+            metrics = get_metrics()
+            metrics.inc("llm.microbatch.batches")
+            metrics.inc("llm.microbatch.requests", served)
+        for (_, seat), outcome in zip(entries, outcomes):
+            if isinstance(outcome, Exception):
+                seat.set_exception(outcome)
+            else:
+                seat.set_result(outcome)
 
     @contextlib.contextmanager
     def install(self):
@@ -451,6 +470,11 @@ class MicroBatcher:
 _active_batcher: contextvars.ContextVar[MicroBatcher | None] = (
     contextvars.ContextVar("repro_parallel_active_batcher", default=None)
 )
+
+
+def active_batcher() -> MicroBatcher | None:
+    """The batcher installed in the caller's context, if any."""
+    return _active_batcher.get()
 
 
 def batched_complete(client: Any, request: Any) -> Any:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .llm.base import ChatClient, ChatRequest, ChatResponse
+from .llm.base import ChatClient, ChatRequest, ChatResponse, complete_each
 from .parallel import effective_cpu_count
 from .resilience.clock import Clock, WallClock
 
@@ -85,9 +85,7 @@ class LatencyChatClient(ChatClient):
     def complete(self, request: ChatRequest) -> ChatResponse:
         if self.latency_s > 0:
             self.clock.sleep(self.latency_s)
-        response = self.inner.complete(request)
-        self.stats.record(response.usage)
-        return response
+        return self._complete_inner(request)
 
     def complete_batch(
         self, requests: Sequence[ChatRequest]
@@ -95,13 +93,16 @@ class LatencyChatClient(ChatClient):
         """One latency charge for the whole window, like a real batched
         endpoint: the round-trip is paid once and amortized across every
         request in it — the behaviour the micro-batching benchmark
-        measures."""
+        measures.  A failure raises :class:`~repro.llm.base.BatchError`
+        with the responses served before it."""
         if self.latency_s > 0 and requests:
             self.clock.sleep(self.latency_s)
-        responses = [self.inner.complete(request) for request in requests]
-        for response in responses:
-            self.stats.record(response.usage)
-        return responses
+        return complete_each(self._complete_inner, requests)
+
+    def _complete_inner(self, request: ChatRequest) -> ChatResponse:
+        response = self.inner.complete(request)
+        self.stats.record(response.usage)
+        return response
 
 
 def machine_info() -> dict:

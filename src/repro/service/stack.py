@@ -42,7 +42,7 @@ from ..core.pipeline import NeighborhoodDecoder
 from ..geo.county import County, make_durham_like
 from ..gsv.api import StreetViewClient, UsageMeter
 from ..gsv.dataset import build_survey_dataset
-from ..llm.base import ChatClient, ChatRequest, ChatResponse
+from ..llm.base import BatchError, ChatClient, ChatRequest, ChatResponse
 from ..llm.batch import TokenBucket
 from ..llm.cache import CachingChatClient
 from ..llm.paper_targets import GEMINI_15_PRO
@@ -87,10 +87,18 @@ class RateLimitedChatClient(ChatClient):
         # in provider quota.
         for _ in requests:
             self.bucket.acquire()
-        responses = self.inner.complete_batch(requests)
+        try:
+            responses = self.inner.complete_batch(requests)
+        except BatchError as partial:
+            # The served part was billed: book it before re-raising.
+            self._record(partial.served)
+            raise
+        self._record(responses)
+        return responses
+
+    def _record(self, responses: Sequence[ChatResponse]) -> None:
         for response in responses:
             self.stats.record(response.usage)
-        return responses
 
 
 class ServiceStack:

@@ -12,20 +12,25 @@ counts a correct lock discipline guarantees:
 * a failing :class:`~repro.resilience.breaker.CircuitBreaker` trips
   exactly once however many threads report failures concurrently;
 * :class:`~repro.obs.metrics.MetricsRegistry` loses no increments and
-  no histogram observations.
+  no histogram observations;
+* every :class:`~repro.parallel.aio.MicroBatcher` seat settles with
+  its own response or error.
 """
 
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.llm import BatchError
 from repro.llm.batch import TokenBucket
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.resilience.breaker import CircuitBreaker, CircuitState
+from repro.parallel import MicroBatcher
 from repro.resilience.clock import VirtualClock, WallClock
 
 N_THREADS = 16
@@ -212,6 +217,60 @@ class TestMetricsRegistryStress:
         hist = parent.snapshot()["histograms"]["merged.values"]
         assert hist["count"] == N_THREADS * 100
         assert hist["counts"] == [N_THREADS * 100, 0]
+
+
+class _OddSeatsFail:
+    """Answers ``ans:<n>`` for even ``n``; odd ``n`` fail their seat."""
+
+    def complete_batch(self, requests):
+        outcomes = [
+            ValueError(n) if n % 2 else f"ans:{n}" for n in requests
+        ]
+        if any(isinstance(o, Exception) for o in outcomes):
+            raise BatchError(outcomes)
+        return outcomes
+
+
+class TestMicroBatcherStress:
+    def test_every_seat_settles_with_its_own_outcome(self):
+        """Shared windows and location windows race on one batcher.
+
+        Each thread sends lone requests and whole groups; every seat
+        must get exactly its own answer or error, and the stats must
+        count every served seat once.
+        """
+        batcher = MicroBatcher(max_batch=4, max_wait_s=0.0005)
+        client = _OddSeatsFail()
+        rounds = 40
+
+        def worker(index: int) -> None:
+            for step in range(rounds):
+                base = (index * rounds + step) * 10
+                group = [base + k for k in range(4)]
+                for n, seat in zip(group, batcher.submit_many(client, group)):
+                    if n % 2:
+                        with pytest.raises(ValueError):
+                            seat.result()
+                    else:
+                        assert seat.result() == f"ans:{n}"
+                lone = base + 4 + step % 2
+                if lone % 2:
+                    with pytest.raises(ValueError):
+                        batcher.submit(client, lone)
+                else:
+                    assert batcher.submit(client, lone) == f"ans:{lone}"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(worker)
+        finally:
+            sys.setswitchinterval(interval)
+
+        calls = N_THREADS * rounds
+        served = 2 * calls + calls // 2
+        assert batcher.stats()["batched_requests"] == served
+        assert not batcher._windows
 
 
 class TestServiceDaemonUnderLoad:

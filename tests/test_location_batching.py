@@ -1,0 +1,261 @@
+"""A survey location's images share one batched LLM dispatch.
+
+Inside a pipelined survey ``LLMIndicatorClassifier.classify`` sends a
+location's requests as one :class:`~repro.parallel.aio.MicroBatcher`
+window; each image then retries on its own.  These tests pin the
+dispatch shape, that it changes nothing a report or an outcome
+records, and that a window failing part-way never re-bills the seats
+it already served.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextvars
+import threading
+
+import pytest
+
+from repro.core import ClassifierConfig, LLMIndicatorClassifier, NeighborhoodDecoder
+from repro.core.indicators import Indicator
+from repro.geo import make_durham_like
+from repro.gsv import StreetViewClient
+from repro.llm import BatchError, ChatClient, ChatResponse, ServerError, Usage
+from repro.llm.batch import TokenBucket
+from repro.llm.cache import CachingChatClient
+from repro.parallel import MicroBatcher
+from repro.perf import LatencyChatClient
+from repro.resilience.faults import FaultSchedule, FaultyChatClient
+from repro.service import RateLimitedChatClient
+
+MODEL = "gemini-1.5-pro"
+
+
+def _billed(client: ChatClient) -> tuple[int, int, int]:
+    stats = client.stats
+    return stats.requests, stats.prompt_tokens, stats.completion_tokens
+
+
+def _fails_on_call(clients, call: int) -> FaultyChatClient:
+    """The model behind a scheduled 503 on its ``call``-th request."""
+    schedule = FaultSchedule().burst(
+        lambda: ServerError("503"), start=call, length=1
+    )
+    return FaultyChatClient(clients[MODEL], schedule)
+
+
+class _GarbleOnce(ChatClient):
+    """Answers the first request about one scene with an unparseable reply."""
+
+    def __init__(self, inner: ChatClient, scene_id: str) -> None:
+        super().__init__(inner.model_name)
+        self.inner = inner
+        self.scene_id = scene_id
+        self.garbled = False
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        self.stats.record(response.usage)
+        if request.images[0].image_id == self.scene_id and not self.garbled:
+            self.garbled = True
+            return ChatResponse(
+                model=response.model,
+                content="I think maybe?",
+                usage=response.usage,
+            )
+        return response
+
+
+class TestLocationDispatch:
+    @pytest.fixture(scope="class")
+    def county(self):
+        return make_durham_like(seed=3)
+
+    def _decoder(self, county, clients) -> NeighborhoodDecoder:
+        return NeighborhoodDecoder(
+            street_view=StreetViewClient(counties=[county], api_key="batch"),
+            classifier=LLMIndicatorClassifier(
+                CachingChatClient(clients[MODEL])
+            ),
+        )
+
+    def test_window_two_sends_each_location_in_one_dispatch(
+        self, county, clients
+    ):
+        serial = asyncio.run(
+            self._decoder(county, clients).survey_async(
+                county, 4, seed=5, max_inflight=1
+            )
+        )
+        report = asyncio.run(
+            self._decoder(county, clients).survey_async(
+                county, 4, seed=5, max_inflight=2
+            )
+        )
+        stats = report.batch_stats
+        # Wider than the lone-request cap of min(8, window) = 2: the
+        # location's four captures went out together.
+        assert stats["max_batch_size"] >= 4
+        assert stats["batched_requests"] == report.images_classified
+        assert stats["batches"] == 4
+        assert report.to_json() == serial.to_json()
+
+    def test_parse_failure_retries_only_that_image(
+        self, clients, small_dataset
+    ):
+        images = small_dataset.images[:4]
+        target = images[2].scene.scene_id
+
+        serial = LLMIndicatorClassifier(
+            _GarbleOnce(clients[MODEL], target)
+        )
+        expected = serial.classify(images)
+
+        garbling = _GarbleOnce(clients[MODEL], target)
+        batched = LLMIndicatorClassifier(garbling)
+        batcher = MicroBatcher(max_batch=2, max_wait_s=0.0)
+        with batcher.install():
+            outcomes = batched.classify(images)
+
+        assert [o.attempts for o in outcomes] == [1, 1, 2, 1]
+        for got, want in zip(outcomes, expected):
+            assert got.attempts == want.attempts
+            assert got.usage == want.usage
+            assert got.presence == want.presence
+            assert got.raw_response == want.raw_response
+        assert batched.retry_stats.as_dict() == serial.retry_stats.as_dict()
+        # One window for the location, one lone retry for the image.
+        assert batcher.stats() == {
+            "batches": 2,
+            "batched_requests": 5,
+            "max_batch_size": 4,
+        }
+        assert _billed(garbling) == _billed(serial.client)
+
+    @pytest.mark.parametrize("indicators", [(), (Indicator.SIDEWALK,)])
+    def test_bad_indicator_set_raises_before_any_request(
+        self, clients, small_dataset, indicators
+    ):
+        upstream = FaultyChatClient(clients[MODEL], FaultSchedule())
+        classifier = LLMIndicatorClassifier(
+            upstream,
+            ClassifierConfig(indicators=(Indicator.POWERLINE,)),
+        )
+        batcher = MicroBatcher()
+        with batcher.install(), pytest.raises(ValueError):
+            classifier.classify(small_dataset.images[:4], indicators=indicators)
+        assert upstream.schedule.calls == 0
+        assert _billed(upstream) == (0, 0, 0)
+        assert batcher.stats()["batches"] == 0
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["bare", "cached"])
+def test_failed_window_bills_each_request_once(clients, small_dataset, cached):
+    """A 503 mid-window keeps the answers the window already served.
+
+    Four one-image classify calls share one window; the third
+    upstream call fails.  The two seats served before it keep their
+    answers, and only the failed and unsent seats retry, so the model
+    bills exactly what the one-by-one path bills.
+    """
+    images = small_dataset.images[:4]
+
+    def classifier_over(upstream):
+        client = CachingChatClient(upstream) if cached else upstream
+        return LLMIndicatorClassifier(client)
+
+    serial_upstream = _fails_on_call(clients, 3)
+    serial = classifier_over(serial_upstream)
+    expected = [serial.classify_image(image) for image in images]
+
+    upstream = _fails_on_call(clients, 3)
+    classifier = classifier_over(upstream)
+    batcher = MicroBatcher(max_batch=4, max_wait_s=0.5)
+    start = threading.Barrier(len(images))
+    outcomes = {}
+
+    def call(index):
+        start.wait()
+        outcomes[index] = classifier.classify([images[index]])[0]
+
+    with batcher.install():
+        threads = [
+            threading.Thread(
+                target=contextvars.copy_context().run, args=(call, index)
+            )
+            for index in range(len(images))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert batcher.stats()["max_batch_size"] == len(images)
+    assert upstream.schedule.injected == 1
+    assert _billed(upstream) == _billed(serial_upstream)
+    assert [outcomes[i].presence for i in range(len(images))] == [
+        outcome.presence for outcome in expected
+    ]
+    if cached:
+        assert len(classifier.client) == len(images)
+        assert not classifier.client._inflight
+
+
+class _PartialUpstream(ChatClient):
+    """Serves the first request of a batch, then fails."""
+
+    def complete(self, request):
+        raise AssertionError("batched path only")
+
+    def complete_batch(self, requests):
+        served = ChatResponse(self.model_name, "ok", Usage(1, 1))
+        error = ServerError("503")
+        raise BatchError([served, *[error] * (len(requests) - 1)])
+
+
+def test_cache_keeps_served_seats_and_releases_failed_flights(
+    clients, small_dataset
+):
+    classifier = LLMIndicatorClassifier(clients[MODEL])
+    requests = [
+        classifier._request(image, classifier.config.indicators)
+        for image in small_dataset.images[:3]
+    ]
+    cache = CachingChatClient(_PartialUpstream(MODEL))
+    with pytest.raises(BatchError) as caught:
+        cache.complete_batch(requests)
+    outcomes = caught.value.outcomes
+    assert outcomes[0].content == "ok"
+    assert all(isinstance(o, ServerError) for o in outcomes[1:])
+    assert isinstance(caught.value.__cause__, ServerError)
+    assert len(cache) == 1 and not cache._inflight
+    # The served request is now a hit; the failed ones re-lead.
+    assert cache.complete(requests[0]).content == "ok"
+    assert cache.hits == 1
+
+
+def test_wrappers_book_only_the_served_part_of_a_failed_window(
+    clients, small_dataset
+):
+    classifier = LLMIndicatorClassifier(clients[MODEL])
+    requests = [
+        classifier._request(image, classifier.config.indicators)
+        for image in small_dataset.images[:3]
+    ]
+    faulty = _fails_on_call(clients, 2)
+    latency = LatencyChatClient(faulty, latency_s=0.0)
+    limited = RateLimitedChatClient(
+        latency, TokenBucket(rate=100.0, capacity=10.0)
+    )
+    with pytest.raises(BatchError) as caught:
+        limited.complete_batch(requests)
+    first, failed, unsent = caught.value.outcomes
+    assert isinstance(first, ChatResponse)
+    assert isinstance(failed, ServerError) and unsent is failed
+    for client in (faulty, latency, limited):
+        assert _billed(client) == (
+            1,
+            first.usage.prompt_tokens,
+            first.usage.completion_tokens,
+        )

@@ -10,9 +10,11 @@ engine is byte-identical to the serial survey.
 import asyncio
 import contextvars
 import threading
+import time
 
 import pytest
 
+from repro.llm import BatchError
 from repro.llm.batch import TokenBucket
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.parallel import (
@@ -300,6 +302,45 @@ class TestMicroBatcher:
             thread.join(10.0)
         assert len(errors) == 2  # nobody hangs, everybody sees the error
         assert not batcher._windows  # window cleared for the next round
+
+    def test_batch_error_settles_each_seat_on_its_own(self):
+        """Seats a failed window served keep their answers."""
+
+        class _Partial(_ScriptedBatchClient):
+            def complete_batch(self, requests):
+                self.batch_calls.append(list(requests))
+                outcomes = [f"ans:{r}" for r in requests]
+                outcomes[1] = RuntimeError("seat down")
+                raise BatchError(outcomes)
+
+        client = _Partial()
+        batcher = MicroBatcher(max_batch=8, max_wait_s=5.0)
+        seats = batcher.submit_many(client, ["a", "b", "c"])
+        assert seats[0].result() == "ans:a"
+        with pytest.raises(RuntimeError, match="seat down"):
+            seats[1].result()
+        assert seats[2].result() == "ans:c"
+        assert batcher.stats() == {
+            "batches": 1,
+            "batched_requests": 2,
+            "max_batch_size": 3,
+        }
+
+    def test_submit_many_dispatches_at_once_past_the_cap(self):
+        client = _ScriptedBatchClient()
+        # A lone submit would wait 5 s for a second seat; a caller's
+        # own requests go out together immediately, cap or no cap.
+        batcher = MicroBatcher(max_batch=2, max_wait_s=5.0)
+        started = time.perf_counter()
+        seats = batcher.submit_many(client, ["a", "b", "c", "d"])
+        assert time.perf_counter() - started < 1.0
+        assert [seat.result() for seat in seats] == [
+            "ans:a", "ans:b", "ans:c", "ans:d"
+        ]
+        assert client.batch_calls == [["a", "b", "c", "d"]]
+        assert batcher.stats()["max_batch_size"] == 4
+        assert batcher.submit_many(client, []) == []
+        assert len(client.batch_calls) == 1
 
     def test_different_clients_never_share_a_window(self):
         first, second = _ScriptedBatchClient(), _ScriptedBatchClient()
