@@ -11,8 +11,8 @@ Usage::
     python -m repro survey --locations 64 --max-inflight 8  # pipelined
     python -m repro survey --locations 20 --metrics metrics.json
     python -m repro trace --locations 12 --max-inflight 4  # traced survey
-    python -m repro coordinate --locations 40 --shards 8 --state-dir s
-    python -m repro coordinate --drill --lease-ttl 3    # chaos drill
+    python -m repro survey --locations 40 --checkpoint c.json  # resumable
+    python -m repro serve --selftest     # multi-tenant daemon drill
     python -m repro bench                # refresh BENCH_*.json
 
 Results render as plain-text tables on stdout.  ``survey`` runs the
@@ -452,180 +452,6 @@ def _run_cascade(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_coordinate(args: argparse.Namespace) -> int:
-    """Run (or drill) the crash-safe sharded survey coordinator.
-
-    Without ``--drill``: plan/adopt the manifest under ``--state-dir``,
-    drive every shard to COMPLETED or QUARANTINED, print the merged
-    report, export the coordinator trace, and exit nonzero unless the
-    merged books reconcile (:func:`repro.obs.audit.reconcile_survey`)
-    and the span tree is sound.
-
-    With ``--drill``: a self-checking chaos drill.  Phase one runs the
-    same plan under a seeded :class:`~repro.coordinator.CrashSchedule`
-    (every shard's first attempt is SIGKILLed at a random progress
-    point; one shard is killed on *every* attempt so the budget
-    quarantines it; one attempt freezes its heartbeats so the lease
-    expires and the straggler is fenced).  Phase two resumes — a resume
-    grants quarantined shards a fresh budget — and must complete with a
-    report **byte-identical** to an undisturbed window-1
-    ``survey`` of the same frame, without re-dispatching any
-    shard that already completed.  Any violation exits nonzero.
-    """
-    import math
-
-    from .coordinator import CrashSchedule, ShardState, SurveyCoordinator
-    from .geo.county import make_durham_like, make_robeson_like
-    from .geo.sampling import plan_survey_points
-    from .obs.audit import COORDINATOR_STAGES, audit_trace, reconcile_survey
-    from .obs.metrics import MetricsRegistry, use_metrics
-    from .obs.trace import Tracer, use_tracer
-
-    county = (
-        make_durham_like(seed=3)
-        if args.county == "durham"
-        else make_robeson_like(seed=2)
-    )
-    shard_size = max(1, math.ceil(args.locations / max(args.shards, 1)))
-    max_workers = 2 if args.workers in ("auto", 0) else max(args.workers, 1)
-    state_dir = Path(args.state_dir)
-
-    def coordinator(schedule=None, max_attempts=None):
-        return SurveyCoordinator(
-            state_dir=state_dir,
-            counties=[county],
-            n_locations=args.locations,
-            seed=args.seed,
-            decoder=_build_survey_decoder(county),
-            shard_size=shard_size,
-            max_workers=max_workers,
-            lease_ttl_s=args.lease_ttl,
-            max_attempts=(
-                args.max_attempts if max_attempts is None else max_attempts
-            ),
-            keep_locations=True,
-            crash_schedule=schedule,
-        )
-
-    failures: list[str] = []
-    tracer = Tracer(trace_id=f"coordinate-{args.county}-seed{args.seed}")
-    if args.drill:
-        baseline = _build_survey_decoder(county).survey(
-            locations=plan_survey_points(
-                [county], args.locations, seed=args.seed
-            )
-        )
-        n_shards = math.ceil(args.locations / shard_size)
-        schedule = CrashSchedule.seeded_kills(
-            n_shards, seed=args.seed + 1, attempts=1, max_after=2
-        )
-        # Shard 0 dies on every attempt: the budget must quarantine it.
-        for attempt in range(1, args.max_attempts + 1):
-            schedule.kill(0, attempt, after_locations=1)
-        if n_shards > 1:
-            # One frozen straggler: only lease expiry + fencing clears it.
-            schedule.freeze(1, 2, after_locations=1)
-        print(
-            f"drill phase 1: {len(schedule)} scripted crashes over "
-            f"{n_shards} shards"
-        )
-        with use_metrics(MetricsRegistry()):
-            crashed = coordinator(schedule=schedule).run()
-        print(
-            f"  completed {crashed.report.completed_locations}/"
-            f"{args.locations}, requeues {crashed.requeues}, "
-            f"lease expiries {crashed.lease_expiries}, "
-            f"quarantined {list(crashed.quarantined)}"
-        )
-        if not crashed.quarantined:
-            failures.append("drill: no shard was quarantined in phase 1")
-        if crashed.report.completed_locations >= args.locations:
-            failures.append("drill: phase 1 unexpectedly completed fully")
-        done_before = len(
-            crashed.manifest.in_state(ShardState.COMPLETED)
-        )
-        print("drill phase 2: --resume (fresh budget for quarantined)")
-        with use_metrics(MetricsRegistry()), use_tracer(tracer):
-            resumed = coordinator().run(resume=True)
-        report = resumed.report
-        traced_spawns = resumed.workers_spawned
-        if resumed.workers_spawned > n_shards - done_before:
-            failures.append(
-                f"drill: resume re-dispatched completed shards "
-                f"({resumed.workers_spawned} workers for "
-                f"{n_shards - done_before} unfinished shards)"
-            )
-        if report.to_json() != baseline.to_json():
-            failures.append(
-                "drill: resumed report is NOT byte-identical to the "
-                "undisturbed serial baseline"
-            )
-        else:
-            print(
-                "  resumed report byte-identical to serial baseline "
-                f"({len(report.to_json())} bytes)"
-            )
-    else:
-        with use_metrics(MetricsRegistry()), use_tracer(tracer):
-            result = coordinator().run(resume=args.resume)
-        report = result.report
-        traced_spawns = result.workers_spawned
-        print(
-            f"shards: {result.shard_counts}; "
-            f"workers spawned {result.workers_spawned}, "
-            f"requeues {result.requeues}, "
-            f"lease expiries {result.lease_expiries}"
-        )
-
-    print(f"\n=== coordinated survey of {county.name} ===")
-    print(
-        f"coverage       {report.coverage:.1%} "
-        f"({report.completed_locations}/{report.requested_locations} "
-        "locations)"
-    )
-    print(f"images         {report.images_classified}")
-    print(f"fees           ${report.fees_usd:.3f}")
-    for failed in report.failed_locations:
-        print(
-            f"  FAILED location {failed.index} "
-            f"({failed.latitude:.4f}, {failed.longitude:.4f}): "
-            f"{failed.reason}"
-        )
-
-    failures.extend(
-        f"RECONCILE {line}" for line in reconcile_survey(report)
-    )
-    # A resume that found nothing left to do spawns no workers, so no
-    # coordinate.shard span exists — that is a clean no-op, not a hole
-    # in the trace.
-    required_stages = (
-        COORDINATOR_STAGES
-        if traced_spawns
-        else tuple(s for s in COORDINATOR_STAGES if s != "coordinate.shard")
-    )
-    failures.extend(
-        f"TRACE {line}"
-        for line in audit_trace(tracer, required_names=required_stages)
-    )
-    spans = tracer.export_jsonl(args.trace_out)
-    print(f"trace          {spans} spans -> {args.trace_out}")
-    if failures:
-        for line in failures:
-            print(f"  AUDIT {line}")
-        print("coordination audit FAILED")
-        return 1
-    print(
-        "coordination audit ok: books reconcile and the span tree is sound"
-    )
-    if report.coverage < args.min_coverage:
-        print(
-            f"coverage {report.coverage:.1%} below required "
-            f"{args.min_coverage:.1%} — rerun with --resume to continue"
-        )
-        return 1
-    return 0
-
-
 def _run_trace(args: argparse.Namespace) -> int:
     """Run a traced ensemble survey and export ``trace.jsonl``.
 
@@ -824,13 +650,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all", "bench", "cascade",
-                                       "coordinate", "list", "serve",
-                                       "survey", "trace"],
+                                       "list", "serve", "survey",
+                                       "trace"],
         help=(
             "which experiment to run ('survey' runs the decoder itself, "
             "'trace' runs it under a recording tracer and audits the "
-            "books, 'coordinate' runs the crash-safe sharded "
-            "coordinator, 'cascade' calibrates/sweeps the cost-aware "
+            "books, 'cascade' calibrates/sweeps the cost-aware "
             "router, 'serve' runs the multi-tenant survey daemon, "
             "'bench' runs the perf benchmarks)"
         ),
@@ -900,7 +725,7 @@ def main(argv: list[str] | None = None) -> int:
         type=_parse_workers,
         default=1,
         help=(
-            "parallel workers for experiments and coordinator shards; "
+            "parallel workers for experiments (a thread pool); "
             "'auto' = one per usable CPU (default: 1, serial)"
         ),
     )
@@ -1001,61 +826,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="trace: span export path (default: trace.jsonl)",
     )
-    coord_group = parser.add_argument_group("coordinate options")
-    coord_group.add_argument(
-        "--state-dir",
-        default=".coord_state",
-        metavar="PATH",
-        help=(
-            "coordinate: durable state directory (manifest, shard "
-            "checkpoints, results; default: .coord_state)"
-        ),
-    )
-    coord_group.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        metavar="N",
-        help="coordinate: split the frame into N shards (default: 8)",
-    )
-    coord_group.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help=(
-            "coordinate: heartbeat silence tolerated before a worker "
-            "is fenced and its shard re-dispatched (default: 30)"
-        ),
-    )
-    coord_group.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help=(
-            "coordinate: dispatches per shard before quarantine "
-            "(default: 3)"
-        ),
-    )
-    coord_group.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "coordinate: adopt the existing manifest and resume "
-            "(quarantined shards get a fresh attempt budget)"
-        ),
-    )
-    coord_group.add_argument(
-        "--drill",
-        action="store_true",
-        help=(
-            "coordinate: run the self-checking chaos drill (scripted "
-            "SIGKILLs + a frozen straggler, then resume; exits nonzero "
-            "unless the resumed report is byte-identical to a serial "
-            "baseline and the books reconcile)"
-        ),
-    )
     serve_group = parser.add_argument_group("serve options")
     serve_group.add_argument(
         "--socket",
@@ -1091,6 +861,25 @@ def main(argv: list[str] | None = None) -> int:
         help="serve: shared LLM token-bucket rate (default: unlimited)",
     )
     serve_group.add_argument(
+        "--state-dir",
+        default=".coord_state",
+        metavar="PATH",
+        help=(
+            "serve: durable state directory (job manifest, per-job "
+            "checkpoints and reports; default: .coord_state)"
+        ),
+    )
+    serve_group.add_argument(
+        "--max-attempts",
+        type=int,
+        default=3,
+        metavar="N",
+        help=(
+            "serve: dispatches per job; a job that fails or is "
+            "interrupted on its last one fails clean (default: 3)"
+        ),
+    )
+    serve_group.add_argument(
         "--selftest",
         action="store_true",
         help=(
@@ -1108,8 +897,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_survey(args)
     if args.experiment == "trace":
         return _run_trace(args)
-    if args.experiment == "coordinate":
-        return _run_coordinate(args)
     if args.experiment == "cascade":
         return _run_cascade(args)
     if args.experiment == "serve":

@@ -371,9 +371,9 @@ class NeighborhoodDecoder:
         ``checkpoint`` requires county mode (an arbitrary iterable has
         no stable identity to key resumption on) and shares its key
         with :meth:`survey`.  A caller that *does* own a stable
-        identity for its stream — the shard coordinator, whose manifest
-        fingerprint names each shard's points exactly — passes an
-        already-opened ``checkpoint_store`` instead.  ``bridge``
+        identity for its stream — the service daemon, which keys each
+        job's checkpoint by its durable spec — passes an already-opened
+        ``checkpoint_store`` instead.  ``bridge``
         follows :meth:`survey_async`.
         """
         return await self._survey(
@@ -513,11 +513,6 @@ class NeighborhoodDecoder:
         report.coalesce_stats = dict.fromkeys(_COALESCE_TALLIES, 0)
         if self.cascade is not None:
             report.cascade_stats = dict.fromkeys(self.cascade.stats.FIELDS, 0)
-        # Per-location retry provenance is persisted into checkpoint
-        # payloads (the coordinator rebuilds canonical totals from it
-        # after a crash) only at window 1, which keeps checkpoint bytes
-        # identical to the format's established shape.
-        record_provenance = max_inflight == 1
         controller = AIMDController(
             initial=max_inflight, max_limit=max_inflight
         )
@@ -617,7 +612,6 @@ class NeighborhoodDecoder:
                     report,
                     store=store,
                     keep_locations=keep_locations,
-                    record_provenance=record_provenance,
                     tracer=tracer,
                     root_span=root_span,
                 )
@@ -643,9 +637,9 @@ class NeighborhoodDecoder:
         """The survey's sampling plan for ``(county, n_locations)``.
 
         Delegates to :func:`~repro.geo.sampling.plan_survey_points`,
-        the same planner the shard coordinator uses for multi-county
-        frames — one sampling code path, so a coordinated survey's
-        frame is the survey's frame.
+        the same planner multi-county callers use — one sampling code
+        path, so points a caller plans itself for ``locations=`` are
+        exactly the survey's frame.
         """
         points = plan_survey_points([county], n_locations, seed)
         return points or None
@@ -694,7 +688,6 @@ class NeighborhoodDecoder:
         *,
         store: SurveyCheckpoint | None,
         keep_locations: bool,
-        record_provenance: bool,
         tracer,
         root_span,
     ) -> None:
@@ -733,7 +726,7 @@ class NeighborhoodDecoder:
                 self._restore_location(report, outcome, keep_locations)
                 return
             result, n_images, degraded, skipped, scope = outcome
-            retry = self._fold_tally(report, scope)
+            self._fold_tally(report, scope)
             self._record_result(
                 report,
                 result,
@@ -746,17 +739,13 @@ class NeighborhoodDecoder:
                 store.record(
                     task.index,
                     self._location_payload(
-                        result,
-                        n_images,
-                        degraded,
-                        retry.as_dict() if record_provenance else None,
-                        skipped,
+                        result, n_images, degraded, skipped
                     ),
                 )
 
     @staticmethod
-    def _fold_tally(report: SurveyReport, scope: Tally) -> RetryStats:
-        """Add one location's tally to the report; returns its retries.
+    def _fold_tally(report: SurveyReport, scope: Tally) -> None:
+        """Add one location's tally to the report.
 
         Imagery fees, retries, cache traffic and cascade routing each
         come from the location's own :class:`~repro.obs.scope.Tally`,
@@ -765,18 +754,16 @@ class NeighborhoodDecoder:
         exactly its own work.  Cache counters of a micro-batch window
         land in its leader's location; the survey's sum is exact.
         """
-        retry = RetryStats.from_dict(scope.section("retry"))
-        report.retry_stats.merge(retry)
+        report.retry_stats.merge(RetryStats.from_dict(scope.section("retry")))
         # One addition per image, in location order: the same float
-        # sum a fresh meter accumulates and the coordinator's merge
-        # rebuilds, not images * fee.
+        # sum a fresh meter accumulates and the daemon's settlement
+        # rebuilds from the checkpoint, not images * fee.
         for _ in range(int(scope.get("gsv.images_billed"))):
             report.fees_usd += FEE_PER_IMAGE_USD
         for key, name in _COALESCE_TALLIES.items():
             report.coalesce_stats[key] += int(scope.get(name))
         for name, value in scope.section("cascade").items():
             report.cascade_stats[name] += int(value)
-        return retry
 
     # ------------------------------------------------------------------
 
@@ -832,7 +819,6 @@ class NeighborhoodDecoder:
         result: LocationResult,
         images: int,
         degraded: int,
-        retry: dict | None = None,
         skipped: int = 0,
     ) -> dict:
         payload = {
@@ -844,8 +830,6 @@ class NeighborhoodDecoder:
             "images": images,
             "degraded_votes": degraded,
         }
-        if retry is not None:
-            payload["retry"] = retry
         # Written only when nonzero so pre-existing checkpoint files
         # (and their fingerprints) remain byte-compatible.
         if skipped:
@@ -909,8 +893,7 @@ def location_from_payload(payload: dict) -> LocationResult:
     """Rebuild a :class:`LocationResult` from its checkpoint payload.
 
     The inverse of :meth:`NeighborhoodDecoder._location_payload`,
-    shared by in-run checkpoint restoration and the coordinator's
-    cross-shard merge (:mod:`repro.coordinator.merge`).
+    used by in-run checkpoint restoration.
     """
     return LocationResult(
         latitude=payload["latitude"],

@@ -191,8 +191,8 @@ def plan_survey_points(
 ) -> list[SamplePoint]:
     """Plan a deterministic survey frame across one or many counties.
 
-    This is the single sampling entry point shared by the batch
-    pipeline and the shard coordinator: each county's road network is
+    This is the single sampling entry point shared by the survey
+    engine and multi-county callers: each county's road network is
     built from ``seed + 17`` and the pooled draw uses ``seed + 23``,
     exactly matching the historical single-county path — so a
     one-county plan is byte-identical to what ``decoder.survey``

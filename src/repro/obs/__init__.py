@@ -6,9 +6,9 @@ The measurement substrate under the survey pipeline (DESIGN.md §11):
   parent links, and monotonic timings; JSONL export; a zero-cost
   :data:`NULL_TRACER` default.
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry`
-  (counters, gauges, fixed-bucket histograms) whose child-process
-  deltas merge back through the
-  :class:`~repro.parallel.executor.ParallelExecutor` result path.
+  (counters, gauges, fixed-bucket histograms), scoped per context by
+  :func:`use_metrics` so pool and bridge workers record into their
+  submitter's registry.
 * :mod:`repro.obs.scope` — per-location :class:`Tally` books that
   shared objects (usage meter, response cache, retry loop, cascade
   counters) record into through a context variable.
@@ -21,7 +21,6 @@ metric increments are single locked dict updates.
 """
 
 from .audit import (
-    COORDINATOR_STAGES,
     SERVICE_STAGES,
     SURVEY_STAGES,
     audit_trace,
@@ -46,7 +45,6 @@ from .trace import (
 )
 
 __all__ = [
-    "COORDINATOR_STAGES",
     "SERVICE_STAGES",
     "DEFAULT_BUCKET_EDGES",
     "MetricsRegistry",

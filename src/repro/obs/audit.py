@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # import cycle: pipeline itself is instrumented
     from ..core.pipeline import SurveyReport
 
 __all__ = [
-    "COORDINATOR_STAGES",
     "SURVEY_STAGES",
     "audit_trace",
     "reconcile_survey",
@@ -121,12 +120,6 @@ def reconcile_survey(
 #: Stage names a traced survey must exhibit somewhere in its tree.
 SURVEY_STAGES = ("survey", "survey.location", "survey.classify",
                  "survey.vote", "survey.merge")
-
-#: Stage names a traced *coordinated* survey must exhibit.  The
-#: per-location survey stages live in worker processes (their tracers
-#: die with them); the coordinator's own tree records the shard-level
-#: lifecycle instead.
-COORDINATOR_STAGES = ("coordinate", "coordinate.shard", "coordinate.merge")
 
 #: Stage names a service-daemon job's span tree must exhibit: the
 #: daemon's own ``service.job`` root wrapping the survey tree (each

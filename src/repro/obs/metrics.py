@@ -1,4 +1,4 @@
-"""Thread-safe metrics: counters, gauges, histograms, mergeable deltas.
+"""Thread-safe metrics: counters, gauges, histograms, snapshot deltas.
 
 A county-scale survey fans work across threads, and when it misbehaves
 the first question is always quantitative: how many fetches, how many
@@ -11,13 +11,10 @@ kinds, all behind one lock:
 * **histograms** — fixed-bucket-edge distributions (``observe``),
   recording per-bucket counts plus total count and sum.
 
-Threads write the one registry directly.  Work that runs in another
-process (the coordinator's shard workers) aggregates by *delta
-merging* rather than shared state: the child accumulates into its own
-module-level registry, ships the delta back with its result, and the
-parent folds it in with :meth:`MetricsRegistry.merge` in a fixed
-order, so the merged totals are deterministic for a deterministic
-workload.
+Everything runs in one process, so threads write the active registry
+directly.  :func:`use_metrics` scopes which registry is active through
+a context variable: pool and bridge workers inherit the submitting
+context, so a daemon job's workers record into that job's registry.
 
 Snapshots are plain sorted dicts (JSON-ready); ``delta_since``
 subtracts two snapshots so callers can report exactly what one survey
@@ -202,37 +199,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    def merge(self, delta: dict) -> None:
-        """Fold a snapshot/delta dict into this registry.
-
-        Counters and histogram buckets add; gauges overwrite.  This is
-        how child-process contributions land in the parent: the
-        coordinator merges each shard's delta in a fixed order, keeping
-        the merged totals deterministic.
-        """
-        counters = delta.get("counters", {})
-        gauges = delta.get("gauges", {})
-        histograms = delta.get("histograms", {})
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            for name, value in gauges.items():
-                self._gauges[name] = float(value)
-            for name, payload in histograms.items():
-                edges = tuple(float(e) for e in payload["edges"])
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = _Histogram(edges)
-                    self._histograms[name] = histogram
-                if histogram.edges != edges:
-                    raise ValueError(
-                        f"cannot merge histogram {name!r}: edge mismatch"
-                    )
-                for index, moved in enumerate(payload["counts"]):
-                    histogram.counts[index] += moved
-                histogram.count += payload["count"]
-                histogram.total += payload["sum"]
 
     def reset(self) -> None:
         with self._lock:

@@ -169,13 +169,6 @@ HEADLINE_METRICS: dict[str, list[dict]] = {
         {"path": "tracing.noop_locations_per_s"},
         {"path": "tracing.traced_relative_throughput"},
     ],
-    "coord": [
-        {"path": "coordinator.locations_per_s"},
-        {
-            "path": "coordinator.relative_throughput",
-            "waived_by": "coordinator.core_capped",
-        },
-    ],
     "service": [
         {"path": "service.job_throughput"},
         {

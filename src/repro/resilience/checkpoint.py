@@ -31,16 +31,15 @@ surveys' billing is worse than failing loudly.
 
 The payload stored per location is an opaque JSON dict owned by the
 caller (:class:`~repro.core.pipeline.NeighborhoodDecoder` stores the
-decoded indicators plus billing/retry provenance), which keeps this
-module free of pipeline imports.
+decoded indicators plus the location's image count, which the daemon
+bills from), which keeps this module free of pipeline imports.
 
 Durability scope: appends deliberately do **not** fsync.  A record
 that ``write`` returned survives the death of the process (the page
 cache persists), which the daemon's SIGKILL drills exercise; a host
 crash can lose the unsynced tail, which merely re-fetches those
-locations.  Rare, high-value documents (the coordinator's shard
-manifest and shard results) do fsync — see
-:mod:`repro.coordinator.manifest`.
+locations.  Rare, high-value documents (the daemon's job manifest
+and reports) do fsync — see :mod:`repro.durable`.
 """
 
 from __future__ import annotations

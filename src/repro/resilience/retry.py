@@ -100,23 +100,6 @@ class RetryStats:
             self.slept_s += other.slept_s
             self.breaker_blocks += other.breaker_blocks
 
-    def subtract(self, baseline: "RetryStats") -> "RetryStats":
-        """The portion accumulated after ``baseline`` (``self - baseline``).
-
-        Used to carve a stats object into per-phase deltas — e.g. the
-        coordinator's "retries spent on locations that ultimately
-        failed" remainder.
-        """
-        with self._lock:
-            return RetryStats(
-                operations=self.operations - baseline.operations,
-                attempts=self.attempts - baseline.attempts,
-                retries=self.retries - baseline.retries,
-                failures=self.failures - baseline.failures,
-                slept_s=self.slept_s - baseline.slept_s,
-                breaker_blocks=self.breaker_blocks - baseline.breaker_blocks,
-            )
-
     def as_dict(self) -> dict[str, float]:
         return {
             "operations": self.operations,

@@ -60,7 +60,7 @@ from typing import Iterable, Sequence
 
 import asyncio
 
-from ..coordinator.manifest import atomic_write_json
+from ..durable import atomic_write_json
 from ..obs.audit import SERVICE_STAGES, audit_trace, reconcile_survey
 from ..obs.metrics import MetricsRegistry, use_metrics
 from ..obs.trace import Tracer, use_tracer

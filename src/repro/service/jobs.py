@@ -104,8 +104,7 @@ class JobSpec:
 
     ``county_seed`` names the synthetic study county
     (``make_durham_like(seed=county_seed)``) — a JSON-stable identity,
-    exactly like the coordinator's manifest fingerprints, so a durable
-    record can rebuild its world after a daemon restart.  ``priority``
+    so a durable record can rebuild its world after a daemon restart.  ``priority``
     is higher-runs-sooner; ties break FIFO on submission order.
     """
 
@@ -161,7 +160,7 @@ class JobRecord:
     """The durable, mutable half of a job.
 
     Persisted in full on every state transition through the service
-    manifest (fsynced ``atomic_write_json``, the coordinator idiom).
+    manifest (fsynced :func:`~repro.durable.atomic_write_json`).
     ``fees_settled_usd`` is written *in the same durable write* as the
     terminal transition — the exactly-once-billing invariant.
     ``progress`` (completed locations so far) is deliberately **not**

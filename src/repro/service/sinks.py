@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Callable, Protocol
 
-from ..coordinator.manifest import atomic_write_json
+from ..durable import atomic_write_json
 from .jobs import JobRecord
 
 __all__ = [
@@ -72,9 +72,10 @@ class JsonlSink:
 class ReportDirSink:
     """Write each DONE job's report document into a directory.
 
-    Files are written with the coordinator's fsynced atomic idiom and
-    named ``<job_id>.json``, so re-delivery after a crash overwrites
-    with identical bytes instead of duplicating.
+    Files are written with the fsynced atomic idiom
+    (:func:`~repro.durable.atomic_write_json`) and named
+    ``<job_id>.json``, so re-delivery after a crash overwrites with
+    identical bytes instead of duplicating.
     """
 
     def __init__(self, directory: str | Path) -> None:

@@ -3,19 +3,18 @@
 One JSON manifest (``<state_dir>/service.json``) holds every job
 record, the per-tenant fee ledger, and the submission sequence — the
 whole restart-critical state of a daemon.  Every mutation rewrites it
-through :func:`~repro.coordinator.manifest.atomic_write_json` (temp
-file + fsync + rename + directory fsync), the same idiom that makes
-the shard coordinator's manifest survive SIGKILL: the file on disk is
-always the last *complete* document, so a daemon killed mid-write
-restarts from the previous consistent state.
+through :func:`~repro.durable.atomic_write_json` (temp file + fsync +
+rename + directory fsync): the file on disk is always the last
+*complete* document, so a daemon killed mid-write restarts from the
+previous consistent state.
 
 Per-job survey progress does **not** live here — it rides the
 existing per-location :class:`~repro.resilience.checkpoint.SurveyCheckpoint`
 under ``<state_dir>/checkpoints/``, which is also the billing source
 of truth: :func:`canonical_fees_usd` re-accumulates a job's imagery
-bill from the checkpoint's durable per-location image counts (the
-coordinator-merge fee reconstruction), so however many attempts a job
-burned, each completed location is billed exactly once.
+bill from the checkpoint's durable per-location image counts, so
+however many attempts a job burned, each completed location is billed
+exactly once.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..coordinator.manifest import atomic_write_json
+from ..durable import atomic_write_json
 from ..gsv.api import FEE_PER_IMAGE_USD
 from ..resilience.checkpoint import SurveyCheckpoint
 from .jobs import JobRecord, JobSpec, ServiceError
@@ -61,7 +60,7 @@ def checkpoint_key(spec: JobSpec, county_name: str) -> dict:
 def canonical_fees_usd(path: Path, key: dict) -> float:
     """A job's exactly-once imagery bill, rebuilt from durable records.
 
-    The same arithmetic as the coordinator merge: one
+    The same arithmetic as a survey report's fee sum: one
     ``FEE_PER_IMAGE_USD`` addition per recorded image, in location
     order.  Crashed attempts left no trace here except the locations
     they completed — which is precisely what the tenant should pay

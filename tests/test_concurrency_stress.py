@@ -201,23 +201,6 @@ class TestMetricsRegistryStress:
             N_THREADS * sum(step % 7 for step in range(per_thread))
         )
 
-    def test_concurrent_merges_conserve_child_totals(self):
-        """16 threads merging disjoint deltas into one parent registry."""
-        parent = MetricsRegistry()
-
-        def worker(index: int) -> None:
-            for _ in range(100):
-                child = MetricsRegistry()
-                child.inc("merged.total")
-                child.observe("merged.values", 1.0, edges=(2.0,))
-                parent.merge(child.snapshot())
-
-        _hammer(worker)
-        assert parent.counter("merged.total") == N_THREADS * 100
-        hist = parent.snapshot()["histograms"]["merged.values"]
-        assert hist["count"] == N_THREADS * 100
-        assert hist["counts"] == [N_THREADS * 100, 0]
-
 
 class _OddSeatsFail:
     """Answers ``ans:<n>`` for even ``n``; odd ``n`` fail their seat."""

@@ -251,3 +251,67 @@ def test_every_entry_rejects_invalid_arguments_up_front(
     assert str(raised.value).startswith(INVALID_ARGUMENTS[case][1])
     assert street_view.usage().images_served == served
     assert not (tmp_path / "survey.ckpt.json").exists()
+
+
+class TestCheckpointPayload:
+    """A location's checkpoint record holds its result and image count."""
+
+    KEY = {"county": "Durham", "n_locations": 3, "seed": 5}
+
+    def _survey(self, street_view, clients, path):
+        decoder = NeighborhoodDecoder(
+            street_view=street_view,
+            classifier=LLMIndicatorClassifier(clients["gemini-1.5-pro"]),
+        )
+        return decoder.survey(
+            make_durham_like(seed=3), n_locations=3, seed=5, checkpoint=path
+        )
+
+    def test_window_one_record_has_no_retry_key(
+        self, street_view, clients, tmp_path
+    ):
+        path = tmp_path / "survey.ckpt"
+        self._survey(street_view, clients, path)
+        store = SurveyCheckpoint(path, self.KEY)
+        assert store.completed_indices == (0, 1, 2)
+        for index in store.completed_indices:
+            assert "retry" not in store.get(index)
+
+    def test_legacy_record_with_retry_restores_the_same_report(
+        self, street_view, clients, tmp_path
+    ):
+        fresh = tmp_path / "fresh.ckpt"
+        first = self._survey(street_view, clients, fresh)
+        legacy = SurveyCheckpoint(tmp_path / "legacy.ckpt", self.KEY)
+        source = SurveyCheckpoint(fresh, self.KEY)
+        for index in sorted(source.completed_indices):
+            legacy.record(
+                index,
+                {
+                    **source.get(index),
+                    "retry": {
+                        "operations": 4,
+                        "attempts": 5,
+                        "retries": 1,
+                        "failures": 0,
+                        "slept_s": 0.05,
+                        "breaker_blocks": 0,
+                    },
+                },
+            )
+        served = street_view.usage().images_served
+        restored = self._survey(street_view, clients, fresh)
+        from_legacy = self._survey(
+            street_view, clients, tmp_path / "legacy.ckpt"
+        )
+        assert street_view.usage().images_served == served
+        assert from_legacy.to_json() == restored.to_json()
+        # Restoring bills nothing and retries nothing; every other
+        # key is the original survey's.
+        work = ("fees_usd", "retry_stats")
+        payload = {
+            k: v for k, v in from_legacy.payload().items() if k not in work
+        }
+        assert payload == {
+            k: v for k, v in first.payload().items() if k not in work
+        }

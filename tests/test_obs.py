@@ -94,31 +94,6 @@ class TestMetricsRegistry:
         assert nonempty_delta(delta)
         assert not nonempty_delta(registry.delta_since(registry.snapshot()))
 
-    def test_merge_adds_counters_and_histograms_overwrites_gauges(self):
-        parent = MetricsRegistry()
-        parent.inc("shared", 1)
-        parent.set_gauge("level", 1)
-        parent.observe("lat", 0.5, edges=(1.0,))
-        child = MetricsRegistry()
-        child.inc("shared", 2)
-        child.inc("child.only", 5)
-        child.set_gauge("level", 9)
-        child.observe("lat", 2.0, edges=(1.0,))
-        parent.merge(child.snapshot())
-        snapshot = parent.snapshot()
-        assert snapshot["counters"] == {"shared": 3.0, "child.only": 5.0}
-        assert snapshot["gauges"] == {"level": 9.0}
-        assert snapshot["histograms"]["lat"]["counts"] == [1, 1]
-        assert snapshot["histograms"]["lat"]["count"] == 2
-
-    def test_merge_rejects_histogram_edge_mismatch(self):
-        parent = MetricsRegistry()
-        parent.observe("lat", 0.5, edges=(1.0,))
-        child = MetricsRegistry()
-        child.observe("lat", 0.5, edges=(2.0,))
-        with pytest.raises(ValueError, match="edge mismatch"):
-            parent.merge(child.snapshot())
-
     def test_reset_and_is_empty(self):
         registry = MetricsRegistry()
         assert registry.is_empty()

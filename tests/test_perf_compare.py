@@ -41,7 +41,6 @@ class TestCompareBenchmarks:
             "detect",
             "stream",
             "obs",
-            "coord",
             "service",
         }
 

@@ -560,11 +560,21 @@ def test_restart_requeues_interrupted_job_without_double_billing(
             assert record.fees_settled_usd == pytest.approx(
                 record.spec.n_locations * 4 * 0.007
             )
-            return await service.result(job_id)
+            return await service.result(job_id), record.fees_settled_usd
 
-    job_id, _ = run(first_daemon())
-    served = run(second_daemon(job_id))
+    job_id, undisturbed = run(first_daemon())
+    served, settled = run(second_daemon(job_id))
+    undisturbed = json.loads(undisturbed)
     assert len(served["locations"]) == 3
+    # The resumed report is the undisturbed one, except for the work
+    # its own attempt did: it fetched 2 locations, not 3.  The bill
+    # covers all 3, each exactly once.
+    work = ("fees_usd", "retry_stats")
+    assert {k: v for k, v in served.items() if k not in work} == {
+        k: v for k, v in undisturbed.items() if k not in work
+    }
+    assert served["fees_usd"] < undisturbed["fees_usd"]
+    assert settled == undisturbed["fees_usd"]
 
 
 def test_restart_fails_clean_when_attempts_exhausted(clients, tmp_path):

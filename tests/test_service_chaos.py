@@ -13,7 +13,10 @@ criteria from DESIGN.md §16:
 * zero double-billing — each terminal job's settlement equals the
   canonical fee rebuilt from its checkpoint, each tenant ledger equals
   the sum of its jobs' settlements, and a *third* run over the same
-  state changes nothing.
+  state changes nothing;
+* the resumed job's report is the undisturbed survey's, except for
+  the fees and retries of the work its last attempt did, and it is
+  settled at exactly the undisturbed survey's fee.
 
 Marked ``faults`` (excluded from tier-1): real processes, real clock,
 real kill windows.
@@ -21,6 +24,7 @@ real kill windows.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -32,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.resilience.checkpoint import SurveyCheckpoint
-from repro.service import JobSpec, JobState
+from repro.service import JobSpec, JobState, ServiceStack
 from repro.service.jobs import JobRecord
 from repro.service.store import canonical_fees_usd, checkpoint_key
 
@@ -41,11 +45,10 @@ pytestmark = pytest.mark.faults
 DRIVER = Path(__file__).parent / "data" / "service_chaos_driver.py"
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Checkpoint identity of ``job-0000``, the wide job the driver submits
-#: first.
-WIDE_JOB_KEY = checkpoint_key(
-    JobSpec(tenant="acme", n_locations=8, seed=11), "Durham"
-)
+#: ``job-0000``, the wide job the driver submits first, and its
+#: checkpoint identity.
+WIDE_JOB = JobSpec(tenant="acme", n_locations=8, seed=11)
+WIDE_JOB_KEY = checkpoint_key(WIDE_JOB, "Durham")
 
 
 def _checkpointed(checkpoint: Path) -> int:
@@ -103,6 +106,21 @@ def _assert_books_reconcile(state_dir: Path) -> None:
         ), f"{tenant} ledger disagrees with its jobs"
 
 
+def _undisturbed_wide_report() -> dict:
+    """The wide job's report from one uninterrupted survey."""
+    spec = WIDE_JOB
+    with ServiceStack() as stack:
+        report = asyncio.run(
+            stack.decoder(spec.kind, spec.county_seed).survey_async(
+                stack.county(spec.county_seed),
+                spec.n_locations,
+                seed=spec.seed,
+                max_inflight=spec.max_inflight,
+            )
+        )
+    return json.loads(report.to_json())
+
+
 def test_sigkill_mid_job_restart_resumes_without_double_billing(tmp_path):
     state_dir = tmp_path / "state"
     checkpoint = state_dir / "checkpoints" / "job-0000.json"
@@ -157,6 +175,19 @@ def test_sigkill_mid_job_restart_resumes_without_double_billing(tmp_path):
     assert _checkpointed(checkpoint) == 8
     assert records["job-0001"].state is JobState.DONE
     _assert_books_reconcile(state_dir)
+
+    # The resumed report is the undisturbed one on every key but the
+    # work the last attempt did (it fetched only the missing
+    # locations); the bill covers every location exactly once.
+    served = json.loads(
+        (state_dir / "reports" / "job-0000.json").read_text()
+    )["report"]
+    undisturbed = _undisturbed_wide_report()
+    work = ("fees_usd", "retry_stats")
+    assert {k: v for k, v in served.items() if k not in work} == {
+        k: v for k, v in undisturbed.items() if k not in work
+    }
+    assert killed.fees_settled_usd == undisturbed["fees_usd"]
 
     # Phase 3: a third run over settled state is a no-op — terminal
     # records are frozen and nothing gets re-billed.
