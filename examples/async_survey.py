@@ -4,8 +4,9 @@ Races the same latency-bound county survey at window 1 (strictly
 serial) and at window 8 (the pipeline open, DESIGN.md §8) under
 simulated API round-trips, then proves both reports are byte-identical
 and prints what the engine's adaptive machinery actually did (peak
-in-flight window, micro-batch dispatches).  Exits 1 when the reports
-differ.
+in-flight window, imagery and LLM dispatches).  Exits 1 when the
+reports differ, or when the window-8 run did not fetch each location's
+four captures in exactly one imagery round trip.
 
 Run:  python examples/async_survey.py
 """
@@ -75,13 +76,25 @@ def main():
         f"peaked at {window['peak_inflight']} in flight, "
         f"{window['throttle_events']} throttle events observed"
     )
+    fetched = pipelined.completed_locations + len(pipelined.failed_locations)
+    serial_trips, pipelined_trips = (
+        int(report.metrics["counters"]["gsv.round_trips"])
+        for report in (serial, pipelined)
+    )
+    print(
+        f"imagery: {serial_trips} round trips serial, {pipelined_trips} "
+        f"at window {MAX_INFLIGHT} for {fetched} fetched locations"
+    )
     batches = pipelined.batch_stats
     print(
         f"micro-batching: {batches['batched_requests']} LLM requests in "
         f"{batches['batches']} dispatches "
         f"(largest window {batches['max_batch_size']})"
     )
-    return 0 if identical else 1
+    one_per_location = pipelined_trips == fetched
+    if not one_per_location:
+        print("expected one imagery round trip per fetched location")
+    return 0 if identical and one_per_location else 1
 
 
 if __name__ == "__main__":

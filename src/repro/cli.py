@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -640,6 +641,25 @@ def _compare_against_trajectory(
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; exit quietly when the reader closes stdout.
+
+    ``repro survey ... | head`` closes the pipe before the report is
+    printed.  The command stops there and exits 1, as Python's own
+    guidance for ``SIGPIPE`` suggests, without a traceback.  Stdout is
+    pointed at ``/dev/null`` so the interpreter's final flush does not
+    fail again.
+    """
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

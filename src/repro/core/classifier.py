@@ -26,6 +26,7 @@ from ..llm.base import (
     ChatClient,
     ChatMessage,
     ChatRequest,
+    ChatResponse,
     ImageAttachment,
     Usage,
 )
@@ -175,15 +176,7 @@ class LLMIndicatorClassifier:
         """
         spent: list[Usage] = []
 
-        def attempt() -> tuple[str, IndicatorPresence]:
-            nonlocal first
-            if first is None:
-                response = batched_complete(
-                    self.client, self._request(image, asked)
-                )
-            else:
-                seat, first = first, None
-                response = seat.result()
+        def settle(response: ChatResponse) -> tuple[str, IndicatorPresence]:
             if response.usage is not None:
                 spent.append(response.usage)
             parsed = parse_answers(
@@ -194,7 +187,10 @@ class LLMIndicatorClassifier:
             return response.content, answers_to_presence(parsed, asked)
 
         outcome = self.config.retry_policy().execute(
-            attempt,
+            lambda: settle(
+                batched_complete(self.client, self._request(image, asked))
+            ),
+            first=None if first is None else lambda: settle(first.result()),
             retryable=self.RETRYABLE,
             clock=self.clock,
             stats=self.retry_stats,

@@ -51,6 +51,7 @@ from ..parallel.aio import (
     AIMDController,
     MicroBatcher,
     ThreadBridge,
+    active_batcher,
     imap_async,
 )
 from ..parallel.executor import TaskOutcome
@@ -522,12 +523,15 @@ class NeighborhoodDecoder:
             else None
         )
         fetch_gate = asyncio.Semaphore(max_inflight)
-        # Each in-flight location can park at most one sync call on the
-        # bridge at a time (fetch or classify), so the window itself is
-        # the right thread cap.  A caller-owned bridge (the service
-        # daemon reusing one pool across concurrent jobs) is used as
-        # handed over; its owner keeps the windows it lends within
-        # the bridge's threads.
+        # The window is the thread cap: ``imap_async`` keeps at most
+        # ``max_inflight`` locations alive, and each awaits one bridge
+        # call at a time, its fetch and then its classify.  Each call's
+        # batched dispatch (the four imagery captures from window 2
+        # on, the location's LLM window) and its retries run on that
+        # one thread, so a location never parks a second sync call.
+        # A caller-owned bridge (the service daemon reusing one pool
+        # across concurrent jobs) is used as handed over; its owner
+        # keeps the windows it lends within the bridge's threads.
         owned_bridge = bridge is None
         if bridge is None:
             bridge = ThreadBridge(max_threads=max_inflight)
@@ -770,13 +774,37 @@ class NeighborhoodDecoder:
     def _fetch_location(
         self, index: int, point: SamplePoint
     ) -> list[LabeledImage]:
-        """Fetch all headings of one location under the retry policy."""
+        """Fetch all headings of one location under the retry policy.
+
+        Window 1 (no batcher in the location's context) fetches the
+        headings one after another.  From window 2 on, attempt 1 of
+        every heading goes out as one
+        :meth:`~repro.gsv.api.StreetViewClient.fetch_captures`
+        dispatch, gated once by the breaker, so the location pays one
+        imagery round trip.  Each heading then runs its own retry
+        loop with its seat as attempt 1, and later attempts fetch one
+        by one.  The first heading that gives up fails the location,
+        as at window 1; the headings after it were already served and
+        billed by the dispatch (DESIGN.md §8, "Imagery batching").
+        """
+        captures = expand_to_captures([point])
+        seats: list = [None] * len(captures)
+        if active_batcher() is not None and (
+            self.gsv_breaker is None or self.gsv_breaker.allow()
+        ):
+            seats = [
+                seat.result
+                for seat in self.street_view.fetch_captures(
+                    captures, render=self.render_pixels
+                )
+            ]
         images: list[LabeledImage] = []
-        for offset, capture in enumerate(expand_to_captures([point])):
+        for offset, (capture, seat) in enumerate(zip(captures, seats)):
             outcome = self.retry_policy.execute(
                 lambda capture=capture: self.street_view.fetch_capture(
                     capture, render=self.render_pixels
                 ),
+                first=seat,
                 retryable=(TransientNetworkError,),
                 giveup=(StreetViewError,),
                 clock=self.clock,

@@ -15,6 +15,8 @@ metadata lookups that report whether imagery exists at a location.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,18 +122,44 @@ class UsageMeter:
     Each billed image is also tallied (``gsv.images_billed``) into the
     caller's :class:`~repro.obs.scope.Tally`: the per-location bill a
     survey report sums, however many surveys share the meter.
+
+    Quota admission is a reservation on the same lock: a request holds
+    a slot (:meth:`reserve`) before its round trip and either bills it
+    (:meth:`record_image`) or gives it back (:meth:`release`), so
+    images served plus slots in flight never exceed a key's quota,
+    however many fetches wait on the network at once.
     """
 
     requests: int = 0
     images_served: int = 0
     fees_usd: float = 0.0
     stages: dict[str, StageUsage] = field(default_factory=dict)
+    _held: int = field(default=0, init=False, repr=False, compare=False)
     _lock: threading.Lock = field(
         init=False, repr=False, compare=False, default_factory=threading.Lock
     )
 
-    def record_image(self, stage: str = IMAGERY_STAGE) -> None:
+    def reserve(self, quota: int | None) -> bool:
+        """Hold one image slot under ``quota`` (``None`` = unlimited).
+
+        Returns ``False``, holding nothing, when served images plus
+        held slots already reach the quota.
+        """
         with self._lock:
+            if quota is not None and self.images_served + self._held >= quota:
+                return False
+            self._held += 1
+            return True
+
+    def release(self) -> None:
+        """Give back a slot :meth:`reserve` held for an unserved request."""
+        with self._lock:
+            self._held -= 1
+
+    def record_image(self, stage: str = IMAGERY_STAGE) -> None:
+        """Bill one served image against the slot :meth:`reserve` held."""
+        with self._lock:
+            self._held -= 1
             self.requests += 1
             self.images_served += 1
             self.fees_usd += FEE_PER_IMAGE_USD
@@ -202,10 +230,14 @@ class StreetViewClient:
     generator_seed:
         Seed for the procedural world behind the camera.
     latency_s:
-        Simulated per-request transport latency, slept through
-        ``clock`` before a request is served.  Models the network
-        round-trip of the real Static API; this is the time a parallel
-        survey overlaps.
+        Simulated transport latency of one dispatch, slept through
+        ``clock`` after admission and before anything is served.
+        Models the network round trip of the real Static API.
+        :meth:`fetch` pays it once per request; :meth:`fetch_captures`
+        pays it once for all the captures it admitted, which is how a
+        pipelined survey fetches a location's four headings in one
+        round trip.  A refused request (key, quota, fault) fails
+        before the wait and pays none.
     render_cache:
         Optional content-addressed :class:`~repro.scene.render.RenderCache`;
         repeated captures of the same scene skip rasterization.
@@ -278,16 +310,139 @@ class StreetViewClient:
         scene and billing are identical; call ``require_pixels`` when
         the pixels are actually needed).
         """
+        (seat,) = self._dispatch(
+            [(location, heading, road_class, road_bearing)], size, render
+        )
+        return seat.result()
+
+    def fetch_capture(
+        self,
+        capture: CaptureRequest,
+        size: int = DEFAULT_SIZE,
+        render: bool = True,
+    ) -> StreetViewImage:
+        """Serve the image for a sampling-frame capture request."""
+        point: SamplePoint = capture.point
+        return self.fetch(
+            location=point.location,
+            heading=capture.heading,
+            size=size,
+            road_class=point.road_class,
+            road_bearing=point.road_bearing,
+            render=render,
+        )
+
+    def fetch_captures(
+        self,
+        captures: Sequence[CaptureRequest],
+        size: int = DEFAULT_SIZE,
+        render: bool = True,
+    ) -> list[Future]:
+        """Serve ``captures`` as one dispatch that pays one round trip.
+
+        Each capture's key, quota and fault checks run in order, as
+        :meth:`fetch_capture` runs them; the admitted captures then
+        share one ``latency_s`` wait and are served and billed in
+        order.  Returns one finished :class:`~concurrent.futures.Future`
+        per capture: ``result()`` gives its image or raises its own
+        error, so a refused capture never costs the others theirs.
+        """
+        return self._dispatch(
+            [
+                (
+                    capture.point.location,
+                    capture.heading,
+                    capture.point.road_class,
+                    capture.point.road_bearing,
+                )
+                for capture in captures
+            ],
+            size,
+            render,
+        )
+
+    # ------------------------------------------------------------------
+
+    def _dispatch(
+        self,
+        requests: Sequence[tuple[LatLon, int, RoadClass, float | None]],
+        size: int,
+        render: bool,
+    ) -> list[Future]:
+        """Admit, wait once, then serve: the one request path.
+
+        Every ``(location, heading, road_class, road_bearing)`` request
+        passes the key, quota and fault checks in order, under the
+        fault lock: the fault schedule and the failure RNG are shared
+        by every worker, and one dispatch draws its faults as one
+        contiguous run.  An admitted request holds a quota slot until
+        it is billed or released.  If any request was admitted, the
+        dispatch pays one round trip, timed inside the first admitted
+        request's ``gsv.fetch`` span, so the spans' summed wall time
+        stays the imagery time.  Each request gets its own span and a
+        finished seat holding its image or its own error.
+        """
         metrics = get_metrics()
-        with get_tracer().span(
-            "gsv.fetch", heading=int(heading), render=render
-        ) as span:
-            metrics.inc("gsv.requests")
-            self._check_key()
-            self._check_quota()
-            self._maybe_fail()
-            if self.latency_s > 0:
-                self.clock.sleep(self.latency_s)
+        meter = self.usage()
+        refusals: list[Exception | None] = []
+        with self._fault_lock:
+            for _ in requests:
+                metrics.inc("gsv.requests")
+                try:
+                    self._check_key()
+                    if not meter.reserve(self.daily_quota):
+                        raise QuotaExceededError(
+                            f"daily quota of {self.daily_quota} images "
+                            f"exhausted"
+                        )
+                    try:
+                        self._maybe_fail()
+                    except Exception:
+                        meter.release()
+                        raise
+                except Exception as err:  # noqa: BLE001 - per request
+                    refusals.append(err)
+                else:
+                    refusals.append(None)
+
+        tracer = get_tracer()
+        waiting = any(refusal is None for refusal in refusals)
+        seats: list[Future] = []
+        for request, refusal in zip(requests, refusals):
+            seat: Future = Future()
+            seats.append(seat)
+            try:
+                with tracer.span(
+                    "gsv.fetch",
+                    heading=request[1],
+                    render=render,
+                    batch=len(requests),
+                ) as span:
+                    if refusal is not None:
+                        raise refusal
+                    if waiting:
+                        metrics.inc("gsv.round_trips")
+                        if self.latency_s > 0:
+                            self.clock.sleep(self.latency_s)
+                        waiting = False
+                    seat.set_result(self._serve(span, *request, size, render))
+            except Exception as err:  # noqa: BLE001 - re-raised per seat
+                seat.set_exception(err)
+        return seats
+
+    def _serve(
+        self,
+        span,
+        location: LatLon,
+        heading: int,
+        road_class: RoadClass,
+        road_bearing: float | None,
+        size: int,
+        render: bool,
+    ) -> StreetViewImage:
+        """Answer one admitted request and bill the quota slot it holds."""
+        metrics = get_metrics()
+        try:
             heading = int(normalize_heading(heading))
             if heading not in CARDINAL_HEADINGS:
                 raise ValueError(
@@ -324,60 +479,35 @@ class StreetViewClient:
                         pixels = self.render_cache.get_or_render(scene, size)
                     else:
                         pixels = render_scene(scene, size)
-            self.usage().record_image()
-            metrics.inc("gsv.images_served")
-            return StreetViewImage(
-                location=location,
-                heading=heading,
-                size=size,
-                pixels=pixels,
-                scene=scene,
-                pano_id=pano_id,
-            )
-
-    def fetch_capture(
-        self,
-        capture: CaptureRequest,
-        size: int = DEFAULT_SIZE,
-        render: bool = True,
-    ) -> StreetViewImage:
-        """Serve the image for a sampling-frame capture request."""
-        point: SamplePoint = capture.point
-        return self.fetch(
-            location=point.location,
-            heading=capture.heading,
+        except BaseException:
+            self.usage().release()
+            raise
+        self.usage().record_image()
+        metrics.inc("gsv.images_served")
+        return StreetViewImage(
+            location=location,
+            heading=heading,
             size=size,
-            road_class=point.road_class,
-            road_bearing=point.road_bearing,
-            render=render,
+            pixels=pixels,
+            scene=scene,
+            pano_id=pano_id,
         )
-
-    # ------------------------------------------------------------------
 
     def _check_key(self) -> None:
         if not self.api_key or not self.api_key.strip():
             raise AuthenticationError("missing API key")
 
-    def _check_quota(self) -> None:
-        if self.daily_quota is None:
-            return
-        if self.usage().images_served >= self.daily_quota:
-            raise QuotaExceededError(
-                f"daily quota of {self.daily_quota} images exhausted"
-            )
-
     def _maybe_fail(self) -> None:
         # Both the fault schedule and the failure RNG are stateful and
-        # shared by every worker; advance them under one lock.
-        with self._fault_lock:
-            if self.fault_schedule is not None:
-                self.fault_schedule.check()
-            if (
-                self.failure_rate > 0
-                and self._failure_rng.random() < self.failure_rate
-            ):
-                get_metrics().inc("gsv.transient_failures")
-                raise TransientNetworkError("simulated transport failure")
+        # shared by every worker; the caller holds the fault lock.
+        if self.fault_schedule is not None:
+            self.fault_schedule.check()
+        if (
+            self.failure_rate > 0
+            and self._failure_rng.random() < self.failure_rate
+        ):
+            get_metrics().inc("gsv.transient_failures")
+            raise TransientNetworkError("simulated transport failure")
 
     #: Imagery coverage extends slightly past the county rectangle —
     #: road-network jitter can push boundary nodes just outside it.

@@ -200,6 +200,7 @@ class RetryPolicy:
         clock: Clock | None = None,
         breaker: CircuitBreaker | None = None,
         stats: RetryStats | None = None,
+        first: Callable[[], Any] | None = None,
     ) -> RetryOutcome:
         """Run ``fn`` under this policy; never raises captured errors.
 
@@ -213,19 +214,30 @@ class RetryPolicy:
         An open ``breaker`` short-circuits before the first attempt
         with a captured :class:`CircuitOpenError`; outcomes feed the
         breaker so sustained failure opens it.
+
+        ``first`` stands in for ``fn`` at attempt 1 when the caller
+        already sent it: the ``result`` of a finished seat of a batched
+        dispatch, returning its value or raising its error.  That
+        request passed the caller's breaker check before it went out,
+        and its answer is already paid for, so it is not gated again;
+        its outcome feeds the breaker like any attempt's.  Every later
+        attempt calls ``fn``.
         """
         clock = clock or WallClock()
         outcome = RetryOutcome()
         for attempt in range(1, self.max_attempts + 1):
-            if breaker is not None and not breaker.allow():
-                outcome.error = CircuitOpenError(
-                    breaker.name, breaker.remaining_open_s()
-                )
-                outcome.breaker_blocked = True
-                break
+            call, first = first, None
+            if call is None:
+                if breaker is not None and not breaker.allow():
+                    outcome.error = CircuitOpenError(
+                        breaker.name, breaker.remaining_open_s()
+                    )
+                    outcome.breaker_blocked = True
+                    break
+                call = fn
             outcome.attempts = attempt
             try:
-                outcome.value = fn()
+                outcome.value = call()
                 outcome.error = None
                 if breaker is not None:
                     breaker.record_success()

@@ -15,8 +15,13 @@ dispatcher (behind both ``run_until_idle`` and the background loop)
 starts jobs in priority order (priority desc, submission order asc),
 each as its own task, while the ``max_inflight`` windows of the
 running jobs plus the next job's fit in the shared bridge's
-``max_threads``.  Each in-flight location holds at most one bridge
-thread, so every running job gets its whole window; a job that does
+``max_threads``.  That sum bounds the threads because a job's engine
+keeps at most ``max_inflight`` locations alive and each location
+awaits one bridge call at a time: its fetch, then its classify.  From
+window 2 on the fetch sends all four headings as one dispatch inside
+that single call, and the classify call's batched LLM window runs on
+the same thread, so neither call parks a second thread.  Every
+running job therefore gets its whole window; a job that does
 not fit yet holds back the jobs behind it, so wide jobs are never
 starved; ``submit`` rejects a window wider than the bridge, so every
 admitted job can eventually run.  The engines spend their time
@@ -437,6 +442,9 @@ class SurveyService:
                 self._finish_side_effects(record)
         else:
             return None
+        # A running job parks at most one bridge call per in-flight
+        # location (its imagery dispatch or its classify window, never
+        # both), so the summed windows are the threads in use.
         in_use = sum(threads for _, threads in self._jobs.values())
         if in_use + record.spec.max_inflight > self.stack.bridge.max_threads:
             return None
