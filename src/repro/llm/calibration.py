@@ -15,7 +15,9 @@ slope)``.
 
 The fit is deterministic: coarse slope grid, exact threshold bisection
 per slope (the expected yes-rate is monotone decreasing in the
-threshold), then a local refinement pass.
+threshold), then a local refinement pass.  Each grid's bisections run
+in lockstep over one ``(slopes, samples)`` array (:func:`_yes_rates`),
+bit-identical to bisecting each slope alone.
 
 The second half of the module calibrates the *detector* rather than
 the simulated LLMs: :class:`MarginCalibration` maps NanoDetector
@@ -33,7 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import effective_yes_probability
+from .sampling import (
+    _MIN_TEMPERATURE,
+    TOKEN_BASE_LOGIT,
+    TOKEN_CERTAINTY_GAIN,
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,43 @@ def derive_rates(
     return tpr, min(fpr, 1.0)
 
 
+def _check_sampling(temperature: float, top_p: float) -> None:
+    """The range checks :func:`~repro.llm.sampling.token_fidelity` makes."""
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p out of range: {top_p}")
+    if not 0.0 <= temperature <= 2.0:
+        raise ValueError(f"temperature out of range: {temperature}")
+
+
+def _yes_rates(
+    samples: np.ndarray,
+    thresholds: np.ndarray,
+    slopes: np.ndarray,
+    temperature: float,
+    top_p: float,
+) -> np.ndarray:
+    """Mean effective Yes-probability of k policies over n samples.
+
+    Row ``i`` is policy ``(thresholds[i], slopes[i])``.  The body is
+    :meth:`ResponsePolicy.p_yes_array` followed by
+    :func:`~repro.llm.sampling.effective_yes_probability`, spelled with
+    the same ufuncs in the same operand order over a ``(k, n)`` array,
+    so every element is the IEEE result the scalar path computes, and
+    each row's ``mean`` is the same pairwise sum a 1-D ``.mean()``
+    takes.  Callers validate ``temperature``/``top_p`` and pass a
+    non-empty 1-D ``samples``.
+    """
+    z = (samples - thresholds[:, np.newaxis]) / slopes[:, np.newaxis]
+    p_yes = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+    certainty = np.abs(2.0 * np.clip(p_yes, 0.0, 1.0) - 1.0)
+    z0 = TOKEN_BASE_LOGIT + TOKEN_CERTAINTY_GAIN * certainty
+    token_z = z0 / max(temperature, _MIN_TEMPERATURE)
+    p_intended = 1.0 / (1.0 + np.exp(-token_z))
+    fidelity = np.where(p_intended >= top_p, 1.0, p_intended)
+    effective = p_yes * fidelity + (1.0 - p_yes) * (1.0 - fidelity)
+    return effective.mean(axis=1)
+
+
 def expected_yes_rate(
     evidence: np.ndarray,
     policy: ResponsePolicy,
@@ -107,17 +150,60 @@ def expected_yes_rate(
     top_p: float = 0.95,
 ) -> float:
     """Mean probability of answering Yes over an evidence sample."""
+    _check_sampling(temperature, top_p)
     samples = np.asarray(evidence, dtype=np.float64)
     if samples.size == 0:
         return float("nan")
-    probabilities = policy.p_yes_array(samples)
-    effective = np.array(
-        [
-            effective_yes_probability(float(p), temperature, top_p)
-            for p in probabilities
-        ]
+    rates = _yes_rates(
+        samples,
+        np.array([policy.threshold]),
+        np.array([policy.slope]),
+        temperature,
+        top_p,
     )
-    return float(effective.mean())
+    return float(rates[0])
+
+
+def fit_thresholds(
+    evidence: np.ndarray,
+    slopes: np.ndarray,
+    target_rates: np.ndarray,
+    temperature: float = 1.0,
+    top_p: float = 0.95,
+    iterations: int = 40,
+) -> np.ndarray:
+    """Bisect one threshold per (slope, target rate) row, in lockstep.
+
+    Every row runs the same bisection on the same bracket: each step
+    evaluates all rows' midpoints in one :func:`_yes_rates` call (the
+    expected yes-rate falls as the threshold rises) and moves each
+    row's ``lo`` or ``hi`` with ``np.where``.  Row ``i`` of the result
+    is exactly ``fit_threshold(evidence, slopes[i], target_rates[i])``
+    run alone.
+    """
+    _check_sampling(temperature, top_p)
+    samples = np.asarray(evidence, dtype=np.float64)
+    slopes = np.asarray(slopes, dtype=np.float64)
+    targets = np.asarray(target_rates, dtype=np.float64)
+    if samples.size == 0:
+        raise ValueError("need evidence samples to fit a threshold")
+    if slopes.ndim != 1 or slopes.shape != targets.shape:
+        raise ValueError(
+            f"slopes {slopes.shape} and target rates {targets.shape} "
+            "must be aligned 1-D arrays"
+        )
+    if not np.all(slopes > 0):
+        raise ValueError(f"slopes must be positive: {slopes}")
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"target rates must be finite: {targets}")
+    lo = np.full(slopes.shape, -2.0)
+    hi = np.full(slopes.shape, 3.0)
+    for _ in range(iterations):
+        mid = (lo + hi) / 2.0
+        above = _yes_rates(samples, mid, slopes, temperature, top_p) > targets
+        lo = np.where(above, mid, lo)  # raise threshold to lower the rate
+        hi = np.where(above, hi, mid)
+    return (lo + hi) / 2.0
 
 
 def fit_threshold(
@@ -129,17 +215,10 @@ def fit_threshold(
     iterations: int = 40,
 ) -> float:
     """Bisect the threshold achieving a target yes-rate on a sample."""
-    lo, hi = -2.0, 3.0
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        rate = expected_yes_rate(
-            evidence, ResponsePolicy(mid, slope), temperature, top_p
-        )
-        if rate > target_rate:
-            lo = mid  # raise threshold to lower the rate
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    thresholds = fit_thresholds(
+        evidence, [slope], [target_rate], temperature, top_p, iterations
+    )
+    return float(thresholds[0])
 
 
 def fit_policy(
@@ -157,7 +236,8 @@ def fit_policy(
     to minimize the FPR error on the absent-class evidence.  If the
     targets are jointly unreachable (evidence distributions too
     separated or too overlapped) the closest achievable operating
-    point is returned — callers can inspect ``fpr_error``.
+    point is returned — callers can inspect ``fpr_error``.  Each of the
+    two slope grids is fitted in one lockstep :func:`fit_thresholds`.
     """
     present = np.asarray(present, dtype=np.float64)
     absent = np.asarray(absent, dtype=np.float64)
@@ -168,29 +248,34 @@ def fit_policy(
     if not 0.0 <= target_fpr < 1.0:
         raise ValueError(f"target FPR out of range: {target_fpr}")
 
-    def evaluate(slope: float) -> tuple[float, ResponsePolicy, float, float]:
-        threshold = fit_threshold(
-            present, slope, target_tpr, temperature, top_p
+    def evaluate(
+        slopes: np.ndarray,
+    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Fit every slope; return the best row and the per-row fits."""
+        thresholds = fit_thresholds(
+            present,
+            slopes,
+            np.full(slopes.shape, target_tpr),
+            temperature,
+            top_p,
         )
-        policy = ResponsePolicy(threshold, slope)
-        tpr = expected_yes_rate(present, policy, temperature, top_p)
-        fpr = expected_yes_rate(absent, policy, temperature, top_p)
-        return abs(fpr - target_fpr), policy, tpr, fpr
+        tprs = _yes_rates(present, thresholds, slopes, temperature, top_p)
+        fprs = _yes_rates(absent, thresholds, slopes, temperature, top_p)
+        # argmin keeps the first of tied rows, as a scalar scan would.
+        best = int(np.argmin(np.abs(fprs - target_fpr)))
+        return best, thresholds, tprs, fprs
 
     coarse = np.geomspace(0.015, 0.8, 18)
-    scored = [evaluate(float(s)) for s in coarse]
-    best_index = int(np.argmin([s[0] for s in scored]))
+    best_index = evaluate(coarse)[0]
 
     lo = coarse[max(0, best_index - 1)]
     hi = coarse[min(len(coarse) - 1, best_index + 1)]
     fine = np.geomspace(lo, hi, 12)
-    scored_fine = [evaluate(float(s)) for s in fine]
-    best = min(scored_fine, key=lambda s: s[0])
-    _, policy, tpr, fpr = best
+    best, thresholds, tprs, fprs = evaluate(fine)
     return PolicyFit(
-        policy=policy,
-        achieved_tpr=tpr,
-        achieved_fpr=fpr,
+        policy=ResponsePolicy(float(thresholds[best]), float(fine[best])),
+        achieved_tpr=float(tprs[best]),
+        achieved_fpr=float(fprs[best]),
         target_tpr=target_tpr,
         target_fpr=target_fpr,
     )

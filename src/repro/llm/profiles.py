@@ -29,8 +29,10 @@ from .calibration import (
     PolicyFit,
     ResponsePolicy,
     derive_rates,
+    expected_yes_rate,
     fit_policy,
     fit_threshold,
+    fit_thresholds,
 )
 from .language import Language
 from .paper_targets import (
@@ -51,6 +53,26 @@ IDIO_SIGMA: dict[str, float] = {
     "claude-3.7": 0.05,
     "grok-2": 0.06,
 }
+
+
+def _idio_noised(
+    model_id: str,
+    idio_sigma: float,
+    scene_id: str,
+    indicator: Indicator,
+    evidence: float,
+) -> float:
+    """Shared evidence plus one model's private perception noise.
+
+    The one statement of the noise: calibration fits policies to it and
+    :meth:`ModelProfile.idio_evidence` serves it, so the two agree.
+    """
+    rng = np.random.default_rng(
+        stable_seed("idio", model_id, scene_id, indicator.value)
+    )
+    return float(
+        np.clip(evidence + rng.normal(0.0, idio_sigma), 0.005, 0.995)
+    )
 
 
 @dataclass
@@ -95,11 +117,8 @@ class ModelProfile:
 
     def idio_evidence(self, scene_id: str, indicator: Indicator, evidence: float) -> float:
         """Apply this model's private perception noise to shared evidence."""
-        rng = np.random.default_rng(
-            stable_seed("idio", self.model_id, scene_id, indicator.value)
-        )
-        return float(
-            np.clip(evidence + rng.normal(0.0, self.idio_sigma), 0.005, 0.995)
+        return _idio_noised(
+            self.model_id, self.idio_sigma, scene_id, indicator, evidence
         )
 
 
@@ -112,22 +131,19 @@ def _noised_samples(
     present: bool,
 ) -> np.ndarray:
     """Evidence samples with the model's idio noise, split by truth."""
-    values = []
-    for scene in scenes:
-        if scene.presence[indicator] != present:
-            continue
-        evidence = shared[scene.scene_id][indicator]
-        rng = np.random.default_rng(
-            stable_seed("idio", model_id, scene.scene_id, indicator.value)
-        )
-        values.append(
-            float(
-                np.clip(
-                    evidence + rng.normal(0.0, idio_sigma), 0.005, 0.995
-                )
+    return np.asarray(
+        [
+            _idio_noised(
+                model_id,
+                idio_sigma,
+                scene.scene_id,
+                indicator,
+                shared[scene.scene_id][indicator],
             )
-        )
-    return np.asarray(values)
+            for scene in scenes
+            if scene.presence[indicator] == present
+        ]
+    )
 
 
 def calibrate_profiles(
@@ -242,10 +258,16 @@ def _fit_language_shifts(
         for indicator, policy in policies.items()
     }
     n_classes = len(policies)
-    shifts: dict[tuple[Language, Indicator], float] = {}
-    for language, avg_recall in PAPER_LANGUAGE_RECALL.items():
-        if language is Language.ENGLISH:
-            continue
+    languages = [
+        language
+        for language in PAPER_LANGUAGE_RECALL
+        if language is not Language.ENGLISH
+    ]
+    targets: dict[Indicator, list[float]] = {
+        indicator: [] for indicator in policies
+    }
+    for language in languages:
+        avg_recall = PAPER_LANGUAGE_RECALL[language]
         # The catastrophic per-class overrides carry most of the
         # average degradation; the remaining classes shrink by the
         # scale that makes the class-mean hit the paper's average
@@ -269,27 +291,35 @@ def _fit_language_shifts(
             if others_base > 0
             else 1.0
         )
-        for indicator, policy in policies.items():
+        for indicator in policies:
             override = overrides.get(indicator)
-            target = (
+            targets[indicator].append(
                 override
                 if override is not None
                 else float(
                     np.clip(base_recalls[indicator] * scale, 0.02, 0.995)
                 )
             )
-            threshold = fit_threshold(
-                present_samples[indicator], policy.slope, target
-            )
-            shifts[(language, indicator)] = max(
-                0.0, threshold - policy.threshold
-            )
-    return shifts
+    # All of one indicator's language targets share its samples and
+    # slope, so they bisect together.
+    thresholds = {
+        indicator: fit_thresholds(
+            present_samples[indicator],
+            np.full(len(languages), policy.slope),
+            targets[indicator],
+        )
+        for indicator, policy in policies.items()
+    }
+    return {
+        (language, indicator): max(
+            0.0, float(thresholds[indicator][row]) - policy.threshold
+        )
+        for row, language in enumerate(languages)
+        for indicator, policy in policies.items()
+    }
 
 
 def _implied_recall(
     policy: ResponsePolicy, present: np.ndarray
 ) -> float:
-    from .calibration import expected_yes_rate
-
     return expected_yes_rate(present, policy)

@@ -151,6 +151,25 @@ class TestFitting:
         # TPR (fit exactly by bisection) must hold.
         assert fit.achieved_tpr == pytest.approx(0.99, abs=0.02)
 
+    def test_fit_threshold_requires_samples(self):
+        # Empty evidence yields a nan rate, and ``nan > target`` never
+        # holds: unchecked, the bisection would return the bracket floor.
+        with pytest.raises(ValueError):
+            fit_threshold(np.zeros(0), slope=0.05, target_rate=0.8)
+
+    def test_fit_threshold_rejects_nan_target(self, samples):
+        present, _ = samples
+        with pytest.raises(ValueError):
+            fit_threshold(present, slope=0.05, target_rate=float("nan"))
+
+    def test_expected_yes_rate_validates_before_empty_shortcut(self):
+        policy = ResponsePolicy(0.5, 0.1)
+        with pytest.raises(ValueError):
+            expected_yes_rate([], policy, temperature=3.0)
+        with pytest.raises(ValueError):
+            expected_yes_rate([], policy, top_p=0.0)
+        assert np.isnan(expected_yes_rate([], policy))
+
     def test_fit_policy_requires_samples(self):
         with pytest.raises(ValueError):
             fit_policy(np.zeros(0), np.ones(5) * 0.2, 0.9, 0.1)
