@@ -303,6 +303,156 @@ class TestFusedKernelExactEquality:
             )
 
 
+class TestFloat32Kernel:
+    """The float32 kernel stays within 5e-2 of float64 on every channel,
+    and is exact where the answer is: flat regions carry no gradient,
+    so no orientation histogram."""
+
+    TOLERANCE = 5e-2
+
+    @pytest.mark.parametrize("as_uint8", [True, False])
+    @pytest.mark.parametrize("smooth", [True, False])
+    @pytest.mark.parametrize("context", [True, False])
+    @pytest.mark.parametrize(
+        "shape,grid", [((67, 53), 8), ((131, 97), 8), ((256, 256), 16)]
+    )
+    def test_within_tolerance_of_float64(
+        self, as_uint8, smooth, context, shape, grid
+    ):
+        config = FeatureConfig(grid=grid, smooth=smooth, context=context)
+        rng = np.random.default_rng(
+            [1000 * as_uint8 + 100 * smooth + 10 * context, *shape]
+        )
+        pixels = rng.uniform(size=(*shape, 3))
+        image = (pixels * 255).astype(np.uint8) if as_uint8 else pixels
+        exact = extract_features(image, config)
+        fast = extract_features(image, config, precision="float32")
+        assert fast.dtype == np.float32
+        assert float(np.abs(fast - exact).max()) < self.TOLERANCE
+
+    def test_cells_taller_than_255_rows(self):
+        # Per-row mask counts widen past uint8 when a cell has more rows.
+        rng = np.random.default_rng(3)
+        image = (rng.uniform(size=(520, 48, 3)) * 255).astype(np.uint8)
+        config = FeatureConfig(grid=2)
+        exact = extract_features(image, config)
+        fast = extract_features(image, config, precision="float32")
+        assert float(np.abs(fast - exact).max()) < self.TOLERANCE
+
+    @pytest.mark.parametrize("as_uint8", [True, False])
+    def test_flat_and_vertical_stripe_images(self, as_uint8):
+        flat = np.full((256, 256, 3), 128, dtype=np.uint8)
+        stripes = np.zeros((256, 256, 3), dtype=np.uint8)
+        stripes[:, ::4, 1] = 255
+        config = FeatureConfig(grid=16)
+        for image in (flat, stripes):
+            image = image if as_uint8 else image / 255.0
+            exact = extract_features(image, config)
+            fast = extract_features(image, config, precision="float32")
+            assert float(np.abs(fast - exact).max()) < self.TOLERANCE
+
+    def test_horizontal_stripes_fill_the_vertical_bin(self):
+        # Every gradient of horizontal stripes points straight down or
+        # up: 90 degrees, the edge between bins 2 and 3, which floor()
+        # puts in bin 3 (column 13).  The float64 kernel's Sobel leaves
+        # ~1e-17 of signed residue in gx there and splits the mass
+        # between columns 12 and 13; float32 differences first and puts
+        # all of it in column 13.  Their sum agrees, as do the others.
+        stripes = np.zeros((256, 256, 3), dtype=np.uint8)
+        stripes[::4, :, 0] = 255
+        config = FeatureConfig(grid=16, context=False)
+        exact = extract_features(stripes, config)
+        fast = extract_features(stripes, config, precision="float32")
+        orient = slice(10, 16)
+        assert np.all(fast[:, 13] == 1.0)
+        assert np.all(fast[:, [10, 11, 12, 14, 15]] == 0.0)
+        assert np.allclose(exact[:, 12] + exact[:, 13], 1.0)
+        others = np.ones(FEATURE_DIM, dtype=bool)
+        others[orient] = False
+        assert float(np.abs(fast - exact)[:, others].max()) < self.TOLERANCE
+
+    @pytest.mark.parametrize("bright_on_top", [True, False])
+    def test_horizontal_edge_lands_in_the_vertical_bin(self, bright_on_top):
+        # gx == 0 exactly with gy of either sign: the angle is +-pi/2,
+        # bin 3 both ways (float32's -pi/2 rounds a hair past the edge).
+        image = np.zeros((64, 64, 3), dtype=np.uint8)
+        image[:32] = 255
+        if not bright_on_top:
+            image = image[::-1]
+        features = extract_features(
+            image, FeatureConfig(grid=8), precision="float32"
+        ).reshape(8, 8, FEATURE_DIM)
+        assert np.all(features[3:5, :, 13] == 1.0)
+        assert np.all(features[:, :, [10, 11, 12, 14, 15]] == 0.0)
+
+    def test_color_rules_match_the_float64_masks(self):
+        # The float32 kernel's table-driven masks on integer levels
+        # agree exactly with the float64 predicates on v / 255 for
+        # every tested uint8 color (no 8-bit level ties a bound).
+        from repro.detect.features import (
+            _COLOR_NAMES,
+            _color_mask_stack,
+            _color_masks_f32,
+        )
+
+        rng = np.random.default_rng(5)
+        levels = rng.integers(0, 256, size=(3, 64, 1024)).astype(np.int16)
+        masks = np.empty((len(_COLOR_NAMES), 64, 1024), dtype=bool)
+        _color_masks_f32(
+            levels, 255, masks, np.empty((64, 1024), dtype=bool),
+            TensorArena(),
+        )
+        r, g, b = levels / 255.0
+        value = np.maximum(np.maximum(r, g), b)
+        spread = value - np.minimum(np.minimum(r, g), b)
+        expected = _color_mask_stack(r, g, b, value, spread)
+        for index, name in enumerate(_COLOR_NAMES):
+            assert np.array_equal(masks[index], expected[name]), name
+            assert masks[index].any(), name
+
+    def test_flat_images_have_no_orientation_histogram(self):
+        # Every grey level and 200 seeded colors: the gradient is
+        # exactly zero, so the orientation columns (local 10..15 and
+        # their context copies) must read exactly zero, as at float64.
+        rng = np.random.default_rng(2024)
+        colors = [(level, level, level) for level in range(256)]
+        colors += [tuple(c) for c in rng.integers(0, 256, size=(200, 3))]
+        config = FeatureConfig(grid=8)
+        local_dim = (FEATURE_DIM - 2) // 2
+        orient = np.r_[10:16, local_dim + 10 : local_dim + 16]
+        arena = TensorArena()
+        image = np.empty((96, 96, 3), dtype=np.uint8)
+        for color in colors:
+            image[...] = color
+            fast = extract_features(
+                image, config, precision="float32", arena=arena
+            )
+            assert np.all(fast[:, orient] == 0.0), color
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_pixels_rejected(self, bad):
+        image = np.full((32, 32, 3), 0.5)
+        image[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            extract_features(image, FeatureConfig(grid=8), precision="float32")
+
+
+class TestFeatureConfigValidation:
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    def test_grid_below_two_rejected(self, grid):
+        # Position channels divide by grid - 1, and a zero grid cannot
+        # tile anything.
+        with pytest.raises(ValueError, match="grid"):
+            FeatureConfig(grid=grid)
+
+    def test_smallest_grid_accepted(self):
+        features = extract_features(
+            np.zeros((8, 8, 3), dtype=np.uint8), FeatureConfig(grid=2)
+        )
+        assert np.isfinite(features).all()
+
+
 class TestGridMemoization:
     """cell_centers/cell_bounds are memoized per grid and immutable."""
 

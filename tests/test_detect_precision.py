@@ -3,22 +3,30 @@
 The fused float64 kernel's bit-identity is pinned in
 ``test_detect_features.py`` and by the golden fixtures; this module
 covers the *approximate* tiers — that float32 stays within tolerance
-of float64, that int8 quantization preserves the presence decisions
-the cascade routes on, and that the per-tier weight caches invalidate
-when the model's parameters change.
+of float64, that tier 0's calibrated decisions do not move against the
+pre-rewrite float32 kernel (``tests/features_reference.py``), that
+int8 quantization preserves the presence decisions the cascade routes
+on, and that the per-tier weight caches invalidate when the model's
+parameters change.
 """
 
 import numpy as np
 import pytest
 
+from repro.cascade.calibrate import fit_cascade_calibration
+from repro.cascade.router import DEFAULT_DEEP_FACTOR, DEFAULT_THRESHOLD
 from repro.detect import (
     ModelConfig,
     NanoDetector,
     PRECISIONS,
     TrainConfig,
+    extract_features_batch,
     train_detector,
 )
+from repro.gsv import build_survey_dataset
 from repro.parallel import TensorArena
+
+from .features_reference import extract_features_batch_reference
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +164,53 @@ class TestTierCacheInvalidation:
         fresh, _ = model.predict_cells_batch(frames, precision="float32")
         assert np.array_equal(pooled, fresh)
         assert len(arena) > 0
+
+
+def _bands(probabilities: np.ndarray) -> np.ndarray:
+    """The router's band per (image, indicator): 0 accept, 1 mid, 2 deep."""
+    doubts = np.minimum(probabilities, 1.0 - probabilities)
+    return np.where(
+        doubts <= DEFAULT_THRESHOLD,
+        0,
+        np.where(doubts <= DEFAULT_DEEP_FACTOR * DEFAULT_THRESHOLD, 1, 2),
+    )
+
+
+class TestTier0Decisions:
+    """The float32 kernel against the one it replaced: raw peaks drift
+    by up to a few 1e-3, but the margin calibration is piecewise
+    constant, so tier 0's calibrated probabilities, and with them the
+    accept/mid/deep band of every (image, indicator), must not move."""
+
+    @pytest.fixture(scope="class")
+    def tier0(self):
+        detector = train_detector(
+            build_survey_dataset(n_images=48, size=256, seed=21),
+            train_config=TrainConfig(epochs=6, batch_size=16),
+        ).model
+        calibration = fit_cascade_calibration(
+            detector, build_survey_dataset(n_images=32, size=256, seed=33)
+        )
+        held_out = build_survey_dataset(n_images=96, size=256, seed=57)
+        pixels = [image.render(detector.input_size) for image in held_out]
+        return detector, calibration, pixels
+
+    def test_calibrated_decisions_match_the_reference_kernel(self, tier0):
+        detector, calibration, pixels = tier0
+        config = detector.config.feature_config
+        probabilities = []
+        for features in (
+            extract_features_batch_reference(pixels, config),
+            extract_features_batch(pixels, config, precision="float32"),
+        ):
+            scores, _ = detector.predict_cells_from_features(
+                features, precision="float32"
+            )
+            peaks = NanoDetector.indicator_scores(scores)
+            probabilities.append(calibration.probabilities(peaks))
+        reference, rewritten = probabilities
+        assert reference.shape == (96, 6)
+        assert np.array_equal(rewritten, reference)
+        assert np.array_equal(_bands(rewritten), _bands(reference))
+        # The bands are not all one kind, or the check would be idle.
+        assert len(np.unique(_bands(reference))) > 1
