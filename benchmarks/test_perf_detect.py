@@ -19,9 +19,8 @@ document per commit, at the repo root):
 * **fused kernel + dtype tiers** (``detect.*`` headline metrics) —
   the single-pass feature kernel vs the legacy multi-pass extractor
   (float64 byte-identical, float32 >= 3x), and the float32/int8 MLP
-  head vs float64 with presence-decision micro-F1 agreement.
-* **incremental training** — full retrain vs cached-weights delta
-  fine-tune on a ~10%-changed dataset.
+  head vs float64 with presence-decision micro-F1 agreement.  The
+  legacy extractor is the test oracle ``tests/features_legacy.py``.
 
 Either way the parallel/cached paths must be *byte-identical* to the
 serial/cold ones — asserted here, not assumed.
@@ -49,13 +48,13 @@ from repro.detect import (
     build_training_tensors,
     evaluate_detector,
     extract_features_batch,
-    extract_features_legacy,
     train_detector,
 )
 from repro.experiments import ExperimentSuite, smoke_config
 from repro.gsv.dataset import build_survey_dataset
 from repro.parallel import TensorArena, effective_cpu_count
 from repro.perf import Stopwatch, write_bench
+from tests.features_legacy import extract_features_legacy
 
 pytestmark = pytest.mark.perf
 
@@ -215,53 +214,6 @@ def _bench_kernel_tiers(model, images):
     }
 
 
-def _bench_incremental(images, changed_pool, cache_root):
-    """Full-retrain vs delta fine-tune timings (the ``incremental`` section).
-
-    No headline gate — wall-clock depends on the changed fraction —
-    but the mode and reuse counts are asserted so the bench cannot
-    silently measure two full retrains.
-    """
-    cache = ArtifactCache(cache_root)
-    model_config = ModelConfig(hidden=64)
-    train_config = TrainConfig(epochs=EPOCHS, seed=0)
-    with Stopwatch() as full_sw:
-        full = train_detector(
-            images,
-            model_config=model_config,
-            train_config=train_config,
-            cache=cache,
-            incremental=True,
-        )
-    assert full.mode == "full"
-
-    n_changed = max(1, len(images) // 10)
-    modified = list(images[:-n_changed]) + list(changed_pool[:n_changed])
-    with Stopwatch() as incr_sw:
-        incremental = train_detector(
-            modified,
-            model_config=model_config,
-            train_config=train_config,
-            cache=cache,
-            incremental=True,
-        )
-    assert incremental.mode == "incremental"
-    assert incremental.reused_images == len(images) - n_changed
-
-    return {
-        "n_images": len(images),
-        "n_changed": n_changed,
-        "full_train_s": round(full_sw.elapsed_s, 4),
-        "incremental_train_s": round(incr_sw.elapsed_s, 4),
-        "incremental_speedup": round(
-            full_sw.elapsed_s / incr_sw.elapsed_s, 3
-        ),
-        "mode": incremental.mode,
-        "reused_images": incremental.reused_images,
-        "trained_images": incremental.trained_images,
-    }
-
-
 def test_detect_perf_trajectory(tmp_path):
     dataset = build_survey_dataset(
         n_images=N_IMAGES, size=IMAGE_SIZE, seed=21
@@ -330,12 +282,9 @@ def test_detect_perf_trajectory(tmp_path):
     ]
     assert warm_rows == cold_rows
 
-    # -- fused kernel + dtype tiers + incremental training -----------------
+    # -- fused kernel + dtype tiers ----------------------------------------
     detect_section = _bench_kernel_tiers(
         serial_result.model, splits[1][:N_KERNEL_IMAGES]
-    )
-    incremental_section = _bench_incremental(
-        splits[0], splits[1], tmp_path / "incremental"
     )
 
     document = write_bench(
@@ -374,7 +323,6 @@ def test_detect_perf_trajectory(tmp_path):
                 "identical_tables": warm_rows == cold_rows,
             },
             "detect": detect_section,
-            "incremental": incremental_section,
         },
         repo_root=REPO_ROOT,
     )

@@ -1,6 +1,6 @@
 """Perf benchmark: pipelined survey vs window 1, with caching.
 
-Measures the three optimizations this repo's perf trajectory tracks
+Measures the two optimizations this repo's perf trajectory tracks
 (`BENCH_pipeline.json` at the repo root, one document per commit):
 
 * **pipelined window** — a 32-location × 4-capture survey at
@@ -9,9 +9,7 @@ Measures the three optimizations this repo's perf trajectory tracks
   DESIGN.md §8);
 * **LLM response caching** — hit rate and wall-clock effect of the
   JSONL-journaled :class:`~repro.llm.cache.CachingChatClient` on a
-  re-run survey;
-* **render caching** — the content-addressed
-  :class:`~repro.scene.render.RenderCache` on repeated captures.
+  re-run survey.
 
 Excluded from tier-1 (``perf`` marker); run with::
 
@@ -26,16 +24,13 @@ import pytest
 
 from repro.core.classifier import LLMIndicatorClassifier
 from repro.core.pipeline import NeighborhoodDecoder
-from repro.geo.county import ZoneKind, make_durham_like
-from repro.geo.roadnet import RoadClass
+from repro.geo.county import make_durham_like
 from repro.gsv.api import StreetViewClient
 from repro.gsv.dataset import build_survey_dataset
 from repro.llm.cache import CachingChatClient
 from repro.llm.paper_targets import GEMINI_15_PRO
 from repro.llm.registry import build_clients
 from repro.perf import LatencyChatClient, Stopwatch, write_bench
-from repro.scene.generator import SceneGenerator
-from repro.scene.render import RenderCache, render_scene
 
 pytestmark = pytest.mark.perf
 
@@ -120,30 +115,6 @@ def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
     warm_requests = warm_hits + (caching_client.misses - misses_before)
     warm_hit_rate = warm_hits / warm_requests
 
-    # -- content-addressed render cache ------------------------------------
-    generator = SceneGenerator(seed=0)
-    scenes = [
-        generator.generate(
-            scene_id=f"bench_{i}",
-            zone_kind=ZoneKind.URBAN,
-            road_class=RoadClass.LOCAL,
-            heading=0,
-            road_bearing=0.0,
-        )
-        for i in range(8)
-    ]
-    render_cache = RenderCache(max_entries=32)
-    with Stopwatch() as render_cold_sw:
-        for scene in scenes:
-            render_cache.get_or_render(scene, 320)
-    with Stopwatch() as render_warm_sw:
-        for scene in scenes:
-            render_cache.get_or_render(scene, 320)
-    uncached = Stopwatch()
-    with uncached:
-        for scene in scenes:
-            render_scene(scene, 320)
-
     document = write_bench(
         BENCH_PATH,
         "pipeline",
@@ -175,12 +146,6 @@ def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
                 "warm_hit_rate": round(warm_hit_rate, 4),
                 "journal_entries": len(caching_client),
             },
-            "render_cache": {
-                "cold_s": round(render_cold_sw.elapsed_s, 4),
-                "warm_s": round(render_warm_sw.elapsed_s, 4),
-                "uncached_s": round(uncached.elapsed_s, 4),
-                "hit_rate": round(render_cache.hit_rate, 4),
-            },
         },
         repo_root=REPO_ROOT,
     )
@@ -189,4 +154,3 @@ def test_pipeline_perf_trajectory(county, survey_clients, tmp_path):
     assert document["survey"]["deterministic"]
     # The acceptance bar: ≥ 2× at window 4 on the 32-location survey.
     assert speedup >= 2.0, f"window-4 speedup {speedup:.2f}× below 2×"
-    assert render_cache.hit_rate == pytest.approx(0.5)

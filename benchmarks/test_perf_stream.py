@@ -1,7 +1,7 @@
-"""Perf benchmark: streaming survey engine + request coalescing.
+"""Perf benchmark: streaming survey engine.
 
-Measures the two optimizations ``BENCH_stream.json`` tracks (one
-document per commit, at the repo root):
+Measures the optimization ``BENCH_stream.json`` tracks (one document
+per commit, at the repo root):
 
 * **streaming survey** — traced-peak memory of a 5,000-location
   synthetic survey through :meth:`NeighborhoodDecoder.survey`:
@@ -10,10 +10,6 @@ document per commit, at the repo root):
   locations exceeds.  Point selection is excluded from the traced
   region — its road-network build is a one-time transient both paths
   share — so the peaks isolate the survey engine itself.
-* **coalescing** — duplicate-request batches through
-  :class:`~repro.llm.batch.BatchRunner` with ``coalesce=True``: the
-  upstream call count, the hit rate, and outcome-identity with the
-  uncoalesced run.
 
 Everything perf-shaped here must be *byte-identical* to the slow
 path — asserted, not assumed.  This is the slowest benchmark in the
@@ -41,9 +37,6 @@ from repro.core import LLMIndicatorClassifier, NeighborhoodDecoder
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient, build_survey_dataset
 from repro.llm import build_clients
-from repro.llm.base import ChatMessage, ChatRequest
-from repro.llm.batch import BatchRunner
-from repro.llm import ImageAttachment
 from repro.perf import Stopwatch, write_bench
 
 pytestmark = pytest.mark.perf
@@ -54,10 +47,6 @@ BENCH_PATH = REPO_ROOT / "BENCH_stream.json"
 #: Streaming survey scale (the county-scale claim).
 STREAM_LOCATIONS = 5_000
 THROUGHPUT_LOCATIONS = 1_000
-
-#: Coalescing batch: every unique request duplicated this many times.
-COALESCE_UNIQUE = 12
-COALESCE_COPIES = 5
 
 
 def _point_stream(base_points, n):
@@ -143,51 +132,12 @@ def test_stream_perf_trajectory():
     )
     assert identical_rates
 
-    # -- request coalescing -------------------------------------------------
-    scenes = [image.scene for image in calibration[:COALESCE_UNIQUE]]
-    requests = [
-        ChatRequest(
-            model="gpt-4o-mini",
-            messages=(
-                ChatMessage(
-                    role="user",
-                    text="Is there a sidewalk visible in the image?",
-                    images=(ImageAttachment(scene=scene),),
-                ),
-            ),
-        )
-        for scene in scenes
-        for _ in range(COALESCE_COPIES)
-    ]
-    client = clients["gpt-4o-mini"]
-
-    before = client.stats.requests
-    with Stopwatch() as plain_sw:
-        plain_outcomes, plain_stats = BatchRunner(client).run(requests)
-    plain_calls = client.stats.requests - before
-
-    before = client.stats.requests
-    with Stopwatch() as coalesced_sw:
-        merged_outcomes, merged_stats = BatchRunner(client, coalesce=True).run(
-            requests
-        )
-    coalesced_calls = client.stats.requests - before
-    hit_rate = merged_stats.coalesced / len(requests)
-
-    identical_outcomes = all(
-        a.index == b.index and a.response.content == b.response.content
-        for a, b in zip(plain_outcomes, merged_outcomes)
-    )
-    assert identical_outcomes
-
     document = write_bench(
         BENCH_PATH,
         "stream",
         {
             "config": {
                 "stream_locations": STREAM_LOCATIONS,
-                "coalesce_requests": len(requests),
-                "coalesce_unique": COALESCE_UNIQUE,
             },
             "streaming": {
                 "stream_locations_per_s": round(stream_locations_per_s, 2),
@@ -209,16 +159,6 @@ def test_stream_perf_trajectory():
                     "overhead; throughput is measured untraced"
                 ),
             },
-            "coalescing": {
-                "requests": len(requests),
-                "uncoalesced_upstream_calls": plain_calls,
-                "coalesced_upstream_calls": coalesced_calls,
-                "coalesced": merged_stats.coalesced,
-                "hit_rate": round(hit_rate, 4),
-                "uncoalesced_s": round(plain_sw.elapsed_s, 4),
-                "coalesced_s": round(coalesced_sw.elapsed_s, 4),
-                "identical_outcomes": identical_outcomes,
-            },
         },
         repo_root=REPO_ROOT,
     )
@@ -232,10 +172,5 @@ def test_stream_perf_trajectory():
     assert batch_peak > memory_ceiling, (
         f"batch peak {batch_peak} stayed under the ceiling "
         f"{memory_ceiling} — streaming saved no memory"
-    )
-    assert plain_calls == len(requests)
-    assert coalesced_calls == COALESCE_UNIQUE
-    assert hit_rate == pytest.approx(
-        (COALESCE_COPIES - 1) / COALESCE_COPIES
     )
     assert document["streaming"]["bounded"]

@@ -183,7 +183,7 @@ def sweep_frontier(
             ensemble=ensemble,
             threshold=threshold,
         )
-        predictions, _, _ = cascade.predict_location(images)
+        predictions, _ = cascade.predict_location(images)
         stats = cascade.stats.snapshot()
         stages = cascade.meter.stage_totals()
         fee = sum(

@@ -142,7 +142,7 @@ class CascadeClassifier:
     Drop-in classification backend for
     :class:`~repro.core.pipeline.NeighborhoodDecoder` (its ``cascade``
     field): :meth:`predict_location` has the same contract as the
-    classifier/ensemble branches plus skipped-vote provenance.
+    classifier/ensemble branches.
 
     Tier 0 renders every capture at ``detector.input_size``,
     whatever ``size`` the capture carries: the detector's features and
@@ -198,16 +198,15 @@ class CascadeClassifier:
 
     def predict_location(
         self, images: Sequence[LabeledImage]
-    ) -> tuple[list[IndicatorPresence], int, int]:
+    ) -> tuple[list[IndicatorPresence], int]:
         """Classify one location's images through the cascade.
 
-        Returns ``(presences, degraded_votes, skipped_votes)`` —
-        the same contract as the decoder's ensemble branch.  The
+        Returns ``(presences, degraded_votes)`` — the same contract as the decoder's ensemble branch.  The
         detector forward is batched over the whole location, on pixels
         rendered at the detector's ``input_size``.
         """
         if not images:
-            return [], 0, 0
+            return [], 0
         metrics = get_metrics()
         pixels = [image.render(self.detector.input_size) for image in images]
         scores, _ = self.detector.predict_cells_batch(
@@ -220,15 +219,14 @@ class CascadeClassifier:
         self.meter.record_stage(TIER_DETECTOR, requests=1, images=len(images))
         metrics.inc("cascade.images", len(images))
         presences: list[IndicatorPresence] = []
-        degraded = skipped = 0
+        degraded = 0
         for position, image in enumerate(images):
-            presence, image_degraded, image_skipped = self._route_image(
+            presence, image_degraded = self._route_image(
                 image, doubts[position], leans[position]
             )
             presences.append(presence)
             degraded += image_degraded
-            skipped += image_skipped
-        return presences, degraded, skipped
+        return presences, degraded
 
     # ------------------------------------------------------------------
 
@@ -237,8 +235,8 @@ class CascadeClassifier:
         image: LabeledImage,
         doubts: np.ndarray,
         leans: np.ndarray,
-    ) -> tuple[IndicatorPresence, int, int]:
-        """Route one image's indicators; returns (presence, degraded, skipped)."""
+    ) -> tuple[IndicatorPresence, int]:
+        """Route one image's indicators; returns (presence, degraded)."""
         metrics = get_metrics()
         accepted: dict[Indicator, bool] = {}
         mid: list[Indicator] = []
@@ -266,15 +264,15 @@ class CascadeClassifier:
             accepted.update(settled)
             escalated.extend(splits)
 
-        degraded = skipped = 0
+        degraded = 0
         if escalated:
-            voted, degraded, skipped = self._ensemble_pass(image, escalated, leans)
+            voted, degraded = self._ensemble_pass(image, escalated, leans)
             accepted.update(voted)
 
         presence = IndicatorPresence(
             indicator for indicator, present in accepted.items() if present
         )
-        return presence, degraded, skipped
+        return presence, degraded
 
     def _scout_pass(
         self,
@@ -341,14 +339,14 @@ class CascadeClassifier:
         image: LabeledImage,
         escalated: Sequence[Indicator],
         leans: np.ndarray,
-    ) -> tuple[dict[Indicator, bool], int, int]:
+    ) -> tuple[dict[Indicator, bool], int]:
         """Tier 2: full ensemble vote on the escalated indicators.
 
         When *every* indicator escalated the vote runs with
         ``indicators=None`` — the byte-for-byte plain-ensemble code
         path (prompts, fingerprints, retry accounting all identical),
         which the threshold-0 golden test pins.  Returns
-        ``(answers, degraded, skipped)``; a total ensemble failure
+        ``(answers, degraded)``; a total ensemble failure
         falls back to detector leans instead of failing the location.
         """
         metrics = get_metrics()
@@ -376,11 +374,7 @@ class CascadeClassifier:
             )
             metrics.inc("cascade.tier2.indicators", len(escalated))
             metrics.inc("cascade.fallbacks", len(escalated))
-            return (
-                {ind: lean_of[ind] for ind in escalated},
-                0,
-                0,
-            )
+            return {ind: lean_of[ind] for ind in escalated}, 0
         self.meter.record_stage(
             TIER_ENSEMBLE,
             requests=1,
@@ -398,4 +392,4 @@ class CascadeClassifier:
         answers = {
             indicator: record.presence[indicator] for indicator in escalated
         }
-        return answers, int(record.degraded), len(record.members_skipped)
+        return answers, int(record.degraded)

@@ -244,8 +244,6 @@ def _run_survey(args: argparse.Namespace, tracer=None) -> int:
     print(f"images         {report.images_classified}")
     print(f"fees           ${report.fees_usd:.3f}")
     print(f"degraded votes {report.degraded_votes}")
-    if report.skipped_votes:
-        print(f"skipped votes  {report.skipped_votes}")
     if report.cascade_stats:
         cs = report.cascade_stats
         print(

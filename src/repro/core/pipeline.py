@@ -117,11 +117,10 @@ class SurveyReport:
     :mod:`repro.obs.metrics`) — is excluded for the same reason, and so
     that :func:`repro.obs.audit.reconcile_survey` stays an *independent*
     second set of books rather than part of the payload it audits.
-    ``skipped_votes`` (ensemble member calls never issued because the
-    vote was already decided) and ``cascade_stats`` (per-tier routing
-    counters of a cascade-backed survey) are likewise observability,
-    not decoded output, and stay out of the payload — a cascade at
-    threshold 0 must serialize byte-identically to a plain ensemble.
+    ``cascade_stats`` (per-tier routing counters of a cascade-backed
+    survey) are likewise observability, not decoded output, and stay
+    out of the payload — a cascade at threshold 0 must serialize
+    byte-identically to a plain ensemble.
     ``batch_stats`` (micro-batch dispatch provenance of a pipelined
     survey) and ``pipeline_stats`` (its AIMD window summary) follow
     the same rule: how classify calls were grouped or throttled must
@@ -142,7 +141,6 @@ class SurveyReport:
     zone_stats: dict[str, PresenceAccumulator] | None = None
     coalesce_stats: dict[str, int] = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
-    skipped_votes: int = 0
     cascade_stats: dict[str, int] = field(default_factory=dict)
     batch_stats: dict[str, int] = field(default_factory=dict)
     pipeline_stats: dict[str, int] = field(default_factory=dict)
@@ -562,7 +560,7 @@ class NeighborhoodDecoder:
 
             async def decode_one(
                 indexed: tuple[int, SamplePoint]
-            ) -> tuple[LocationResult, int, int, int, Tally] | dict:
+            ) -> tuple[LocationResult, int, int, Tally] | dict:
                 index, point = indexed
                 # The location's own books: every shared object it runs
                 # through tallies into this scope, on whichever bridge
@@ -585,10 +583,8 @@ class NeighborhoodDecoder:
                                 parent=loc_span,
                                 images=len(images),
                             ):
-                                presences, degraded, skipped = (
-                                    await bridge.run(
-                                        self._predict_location, images
-                                    )
+                                presences, degraded = await bridge.run(
+                                    self._predict_location, images
                                 )
                     except (
                         StreetViewError,
@@ -601,7 +597,6 @@ class NeighborhoodDecoder:
                         self._location_result(point, presences),
                         len(images),
                         degraded,
-                        skipped,
                         scope,
                     )
 
@@ -729,22 +724,15 @@ class NeighborhoodDecoder:
             if isinstance(outcome, dict):
                 self._restore_location(report, outcome, keep_locations)
                 return
-            result, n_images, degraded, skipped, scope = outcome
+            result, n_images, degraded, scope = outcome
             self._fold_tally(report, scope)
             self._record_result(
-                report,
-                result,
-                n_images,
-                degraded,
-                keep_locations,
-                skipped=skipped,
+                report, result, n_images, degraded, keep_locations
             )
             if store is not None:
                 store.record(
                     task.index,
-                    self._location_payload(
-                        result, n_images, degraded, skipped
-                    ),
+                    self._location_payload(result, n_images, degraded),
                 )
 
     @staticmethod
@@ -825,13 +813,13 @@ class NeighborhoodDecoder:
 
     def _predict_location(
         self, images: Sequence[LabeledImage]
-    ) -> tuple[list[IndicatorPresence], int, int]:
+    ) -> tuple[list[IndicatorPresence], int]:
         """Predict one location's images.
 
-        Returns ``(presences, degraded votes, skipped member calls)``.
+        Returns ``(presences, degraded votes)``.
         """
         if self.classifier is not None:
-            return self.classifier.predictions(images), 0, 0
+            return self.classifier.predictions(images), 0
         if self.cascade is not None:
             return self.cascade.predict_location(images)
         assert self.ensemble is not None
@@ -839,17 +827,13 @@ class NeighborhoodDecoder:
         return (
             [record.presence for record in records],
             sum(1 for record in records if record.degraded),
-            sum(len(record.members_skipped) for record in records),
         )
 
     @staticmethod
     def _location_payload(
-        result: LocationResult,
-        images: int,
-        degraded: int,
-        skipped: int = 0,
+        result: LocationResult, images: int, degraded: int
     ) -> dict:
-        payload = {
+        return {
             "latitude": result.latitude,
             "longitude": result.longitude,
             "county": result.county,
@@ -858,11 +842,6 @@ class NeighborhoodDecoder:
             "images": images,
             "degraded_votes": degraded,
         }
-        # Written only when nonzero so pre-existing checkpoint files
-        # (and their fingerprints) remain byte-compatible.
-        if skipped:
-            payload["skipped_votes"] = skipped
-        return payload
 
     @staticmethod
     def _record_result(
@@ -871,7 +850,6 @@ class NeighborhoodDecoder:
         images: int,
         degraded: int,
         keep_locations: bool,
-        skipped: int = 0,
     ) -> None:
         """Fold one completed location into the report.
 
@@ -886,11 +864,8 @@ class NeighborhoodDecoder:
         metrics.inc("survey.images.classified", images)
         if degraded:
             metrics.inc("survey.votes.degraded", degraded)
-        if skipped:
-            metrics.inc("survey.votes.skipped", skipped)
         report.images_classified += images
         report.degraded_votes += degraded
-        report.skipped_votes += skipped
         report.completed_locations += 1
         if keep_locations:
             report.locations.append(result)
@@ -913,7 +888,6 @@ class NeighborhoodDecoder:
             payload["images"],
             payload["degraded_votes"],
             keep_locations,
-            skipped=payload.get("skipped_votes", 0),
         )
 
 

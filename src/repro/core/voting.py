@@ -50,51 +50,6 @@ def majority_vote(
     return IndicatorPresence(present)
 
 
-def decided_presence(
-    yes_count: int,
-    cast: int,
-    remaining: int,
-    quorum: int | None = None,
-) -> bool | None:
-    """Is one indicator's vote already mathematically decided?
-
-    ``yes_count`` of the ``cast`` successful votes so far said present;
-    ``remaining`` members have not voted yet.  Returns ``True`` /
-    ``False`` when *every* possible completion — each remaining member
-    may vote yes, vote no, or fail — produces that outcome under the
-    ensemble's adaptive threshold (the configured ``quorum`` while
-    enough members survive, else a strict majority of the survivors),
-    and ``None`` while the outcome is still open.
-
-    This is the early-exit oracle: skipping members is sound only when
-    the answer is invariant over all completions, including failures
-    that would have shrunk the surviving quorum.
-    """
-    if yes_count < 0 or yes_count > cast or remaining < 0:
-        raise ValueError(
-            f"inconsistent tally: {yes_count}/{cast} with "
-            f"{remaining} remaining"
-        )
-    always_present = True
-    never_present = True
-    for extra in range(remaining + 1):  # members that go on to vote
-        survivors = cast + extra
-        if survivors == 0:
-            continue  # all remaining fail too: no vote happens at all
-        threshold = survivors // 2 + 1
-        if quorum is not None and quorum <= survivors:
-            threshold = quorum
-        if yes_count < threshold:
-            always_present = False
-        if yes_count + extra >= threshold:
-            never_present = False
-    if always_present and not never_present:
-        return True
-    if never_present and not always_present:
-        return False
-    return None
-
-
 def vote_predictions(
     per_model: Mapping[str, Sequence[IndicatorPresence]],
     quorum: int | None = None,
@@ -122,11 +77,7 @@ class VoteRecord:
     ``members_failed`` lists members whose classification failed (or
     whose circuit was open); the vote then proceeded on the surviving
     quorum — the graceful-degradation path a production survey needs
-    when one of three commercial APIs is down.
-
-    ``members_skipped`` lists members never asked because the outcome
-    was already mathematically decided (early exit); the tokens they
-    would have spent are the saving.  ``prompt_tokens`` /
+    when one of three commercial APIs is down.  ``prompt_tokens`` /
     ``completion_tokens`` total the usage of the members that did vote.
     """
 
@@ -134,7 +85,6 @@ class VoteRecord:
     presence: IndicatorPresence
     members_voted: tuple[str, ...]
     members_failed: tuple[str, ...]
-    members_skipped: tuple[str, ...] = ()
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
@@ -157,19 +107,12 @@ class VotingEnsemble:
     three or four *independent* commercial APIs, so member latency
     overlaps instead of adding.  Votes combine by sorted member name
     either way, so the voted result is executor-independent.
-
-    ``early_exit`` stops issuing member calls once every asked
-    indicator is mathematically decided (see :func:`decided_presence`);
-    it only applies on the serial path (an executor has already
-    launched every member) and is off by default because skipping calls
-    changes retry accounting, which golden fixtures pin.
     """
 
     classifiers: dict[str, LLMIndicatorClassifier]
     quorum: int | None = None
     breakers: dict[str, CircuitBreaker] | None = None
     executor: ParallelExecutor | None = None
-    early_exit: bool = False
 
     def __post_init__(self) -> None:
         if len(self.classifiers) < 2:
@@ -233,7 +176,6 @@ class VotingEnsemble:
         indicators: tuple[Indicator, ...] | None = None,
     ) -> VoteRecord:
         names = sorted(self.classifiers)
-        skipped: list[str] = []
         if self.executor is not None:
             member_votes = [
                 task.result()
@@ -242,10 +184,6 @@ class VotingEnsemble:
                     names,
                 )
             ]
-        elif self.early_exit:
-            member_votes, skipped = self._vote_serial_early_exit(
-                names, image, indicators
-            )
         else:
             member_votes = [
                 self._member_vote(name, image, indicators) for name in names
@@ -281,44 +219,9 @@ class VotingEnsemble:
             presence=presence,
             members_voted=tuple(sorted(votes)),
             members_failed=tuple(failed),
-            members_skipped=tuple(skipped),
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,
         )
-
-    def _vote_serial_early_exit(
-        self,
-        names: Sequence[str],
-        image: LabeledImage,
-        indicators: tuple[Indicator, ...] | None,
-    ) -> tuple[list[tuple[str, IndicatorPresence | None, object]], list[str]]:
-        """Serial member loop that stops once every indicator is decided."""
-        asked = ALL_INDICATORS if indicators is None else indicators
-        member_votes: list[tuple[str, IndicatorPresence | None, object]] = []
-        yes_counts = dict.fromkeys(asked, 0)
-        cast = 0
-        for position, name in enumerate(names):
-            vote = self._member_vote(name, image, indicators)
-            member_votes.append(vote)
-            _, presence, _ = vote
-            if presence is not None:
-                cast += 1
-                for indicator in asked:
-                    if presence[indicator]:
-                        yes_counts[indicator] += 1
-            remaining = len(names) - position - 1
-            if remaining == 0 or cast == 0:
-                continue
-            if all(
-                decided_presence(
-                    yes_counts[indicator], cast, remaining, self.quorum
-                )
-                is not None
-                for indicator in asked
-            ):
-                skipped = list(names[position + 1 :])
-                return member_votes, skipped
-        return member_votes, []
 
     def _member_vote(
         self,

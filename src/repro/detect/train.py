@@ -11,13 +11,6 @@ batch gathers, forward activations and backward gradients live in
 reusable buffers instead of being reallocated thousands of times per
 run.  The operations themselves are unchanged, so trained weights are
 bit-identical to the historical allocating loop.
-
-**Incremental training** (DESIGN.md §14): when an artifact cache is
-supplied and only part of the dataset's per-image tensors changed
-since the last run with the same configs, :func:`train_detector` can
-fine-tune the cached weights on the changed images (plus a replay
-sample of unchanged ones) instead of retraining from scratch — gated
-in tests by an eval-metric equivalence check against full retraining.
 """
 
 from __future__ import annotations
@@ -53,38 +46,12 @@ class TrainConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class IncrementalConfig:
-    """Knobs for the cached-weights fine-tuning path.
-
-    ``max_changed_fraction`` bounds how different the dataset may be
-    before falling back to a full retrain; ``replay_ratio`` controls
-    how many unchanged images accompany each changed one in the
-    fine-tuning subset (pure-delta fine-tuning forgets; full-set
-    fine-tuning wastes the reuse).
-    """
-
-    max_changed_fraction: float = 0.35
-    fine_tune_epochs: int = 6
-    lr_scale: float = 0.25
-    replay_ratio: float = 2.0
-
-
 @dataclass
 class TrainResult:
-    """Fitted model plus the loss trajectory and training provenance.
-
-    ``mode`` is ``"full"`` (fresh SGD), ``"cached"`` (exact
-    artifact-cache hit) or ``"incremental"`` (fine-tuned from cached
-    base weights); ``reused_images`` counts images whose tensors
-    matched the cached base run.
-    """
+    """Fitted model plus its loss trajectory."""
 
     model: NanoDetector
     loss_history: list[float] = field(default_factory=list)
-    mode: str = "full"
-    reused_images: int = 0
-    trained_images: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -355,26 +322,6 @@ def _weights_key(
     )
 
 
-def _incremental_base_key(
-    model_config: ModelConfig, train_config: TrainConfig
-) -> str:
-    """Cache key for the incremental-training base entry.
-
-    Deliberately *not* keyed on the tensors: the entry is the "last
-    training run with these configs", and the changed-fraction guard
-    decides whether the current dataset is close enough to reuse it.
-    """
-    from ..artifacts import fingerprint
-
-    return fingerprint(
-        {
-            "artifact": "incremental-base",
-            "model_config": repr(model_config),
-            "train_config": repr(train_config),
-        }
-    )
-
-
 def _run_sgd(
     model: NanoDetector,
     features: np.ndarray,
@@ -382,11 +329,9 @@ def _run_sgd(
     box_targets: np.ndarray,
     train_config: TrainConfig,
     rng: np.random.Generator,
-    epochs: int,
-    learning_rate: float,
     arena: TensorArena | None = None,
 ) -> list[float]:
-    """The SGD loop, shared by full training and incremental fine-tuning.
+    """The SGD loop.
 
     Batch gathers, activations and gradients live in ``arena`` buffers;
     every floating-point operation matches the historical allocating
@@ -403,10 +348,10 @@ def _run_sgd(
         name: np.zeros_like(getattr(model, name))
         for name in ("w1", "b1", "w2", "b2")
     }
-    lr = learning_rate
+    lr = train_config.learning_rate
     loss_history: list[float] = []
 
-    for _epoch in range(epochs):
+    for _epoch in range(train_config.epochs):
         order = rng.permutation(n_images)
         epoch_loss = 0.0
         n_batches = 0
@@ -502,8 +447,6 @@ def train_detector(
     precomputed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     workers: int | str = 1,
     cache=None,
-    incremental: bool = False,
-    incremental_config: IncrementalConfig | None = None,
 ) -> TrainResult:
     """Train a NanoDetector on labeled images.
 
@@ -517,15 +460,6 @@ def train_detector(
     The model records the training images' shared ``size`` as its
     :attr:`~NanoDetector.input_size` (``None`` when trained from
     ``precomputed`` tensors alone); mixed sizes raise ``ValueError``.
-
-    ``incremental=True`` (requires ``cache`` and ``images``) enables
-    delta fine-tuning: if a previous run with the same configs trained
-    on mostly the same per-image tensors, the cached weights are
-    fine-tuned on the changed images plus a replay sample instead of
-    retraining from scratch.  The result records its provenance in
-    :attr:`TrainResult.mode`; only full retrains populate the exact
-    weights cache, so incremental runs can never shadow a full run's
-    artifact.
     """
     if model_config is None:
         model_config = ModelConfig()
@@ -573,127 +507,28 @@ def train_detector(
             return TrainResult(
                 model=NanoDetector.from_dict(stored["model"]),
                 loss_history=list(stored["loss_history"]),
-                mode="cached",
-                reused_images=features.shape[0],
-                trained_images=0,
             )
-    n_images, n_cells, feature_dim = features.shape
+    feature_dim = features.shape[2]
 
     rng = np.random.default_rng(train_config.seed)
-    arena = TensorArena()
-    mode = "full"
-    reused_images = 0
-    trained_images = n_images
-    image_keys: list[str] | None = None
-    base_key = None
-    model: NanoDetector | None = None
-    loss_history: list[float] = []
-
-    if incremental and cache is not None and images and precomputed is None:
-        image_keys = [
-            image_tensor_key(
-                image, model_config.grid, True, model_config.feature_config
-            )
-            for image in images
-        ]
-        base_key = _incremental_base_key(model_config, train_config)
-        base = cache.get_json("models", base_key)
-        if base is not None:
-            base_keys = set(base.get("image_keys", ()))
-            changed = [
-                index
-                for index, key in enumerate(image_keys)
-                if key not in base_keys
-            ]
-            changed_fraction = len(changed) / n_images
-            incr = incremental_config or IncrementalConfig()
-            if changed_fraction <= incr.max_changed_fraction:
-                candidate = NanoDetector.from_dict(base["model"])
-                if (
-                    candidate.config == model_config
-                    and candidate.w1.shape[0] == feature_dim
-                ):
-                    model = candidate
-                    mode = "incremental"
-                    reused_images = n_images - len(changed)
-                    unchanged = np.array(
-                        [
-                            index
-                            for index in range(n_images)
-                            if image_keys[index] in base_keys
-                        ],
-                        dtype=int,
-                    )
-                    n_replay = min(
-                        len(unchanged),
-                        int(np.ceil(incr.replay_ratio * max(len(changed), 1))),
-                    )
-                    replay = (
-                        rng.choice(unchanged, size=n_replay, replace=False)
-                        if n_replay
-                        else np.zeros(0, dtype=int)
-                    )
-                    subset = np.sort(
-                        np.concatenate([np.array(changed, dtype=int), replay])
-                    )
-                    trained_images = len(subset)
-                    if trained_images:
-                        loss_history = _run_sgd(
-                            model,
-                            features[subset],
-                            obj_targets[subset],
-                            box_targets[subset],
-                            train_config,
-                            rng,
-                            epochs=incr.fine_tune_epochs,
-                            learning_rate=(
-                                train_config.learning_rate * incr.lr_scale
-                            ),
-                            arena=arena,
-                        )
-                    else:
-                        loss_history = list(base.get("loss_history", ()))
-
-    if model is None:
-        model = NanoDetector(config=model_config)
-        model.initialize(feature_dim, rng)
-        flat = features.reshape(-1, feature_dim)
-        model.set_normalization(flat.mean(axis=0), flat.std(axis=0))
-        loss_history = _run_sgd(
-            model,
-            features,
-            obj_targets,
-            box_targets,
-            train_config,
-            rng,
-            epochs=train_config.epochs,
-            learning_rate=train_config.learning_rate,
-            arena=arena,
-        )
-
-    model.input_size = input_size
-    if cache is not None:
-        if weights_key is not None and mode == "full":
-            cache.put_json(
-                "models",
-                weights_key,
-                {"model": model.to_dict(), "loss_history": loss_history},
-            )
-        if incremental and base_key is not None and image_keys is not None:
-            cache.put_json(
-                "models",
-                base_key,
-                {
-                    "model": model.to_dict(),
-                    "loss_history": loss_history,
-                    "image_keys": image_keys,
-                    "mode": mode,
-                },
-            )
-    return TrainResult(
-        model=model,
-        loss_history=loss_history,
-        mode=mode,
-        reused_images=reused_images,
-        trained_images=trained_images,
+    model = NanoDetector(config=model_config)
+    model.initialize(feature_dim, rng)
+    flat = features.reshape(-1, feature_dim)
+    model.set_normalization(flat.mean(axis=0), flat.std(axis=0))
+    loss_history = _run_sgd(
+        model,
+        features,
+        obj_targets,
+        box_targets,
+        train_config,
+        rng,
+        arena=TensorArena(),
     )
+    model.input_size = input_size
+    if weights_key is not None:
+        cache.put_json(
+            "models",
+            weights_key,
+            {"model": model.to_dict(), "loss_history": loss_history},
+        )
+    return TrainResult(model=model, loss_history=loss_history)

@@ -32,7 +32,7 @@ from ..resilience.clock import Clock, WallClock
 from ..resilience.faults import FaultSchedule
 from ..scene.generator import SceneGenerator
 from ..scene.model import Scene
-from ..scene.render import DEFAULT_SIZE, RenderCache, render_scene
+from ..scene.render import DEFAULT_SIZE, render_scene
 from ..scene.seeding import stable_seed
 
 
@@ -238,9 +238,6 @@ class StreetViewClient:
         pipelined survey fetches a location's four headings in one
         round trip.  A refused request (key, quota, fault) fails
         before the wait and pays none.
-    render_cache:
-        Optional content-addressed :class:`~repro.scene.render.RenderCache`;
-        repeated captures of the same scene skip rasterization.
     """
 
     counties: list[County]
@@ -251,7 +248,6 @@ class StreetViewClient:
     generator_seed: int = 0
     latency_s: float = 0.0
     clock: Clock = field(default_factory=WallClock)
-    render_cache: RenderCache | None = None
     _meters: dict[str, UsageMeter] = field(default_factory=dict)
     _generator: SceneGenerator = field(init=False)
     _failure_rng: np.random.Generator = field(init=False)
@@ -475,10 +471,7 @@ class StreetViewClient:
             else:
                 with get_tracer().span("gsv.render", size=size):
                     metrics.inc("gsv.renders")
-                    if self.render_cache is not None:
-                        pixels = self.render_cache.get_or_render(scene, size)
-                    else:
-                        pixels = render_scene(scene, size)
+                    pixels = render_scene(scene, size)
         except BaseException:
             self.usage().release()
             raise

@@ -220,8 +220,10 @@ class ChatClient(abc.ABC):
         failure raises :class:`BatchError`, whose ``outcomes`` keep the
         responses already served — they were billed, so a caller must
         not re-send them — and give every failed or unsent request its
-        error.  Callers that want retries per request should use
-        :class:`~repro.llm.batch.BatchRunner` instead.
+        error.  A caller that wants retries per request runs each
+        failed seat through
+        :meth:`~repro.resilience.retry.RetryPolicy.execute` with the
+        seat as its first attempt, as the survey classifier does.
         """
         return complete_each(self.complete, requests)
 

@@ -1,46 +1,24 @@
-"""Batch execution with rate limiting and bounded retry.
+"""Client-side rate limiting for the commercial chat APIs.
 
 Driving four commercial APIs over 1,200 images each is where the
-paper's cost/latency concerns (§V) bite.  This module provides the
-standard client-side machinery:
-
-* a **token-bucket rate limiter** on a pluggable clock (tests inject a
-  virtual clock, production uses wall time),
-* a **batch runner** that executes many requests through a client,
-  delegating retry to the shared
-  :class:`~repro.resilience.retry.RetryPolicy` (exponential backoff,
-  full jitter, ``Retry-After`` awareness) and collecting per-request
-  outcomes instead of dying on the first failure.
-
-The clocks themselves live in :mod:`repro.resilience.clock`; the
-``VirtualClock``/``WallClock`` names are re-exported here for
-backwards compatibility.
+paper's cost/latency concerns (§V) bite.  :class:`TokenBucket` is the
+limiter every worker talking to one endpoint shares, on a pluggable
+clock (tests inject a virtual clock, production uses wall time).  The
+service stack puts one in front of its clients
+(:class:`~repro.service.stack.RateLimitedChatClient`); retries are the
+job of :class:`~repro.resilience.retry.RetryPolicy`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
-from ..parallel.executor import ParallelExecutor
-from ..resilience.breaker import CircuitBreaker
-from ..resilience.clock import Clock, VirtualClock, WallClock
-from ..resilience.retry import RetryPolicy, RetryStats
-from .base import ChatClient, ChatRequest, ChatResponse
-from .cache import request_fingerprint
-from .errors import LLMError, RateLimitError, ServerError
+from ..resilience.clock import Clock, VirtualClock
 
-__all__ = [
-    "BatchOutcome",
-    "BatchRunner",
-    "BatchStats",
-    "TokenBucket",
-    "VirtualClock",
-    "WallClock",
-]
+__all__ = ["TokenBucket"]
 
 
 @dataclass
@@ -79,8 +57,15 @@ class TokenBucket:
     _EPSILON = 1e-12
 
     def __post_init__(self) -> None:
-        if self.rate <= 0 or self.capacity <= 0:
-            raise ValueError("rate and capacity must be positive")
+        # A NaN rate compares false against everything and would wave
+        # every request through; a bucket that holds less than one
+        # token never refills to one, so acquire() would wait forever.
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rate must be finite and positive: {self.rate}")
+        if not (math.isfinite(self.capacity) and self.capacity >= 1):
+            raise ValueError(
+                f"capacity must be finite and at least 1: {self.capacity}"
+            )
         self._tokens = float(self.capacity)
         self._last = self.clock.now()
         self._lock = threading.Lock()
@@ -161,193 +146,3 @@ class TokenBucket:
             waited += deficit
         self._record_wait(waited)
         return waited
-
-
-@dataclass
-class BatchOutcome:
-    """Result of one request within a batch."""
-
-    index: int
-    response: ChatResponse | None
-    error: Exception | None
-    attempts: int
-
-    @property
-    def ok(self) -> bool:
-        return self.response is not None
-
-
-@dataclass
-class BatchStats:
-    """Aggregate view of a finished batch.
-
-    ``retries`` counts *actual* re-attempts: a request that fails
-    terminally on its final attempt (or fails on a non-retryable
-    error) contributes nothing for that attempt.  ``coalesced`` counts
-    duplicate requests that shared another request's single upstream
-    call (always 0 unless the runner was built with
-    ``coalesce=True``).
-    """
-
-    total: int
-    succeeded: int
-    failed: int
-    retries: int
-    rate_limit_waits: float
-    coalesced: int = 0
-
-    @property
-    def success_rate(self) -> float:
-        return self.succeeded / self.total if self.total else float("nan")
-
-
-class BatchRunner:
-    """Execute many chat requests with retry + rate limiting.
-
-    With an ``executor`` (or ``workers > 1``) requests fan out across
-    a thread pool while sharing one rate limiter, one retry policy,
-    and one breaker; outcomes still come back in request order.  The
-    default remains strictly serial.
-
-    With ``coalesce=True``, duplicate requests within a batch (same
-    :func:`~repro.llm.cache.request_fingerprint`) are executed once:
-    the first occurrence makes the upstream call — paying one fee and
-    taking one rate-limiter token — and every duplicate's outcome is a
-    copy of that result.  The outcome list is unchanged relative to an
-    uncoalesced run of the same batch; only ``BatchStats.coalesced``
-    and the spend differ.
-    """
-
-    RETRYABLE = (RateLimitError, ServerError)
-
-    def __init__(
-        self,
-        client: ChatClient,
-        limiter: TokenBucket | None = None,
-        max_attempts: int = 4,
-        backoff_base_s: float = 0.5,
-        clock: Clock | None = None,
-        on_progress: Callable[[int, int], None] | None = None,
-        retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-        executor: ParallelExecutor | None = None,
-        workers: int | None = None,
-        coalesce: bool = False,
-    ) -> None:
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_attempts=max_attempts, base_delay_s=backoff_base_s
-            )
-        if executor is None:
-            executor = ParallelExecutor(workers=workers or 1)
-        self.client = client
-        self.limiter = limiter
-        self.policy = retry_policy
-        self.breaker = breaker
-        self.clock = clock or (limiter.clock if limiter else VirtualClock())
-        self.on_progress = on_progress
-        self.executor = executor
-        self.coalesce = coalesce
-
-    def run(
-        self, requests: Sequence[ChatRequest]
-    ) -> tuple[list[BatchOutcome], BatchStats]:
-        """Execute all requests; never raises on per-request failures."""
-        with get_tracer().span("llm.batch", requests=len(requests)):
-            return self._run(requests)
-
-    def _run(
-        self, requests: Sequence[ChatRequest]
-    ) -> tuple[list[BatchOutcome], BatchStats]:
-        stats = RetryStats()
-        n_requests = len(requests)
-
-        # alias[i] is the index whose upstream call serves request i —
-        # itself unless coalescing found an earlier identical request.
-        if self.coalesce:
-            first_by_key: dict[str, int] = {}
-            alias = [
-                first_by_key.setdefault(request_fingerprint(request), index)
-                for index, request in enumerate(requests)
-            ]
-        else:
-            alias = list(range(n_requests))
-        representatives = [
-            index for index in range(n_requests) if alias[index] == index
-        ]
-        group_sizes: dict[int, int] = {}
-        for rep in alias:
-            group_sizes[rep] = group_sizes.get(rep, 0) + 1
-
-        def execute_one(
-            indexed: tuple[int, ChatRequest]
-        ) -> tuple[BatchOutcome, float]:
-            index, request = indexed
-            waited = 0.0
-
-            def attempt() -> ChatResponse:
-                nonlocal waited
-                if self.limiter is not None:
-                    waited += self.limiter.acquire()
-                return self.client.complete(request)
-
-            retried = self.policy.execute(
-                attempt,
-                retryable=self.RETRYABLE,
-                giveup=(LLMError,),
-                clock=self.clock,
-                breaker=self.breaker,
-                stats=stats,
-            )
-            return (
-                BatchOutcome(
-                    index=index,
-                    response=retried.value if retried.ok else None,
-                    error=retried.error,
-                    attempts=retried.attempts,
-                ),
-                waited,
-            )
-
-        rep_outcomes: dict[int, BatchOutcome] = {}
-        completed = 0
-        waits = 0.0
-        for task in self.executor.imap(
-            execute_one, [(index, requests[index]) for index in representatives]
-        ):
-            outcome, waited = task.result()
-            rep_outcomes[outcome.index] = outcome
-            waits += waited
-            completed += group_sizes[outcome.index]
-            if self.on_progress is not None:
-                self.on_progress(completed, n_requests)
-
-        outcomes: list[BatchOutcome] = []
-        for index in range(n_requests):
-            rep = rep_outcomes[alias[index]]
-            if alias[index] == index:
-                outcomes.append(rep)
-            else:
-                outcomes.append(
-                    BatchOutcome(
-                        index=index,
-                        response=rep.response,
-                        error=rep.error,
-                        attempts=rep.attempts,
-                    )
-                )
-
-        batch_stats = BatchStats(
-            total=n_requests,
-            succeeded=sum(1 for o in outcomes if o.ok),
-            failed=sum(1 for o in outcomes if not o.ok),
-            retries=stats.retries,
-            rate_limit_waits=waits,
-            coalesced=n_requests - len(representatives),
-        )
-        metrics = get_metrics()
-        metrics.inc("llm.batch.requests", batch_stats.total)
-        metrics.inc("llm.batch.coalesced", batch_stats.coalesced)
-        if batch_stats.failed:
-            metrics.inc("llm.batch.failures", batch_stats.failed)
-        return outcomes, batch_stats

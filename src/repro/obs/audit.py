@@ -78,7 +78,6 @@ def reconcile_survey(
         "images classified",
     )
     check("survey.votes.degraded", report.degraded_votes, "degraded votes")
-    check("survey.votes.skipped", report.skipped_votes, "skipped votes")
     stats = report.retry_stats
     check("retry.operations", stats.operations, "retry operations")
     check("retry.attempts", stats.attempts, "retry attempts")

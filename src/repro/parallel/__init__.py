@@ -1,11 +1,10 @@
 """Parallel execution for the survey and detector hot paths.
 
 :class:`~repro.parallel.executor.ParallelExecutor` is shared by
-:class:`repro.llm.batch.BatchRunner` (per-request fan-out under a
-shared rate limiter), :class:`repro.core.voting.VotingEnsemble`
-(per-member fan-out), and the CPU-bound detector pipeline (chunked
-rendering, feature extraction, batched inference, concurrent
-experiments), all on one thread pool: numpy releases the GIL, so the
+:class:`repro.core.voting.VotingEnsemble` (per-member fan-out) and
+the CPU-bound detector pipeline (chunked rendering, feature
+extraction, batched inference, concurrent experiments), all on one
+thread pool: numpy releases the GIL, so the
 detector's kernels scale across cores on threads.  The survey engine
 pipelines locations on an event loop instead, from the pieces in
 :mod:`repro.parallel.aio`.  The resilience primitives shared across

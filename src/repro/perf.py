@@ -163,7 +163,6 @@ HEADLINE_METRICS: dict[str, list[dict]] = {
     ],
     "stream": [
         {"path": "streaming.stream_locations_per_s"},
-        {"path": "coalescing.hit_rate"},
     ],
     "obs": [
         {"path": "tracing.noop_locations_per_s"},

@@ -12,8 +12,8 @@ surveys:
   an injected clock so fault scripts replay deterministically.
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, the one
   retry loop (exponential backoff, full jitter, ``Retry-After``
-  awareness) shared by the batch runner, the classifier, and the
-  street-view fetch path.
+  awareness) shared by the classifier and the street-view fetch
+  path.
 * :mod:`~repro.resilience.breaker` — per-endpoint
   :class:`CircuitBreaker` (closed → open → half-open) so a hard-down
   model or GSV key stops burning attempts and fees.

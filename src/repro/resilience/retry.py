@@ -1,10 +1,10 @@
 """The one retry loop: exponential backoff, full jitter, Retry-After.
 
-Before this module existed the repo had three divergent retry loops
-(``BatchRunner``, ``LLMIndicatorClassifier.classify_image``, and none
-at all for street-view fetches).  :class:`RetryPolicy` replaces them:
-callers describe *what* is retryable and the policy decides *whether*
-and *for how long* to wait, sleeping only through an injected
+Every retried call in the survey goes through :class:`RetryPolicy`:
+``LLMIndicatorClassifier`` requests and street-view fetches, including
+the seats of a batched dispatch that failed (``first=``).  Callers
+describe *what* is retryable and the policy decides *whether* and
+*for how long* to wait, sleeping only through an injected
 :class:`~repro.resilience.clock.Clock` and never after the final
 attempt.
 

@@ -18,7 +18,7 @@ from .noise import (
     noise_sigma_for_snr,
     signal_power,
 )
-from .render import DEFAULT_SIZE, RenderCache, render_scene, scene_fingerprint
+from .render import DEFAULT_SIZE, render_scene, scene_fingerprint
 from .seeding import stable_seed
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "noise_sigma_for_snr",
     "signal_power",
     "DEFAULT_SIZE",
-    "RenderCache",
     "render_scene",
     "scene_fingerprint",
     "stable_seed",

@@ -16,8 +16,6 @@ RNG from the scene id), which keeps dataset builds reproducible.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -133,7 +131,7 @@ def _of_kind(distractors: tuple[Distractor, ...], kind: str):
 
 
 # ----------------------------------------------------------------------
-# content-addressed render cache
+# content fingerprint
 
 
 def scene_fingerprint(scene: Scene, size: int = DEFAULT_SIZE) -> str:
@@ -142,8 +140,8 @@ def scene_fingerprint(scene: Scene, size: int = DEFAULT_SIZE) -> str:
     Rendering is a pure function of the scene's drawable content (the
     texture RNG is derived from ``scene_id``) and the raster size, so
     two scenes with equal fingerprints render byte-identically — the
-    invariant that makes :class:`RenderCache` safe to share between
-    repeated captures of the same location/heading.
+    invariant that lets the artifact cache key per-image training
+    tensors on it instead of on the pixels.
     """
     hasher = hashlib.sha256()
     hasher.update(f"{scene.scene_id}|{size}|{scene.daylight:.6f}".encode())
@@ -172,60 +170,6 @@ def scene_fingerprint(scene: Scene, size: int = DEFAULT_SIZE) -> str:
             ).encode()
         )
     return hasher.hexdigest()
-
-
-class RenderCache:
-    """Bounded LRU cache of rendered frames, keyed by scene content.
-
-    A survey captures each location/heading up to once per model per
-    vote round; without a cache every repeat pays the full painter's
-    algorithm again.  Entries are evicted least-recently-used at
-    ``max_entries`` (a 640px frame is ~1.2 MB, so the default bounds
-    the cache near 150 MB).  Lookups return a *copy* so callers that
-    add noise or augment in place cannot corrupt the cached frame.
-    Thread-safe; rendering itself happens outside the lock.
-    """
-
-    def __init__(self, max_entries: int = 128) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else float("nan")
-
-    def get_or_render(self, scene: Scene, size: int = DEFAULT_SIZE) -> np.ndarray:
-        """The rendered frame for ``scene``, rasterizing on first use."""
-        key = scene_fingerprint(scene, size)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached.copy()
-            self.misses += 1
-        pixels = render_scene(scene, size)
-        with self._lock:
-            self._entries[key] = pixels
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-        return pixels.copy()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 # ----------------------------------------------------------------------

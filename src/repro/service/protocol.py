@@ -30,6 +30,7 @@ import contextlib
 import json
 import sys
 import tempfile
+from collections.abc import Awaitable, Callable
 from pathlib import Path
 
 from .daemon import SurveyService
@@ -101,58 +102,69 @@ class ServiceProtocol:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """One socket session; closes the connection when it ends."""
+
+        async def send(line: bytes) -> None:
+            writer.write(line)
+            await writer.drain()
+
         try:
-            while not self._shutdown.is_set():
-                line = await reader.readline()
-                if not line:
-                    return
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
-                try:
-                    request = json.loads(text)
-                except ValueError as err:
-                    await self._send(
-                        writer,
-                        {
-                            "ok": False,
-                            "error": "BadRequest",
-                            "message": f"not JSON: {err}",
-                        },
-                    )
-                    continue
-                if request.get("op") == "watch":
-                    await self._stream_watch(writer, request)
-                    continue
-                for response in await self.handle_request(request):
-                    await self._send(writer, response)
+            await self._session(reader.readline, send)
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
+    async def _session(
+        self,
+        readline: Callable[[], Awaitable[bytes]],
+        send: Callable[[bytes], Awaitable[None]],
+    ) -> None:
+        """Answer request lines until EOF or ``shutdown``."""
+
+        async def respond(payload: dict) -> None:
+            await send(
+                (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            )
+
+        while not self._shutdown.is_set():
+            line = await readline()
+            if not line:
+                return
+            text = line.decode("utf-8").strip()
+            if not text:
+                continue
+            try:
+                request = json.loads(text)
+            except ValueError as err:
+                await respond(
+                    {
+                        "ok": False,
+                        "error": "BadRequest",
+                        "message": f"not JSON: {err}",
+                    }
+                )
+                continue
+            if request.get("op") == "watch":
+                await self._stream_watch(respond, request)
+                continue
+            for response in await self.handle_request(request):
+                await respond(response)
+
     async def _stream_watch(
-        self, writer: asyncio.StreamWriter, request: dict
+        self, respond: Callable[[dict], Awaitable[None]], request: dict
     ) -> None:
         try:
             async for event in self.service.watch(request["job_id"]):
-                await self._send(writer, {"ok": True, "event": event})
+                await respond({"ok": True, "event": event})
         except (ServiceError, KeyError) as err:
-            await self._send(
-                writer,
+            await respond(
                 {
                     "ok": False,
                     "error": type(err).__name__,
                     "message": str(err),
-                },
+                }
             )
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(
-            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        )
-        await writer.drain()
 
     # -- servers --------------------------------------------------------
 
@@ -168,18 +180,27 @@ class ServiceProtocol:
         await self.service.stop()
 
     async def serve_stdio(self) -> None:
-        """One NDJSON session over stdin/stdout (the ``--stdio`` mode)."""
+        """One NDJSON session over stdin/stdout.
+
+        Lines are read and written with blocking calls on a worker
+        thread rather than through asyncio pipe transports: stdin and
+        stdout may be pipes, regular files, ttys or ``/dev/null``
+        (which an event loop cannot poll), and the session must leave
+        stdout open and flushed for the process that owns it.
+        """
         await self.service.start()
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader()
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-        )
-        transport, proto = await loop.connect_write_pipe(
-            asyncio.streams.FlowControlMixin, sys.stdout
-        )
-        writer = asyncio.StreamWriter(transport, proto, reader, loop)
-        await self.handle_connection(reader, writer)
+        stdin = sys.stdin.buffer
+        sys.stdout.flush()  # text already printed goes out first
+        stdout = sys.stdout.buffer
+
+        def write(line: bytes) -> None:
+            stdout.write(line)
+            stdout.flush()
+
+        async def send(line: bytes) -> None:
+            await asyncio.to_thread(write, line)
+
+        await self._session(lambda: asyncio.to_thread(stdin.readline), send)
         await self.service.drain()
         await self.service.stop()
 

@@ -184,6 +184,5 @@ class TestCachedPipeline:
             precomputed=tensors,
             cache=cache,
         )
-        assert sized.mode == bare.mode == "full"
         assert cache.stats()["by_kind"]["models"] == {"hits": 0, "misses": 2}
         assert (sized.model.input_size, bare.model.input_size) == (128, None)

@@ -4,7 +4,7 @@ Covers the router's tier partitioning and threshold-0 ensemble
 equivalence, the escalation-monotonicity property (raising the doubt
 tolerance never escalates more indicators), tier 0 and calibration
 rendering at the detector's input size, the calibration round-trip
-through the artifact cache, the early-exit voting oracle, and — under
+through the artifact cache, and — under
 the ``faults`` marker — a seeded mid-survey LLM outage that must
 degrade to detector-only answers without losing coverage.
 """
@@ -12,7 +12,6 @@ degrade to detector-only answers without losing coverage.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -37,14 +36,10 @@ from repro.cascade.calibrate import (
     presence_matrix,
 )
 from repro.cascade.frontier import micro_f1
-from repro.core.classifier import (
-    ClassificationError,
-    ClassifierConfig,
-    LLMIndicatorClassifier,
-)
-from repro.core.indicators import ALL_INDICATORS, IndicatorPresence
+from repro.core.classifier import ClassifierConfig, LLMIndicatorClassifier
+from repro.core.indicators import ALL_INDICATORS
 from repro.core.pipeline import NeighborhoodDecoder
-from repro.core.voting import VotingEnsemble, decided_presence
+from repro.core.voting import VotingEnsemble
 from repro.detect.model import NanoDetector
 from repro.detect.train import TrainConfig, train_detector
 from repro.geo import make_durham_like
@@ -100,143 +95,6 @@ def _cascade(clients, detector, calibration, **kwargs) -> CascadeClassifier:
         ensemble=_ensemble(clients),
         **kwargs,
     )
-
-
-# ----------------------------------------------------------------------
-# The early-exit oracle.
-
-
-def _brute_force_decided(yes, cast, remaining, quorum):
-    """Enumerate every completion; each member votes yes, no, or fails."""
-    outcomes = set()
-    for pattern in itertools.product(("yes", "no", "fail"), repeat=remaining):
-        extra_votes = sum(1 for p in pattern if p != "fail")
-        survivors = cast + extra_votes
-        if survivors == 0:
-            continue  # no vote happens at all
-        threshold = survivors // 2 + 1
-        if quorum is not None and quorum <= survivors:
-            threshold = quorum
-        total_yes = yes + sum(1 for p in pattern if p == "yes")
-        outcomes.add(total_yes >= threshold)
-    if outcomes == {True}:
-        return True
-    if outcomes == {False}:
-        return False
-    return None
-
-
-class TestDecidedPresence:
-    def test_matches_brute_force_enumeration(self):
-        checked = 0
-        for cast in range(5):
-            for yes in range(cast + 1):
-                for remaining in range(4):
-                    for quorum in (None, 1, 2, 3):
-                        expected = _brute_force_decided(
-                            yes, cast, remaining, quorum
-                        )
-                        got = decided_presence(yes, cast, remaining, quorum)
-                        assert got is expected, (
-                            yes, cast, remaining, quorum, got, expected
-                        )
-                        checked += 1
-        assert checked == 240
-
-    def test_no_votes_left_is_always_decided(self):
-        assert decided_presence(2, 3, 0) is True
-        assert decided_presence(1, 3, 0) is False
-
-    def test_unanimous_three_of_four_is_decided(self):
-        assert decided_presence(3, 3, 1) is True
-        assert decided_presence(0, 3, 1) is False
-
-    def test_split_two_one_stays_open(self):
-        assert decided_presence(2, 3, 1) is None
-
-    def test_quorum_two_decides_after_two_yes(self):
-        assert decided_presence(2, 2, 1, quorum=2) is True
-
-    def test_inconsistent_tally_rejected(self):
-        with pytest.raises(ValueError):
-            decided_presence(3, 2, 1)
-        with pytest.raises(ValueError):
-            decided_presence(-1, 2, 1)
-        with pytest.raises(ValueError):
-            decided_presence(0, 0, -1)
-
-
-class _FixedClassifier:
-    """Stub member returning a fixed presence (or failing)."""
-
-    def __init__(self, presence=None, fail=False):
-        self._presence = presence
-        self._fail = fail
-        self.calls = 0
-
-    def classify_image(self, image, indicators=None):
-        self.calls += 1
-        if self._fail:
-            raise ClassificationError("stub failure")
-
-        class _Outcome:
-            presence = self._presence
-            usage = Usage(prompt_tokens=10, completion_tokens=2)
-
-        return _Outcome()
-
-
-class TestEarlyExitVoting:
-    def test_unanimous_members_skip_the_last_one(self, small_dataset):
-        image = small_dataset[0]
-        everything = IndicatorPresence(ALL_INDICATORS)
-        members = {
-            name: _FixedClassifier(everything) for name in "abcd"
-        }
-        ensemble = VotingEnsemble(classifiers=members, early_exit=True)
-        record = ensemble.vote_image(image)
-        assert record.members_skipped == ("d",)
-        assert record.members_voted == ("a", "b", "c")
-        assert members["d"].calls == 0
-        assert record.presence == everything
-        assert record.prompt_tokens == 30
-
-    def test_disabled_early_exit_asks_everyone(self, small_dataset):
-        image = small_dataset[0]
-        everything = IndicatorPresence(ALL_INDICATORS)
-        members = {name: _FixedClassifier(everything) for name in "abcd"}
-        ensemble = VotingEnsemble(classifiers=members)
-        record = ensemble.vote_image(image)
-        assert record.members_skipped == ()
-        assert all(member.calls == 1 for member in members.values())
-
-    def test_quorum_decides_after_two_agreeing_members(self, small_dataset):
-        image = small_dataset[0]
-        everything = IndicatorPresence(ALL_INDICATORS)
-        members = {name: _FixedClassifier(everything) for name in "abc"}
-        ensemble = VotingEnsemble(
-            classifiers=members, quorum=2, early_exit=True
-        )
-        record = ensemble.vote_image(image)
-        assert record.members_skipped == ("c",)
-        assert record.presence == everything
-
-    def test_early_exit_matches_full_vote_on_real_models(
-        self, clients, small_dataset
-    ):
-        images = small_dataset[:8]
-        plain = _ensemble(clients)
-        eager = _ensemble(clients, early_exit=True)
-        skipped_total = 0
-        for image in images:
-            full = plain.vote_image(image)
-            quick = eager.vote_image(image)
-            assert quick.presence == full.presence, image.image_id
-            skipped_total += len(quick.members_skipped)
-            assert quick.prompt_tokens <= full.prompt_tokens
-        # The four calibrated models mostly agree; unanimity among the
-        # first three members decides the vote and skips the fourth.
-        assert skipped_total > 0
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +215,7 @@ class TestCascadeRouter:
         self, clients, detector, calibration
     ):
         cascade = _cascade(clients, detector, calibration)
-        assert cascade.predict_location([]) == ([], 0, 0)
+        assert cascade.predict_location([]) == ([], 0)
         assert cascade.stats.snapshot()["images"] == 0
 
     def test_threshold_zero_routes_everything_to_the_ensemble(
@@ -365,7 +223,7 @@ class TestCascadeRouter:
     ):
         images = eval_images[:4]
         cascade = _cascade(clients, detector, calibration, threshold=0.0)
-        presences, degraded, skipped = cascade.predict_location(images)
+        presences, degraded = cascade.predict_location(images)
         stats = cascade.stats.snapshot()
         assert stats["tier0_indicators"] == 0
         assert stats["tier1_indicators"] == 0
@@ -373,7 +231,7 @@ class TestCascadeRouter:
         assert stats["tier2_indicators"] == len(images) * N_INDICATORS
         assert stats["deep_escalations"] == len(images) * N_INDICATORS
         assert stats["ensemble_calls"] == len(images)
-        assert degraded == 0 and skipped == 0
+        assert degraded == 0
         expected = [
             _ensemble(clients).vote_image(image).presence for image in images
         ]
@@ -452,7 +310,7 @@ class TestCascadeRouter:
         cascade = _cascade(
             clients, detector, calibration, threshold=DEFAULT_THRESHOLD
         )
-        predictions, _, _ = cascade.predict_location(eval_images)
+        predictions, _ = cascade.predict_location(eval_images)
         stages = cascade.meter.stage_totals()
         cascade_fee = sum(
             stages.get(tier, {}).get("fees_usd", 0.0)

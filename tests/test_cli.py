@@ -49,3 +49,62 @@ def test_survey_into_a_closed_pipe_exits_without_a_traceback(
         os.close(writer)
     assert done.returncode == 1
     assert done.stderr == ""
+
+
+REQUESTS = b'{"op":"ping"}\n{"op":"shutdown"}\n'
+RESPONSES = [
+    '{"ok": true, "op": "ping"}',
+    '{"ok": true, "op": "shutdown"}',
+]
+
+
+@pytest.mark.parametrize("stdout_kind", ["pipe", "file", "devnull"])
+@pytest.mark.parametrize("stdin_kind", ["pipe", "file", "devnull"])
+def test_serve_stdio_session_exits_cleanly(tmp_path, stdin_kind, stdout_kind):
+    """``repro serve`` speaks NDJSON on whatever stdin and stdout are.
+
+    A pipe, a regular file and ``/dev/null`` are all valid ends: the
+    session answers every request, leaves stdout usable for the
+    interpreter's final flush, and exits 0 on ``shutdown`` or EOF."""
+    requests = tmp_path / "requests.ndjson"
+    requests.write_bytes(REQUESTS)
+    out_path = tmp_path / "responses.ndjson"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(requests, "rb") as request_file, open(out_path, "wb") as out:
+        stdin = {
+            "pipe": subprocess.PIPE,
+            "file": request_file,
+            "devnull": subprocess.DEVNULL,
+        }[stdin_kind]
+        stdout = {
+            "pipe": subprocess.PIPE,
+            "file": out,
+            "devnull": subprocess.DEVNULL,
+        }[stdout_kind]
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                "--state-dir",
+                str(tmp_path / "state"),
+            ],
+            input=REQUESTS if stdin_kind == "pipe" else None,
+            stdin=None if stdin_kind == "pipe" else stdin,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env=env,
+            cwd=tmp_path,
+            timeout=60,
+        )
+    assert done.stderr.decode() == ""
+    assert done.returncode == 0
+    written = {
+        "pipe": lambda: done.stdout,
+        "file": out_path.read_bytes,
+        "devnull": lambda: None,
+    }[stdout_kind]()
+    if written is not None:
+        expected = [] if stdin_kind == "devnull" else RESPONSES
+        assert written.decode().splitlines() == expected

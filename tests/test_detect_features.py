@@ -10,9 +10,14 @@ from repro.detect import (
     cell_centers,
     extract_features,
     extract_features_batch,
-    extract_features_legacy,
 )
 from repro.parallel import TensorArena
+
+from .features_legacy import (
+    _cell_reduce,
+    _cell_reduce_stack,
+    extract_features_legacy,
+)
 
 
 def _random_image(rng, as_uint8=True):
@@ -148,8 +153,6 @@ class TestCellReduceStack:
         ],
     )
     def test_matches_per_channel_loop_exactly(self, shape, grid):
-        from repro.detect.features import _cell_reduce, _cell_reduce_stack
-
         rng = np.random.default_rng(sum(shape) + grid)
         channels = rng.standard_normal(shape)
         stacked = _cell_reduce_stack(channels, grid)
@@ -161,11 +164,7 @@ class TestCellReduceStack:
     def test_extract_features_unchanged_by_vectorization(self):
         # Reference implementation: the pre-vectorization per-bin loop,
         # inlined here so any drift in the fast path is caught exactly.
-        from repro.detect.features import (
-            _N_ORIENT,
-            _cell_reduce,
-            _cell_reduce_stack,
-        )
+        from repro.detect.features import _N_ORIENT
 
         rng = np.random.default_rng(42)
         mag = rng.uniform(size=(96, 96))

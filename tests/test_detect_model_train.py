@@ -313,3 +313,38 @@ class TestPersistence:
         model = NanoDetector()
         with pytest.raises(RuntimeError):
             model.detect(np.zeros((64, 64, 3), dtype=np.uint8))
+
+
+class TestEmptyInputGuards:
+    """Satellite: empty image lists fail fast with a clear message,
+    not an opaque ``np.stack([])`` ValueError."""
+
+    def test_build_training_tensors_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="empty image list"):
+            build_training_tensors([], 16)
+
+    @pytest.mark.parametrize("chunk_size", [1, 4, 8])
+    def test_empty_list_rejected_at_any_chunk_size(self, chunk_size):
+        # The empty check must not depend on how chunking would have
+        # split the (nonexistent) work.
+        with pytest.raises(ValueError, match="empty image list"):
+            build_training_tensors([], 16, chunk_size=chunk_size)
+
+    def test_invalid_chunk_size_reported_first(self):
+        # Both inputs are bad: the chunk_size diagnostic wins so the
+        # caller fixes the config error before the data error.
+        with pytest.raises(ValueError, match="chunk_size"):
+            build_training_tensors([], 16, chunk_size=0)
+
+    def test_train_detector_rejects_no_images(self):
+        with pytest.raises(ValueError, match="no training images"):
+            train_detector([])
+
+    def test_train_detector_rejects_empty_precomputed(self):
+        empty = (
+            np.zeros((0, 256, 34)),
+            np.zeros((0, 256, 5)),
+            np.zeros((0, 256, 5, 4)),
+        )
+        with pytest.raises(ValueError, match="no images"):
+            train_detector([], precomputed=empty)

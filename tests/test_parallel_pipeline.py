@@ -1,5 +1,5 @@
 """Parallel execution through the pipeline layers: pipelined survey
-determinism, batch running, and ensemble member fan-out."""
+determinism and ensemble member fan-out."""
 
 from __future__ import annotations
 
@@ -9,11 +9,7 @@ from repro.core import LLMIndicatorClassifier, NeighborhoodDecoder
 from repro.core.voting import VotingEnsemble
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient
-from repro.llm import ImageAttachment
-from repro.llm.base import ChatMessage, ChatRequest
-from repro.llm.batch import BatchRunner, TokenBucket
 from repro.parallel import ParallelExecutor
-from repro.resilience import WallClock
 
 
 @pytest.fixture(scope="module")
@@ -55,52 +51,6 @@ class TestParallelSurvey:
         assert resumed.coverage == first.coverage
         assert resumed.images_classified == first.images_classified
         assert resumed.fees_usd == 0.0
-
-
-class TestParallelBatchRunner:
-    def _requests(self, small_dataset, n=12):
-        return [
-            ChatRequest(
-                model="gpt-4o-mini",
-                messages=(
-                    ChatMessage(
-                        role="user",
-                        text="Is there a sidewalk visible in the image?",
-                        images=(ImageAttachment(scene=image.scene),),
-                    ),
-                ),
-            )
-            for image in small_dataset.images[:n]
-        ]
-
-    def test_parallel_run_matches_serial(self, clients, small_dataset):
-        requests = self._requests(small_dataset)
-        serial, _ = BatchRunner(clients["gpt-4o-mini"]).run(requests)
-
-        limiter = TokenBucket(rate=10_000.0, capacity=64.0, clock=WallClock())
-        runner = BatchRunner(
-            clients["gpt-4o-mini"], limiter=limiter, workers=4
-        )
-        parallel, stats = runner.run(requests)
-
-        assert [outcome.index for outcome in parallel] == list(
-            range(len(requests))
-        )
-        assert all(outcome.ok for outcome in parallel)
-        assert [outcome.response.content for outcome in parallel] == [
-            outcome.response.content for outcome in serial
-        ]
-        assert stats.succeeded == len(requests)
-
-    def test_progress_reported_in_order(self, clients, small_dataset):
-        seen: list[int] = []
-        runner = BatchRunner(
-            clients["gpt-4o-mini"],
-            workers=4,
-            on_progress=lambda done, total: seen.append(done),
-        )
-        runner.run(self._requests(small_dataset, n=8))
-        assert seen == list(range(1, 9))
 
 
 class TestParallelEnsemble:

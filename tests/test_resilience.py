@@ -23,8 +23,12 @@ from repro.gsv.api import (
     StreetViewClient,
     TransientNetworkError,
 )
-from repro.llm.batch import BatchRunner
-from repro.llm.errors import InvalidRequestError, RateLimitError, ServerError
+from repro.llm.errors import (
+    InvalidRequestError,
+    LLMError,
+    RateLimitError,
+    ServerError,
+)
 from repro.resilience import (
     CheckpointMismatchError,
     CircuitBreaker,
@@ -33,6 +37,7 @@ from repro.resilience import (
     FaultSchedule,
     FaultyChatClient,
     RetryPolicy,
+    RetryStats,
     SurveyCheckpoint,
     VirtualClock,
 )
@@ -224,7 +229,9 @@ def _hard_down_client(error=None):
     return Down("gpt-4o-mini")
 
 
-class TestBatchRunnerRetryTally:
+class TestRetryStatsTally:
+    """``RetryStats`` counts what a chat request's retries really did."""
+
     def _request(self, scene):
         from repro.core import build_parallel_prompt
         from repro.llm.base import ChatMessage, ChatRequest, ImageAttachment
@@ -240,43 +247,67 @@ class TestBatchRunnerRetryTally:
             ),
         )
 
-    def test_exhausted_request_counts_only_real_retries(self, urban_scene):
-        clock = VirtualClock()
-        runner = BatchRunner(
-            _hard_down_client(), max_attempts=3, clock=clock
+    @staticmethod
+    def _send(client, request, stats, clock, max_attempts=4, breaker=None):
+        return RetryPolicy(max_attempts=max_attempts).execute(
+            lambda: client.complete(request),
+            retryable=(RateLimitError, ServerError),
+            giveup=(LLMError,),
+            clock=clock,
+            breaker=breaker,
+            stats=stats,
         )
-        outcomes, stats = runner.run([self._request(urban_scene)])
-        assert stats.failed == 1
-        assert outcomes[0].attempts == 3
+
+    def test_exhausted_request_counts_only_real_retries(self, urban_scene):
+        stats = RetryStats()
+        outcome = self._send(
+            _hard_down_client(),
+            self._request(urban_scene),
+            stats,
+            VirtualClock(),
+            max_attempts=3,
+        )
+        assert stats.failures == 1
+        assert outcome.attempts == 3
         assert stats.retries == 2  # not 3: the terminal failure isn't a retry
 
     def test_non_retryable_counts_zero_retries(self, clients, urban_scene):
         request = self._request(urban_scene)
         # Wrong client for the model → InvalidRequestError, never retried.
         bad = request.__class__(model="grok-2", messages=request.messages)
-        runner = BatchRunner(clients["gpt-4o-mini"])
-        outcomes, stats = runner.run([bad])
-        assert stats.failed == 1
+        stats = RetryStats()
+        outcome = self._send(clients["gpt-4o-mini"], bad, stats, VirtualClock())
+        assert stats.failures == 1
         assert stats.retries == 0
-        assert outcomes[0].attempts == 1
+        assert outcome.attempts == 1
+        assert isinstance(outcome.error, InvalidRequestError)
 
     def test_breaker_stops_burning_attempts(self, urban_scene):
         clock = VirtualClock()
         breaker = CircuitBreaker(
             name="llm", failure_threshold=3, recovery_time_s=1e9, clock=clock
         )
-        runner = BatchRunner(
-            _hard_down_client(), max_attempts=3, clock=clock, breaker=breaker
-        )
-        requests = [self._request(urban_scene) for _ in range(4)]
-        outcomes, stats = runner.run(requests)
-        assert stats.failed == 4
+        client = _hard_down_client()
+        stats = RetryStats()
+        outcomes = [
+            self._send(
+                client,
+                self._request(urban_scene),
+                stats,
+                clock,
+                max_attempts=3,
+                breaker=breaker,
+            )
+            for _ in range(4)
+        ]
+        assert stats.failures == 4
         # First request trips the breaker; the rest are rejected instantly.
         assert outcomes[0].attempts == 3
         assert all(o.attempts == 0 for o in outcomes[1:])
         assert all(
             isinstance(o.error, CircuitOpenError) for o in outcomes[1:]
         )
+        assert stats.breaker_blocks == 3
 
 
 class TestQuorumDegradation:

@@ -177,40 +177,3 @@ class TestSceneFingerprint:
         assert scene_fingerprint(urban_scene, 256) != scene_fingerprint(
             urban_scene, 320
         )
-
-
-class TestRenderCache:
-    def test_hit_returns_identical_pixels(self, urban_scene):
-        from repro.scene import RenderCache
-
-        cache = RenderCache(max_entries=4)
-        first = cache.get_or_render(urban_scene, 256)
-        second = cache.get_or_render(urban_scene, 256)
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, render_scene(urban_scene, 256))
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
-
-    def test_returns_copy_not_cached_frame(self, urban_scene):
-        from repro.scene import RenderCache
-
-        cache = RenderCache(max_entries=4)
-        frame = cache.get_or_render(urban_scene, 256)
-        frame[:] = 0  # simulate in-place noise augmentation
-        clean = cache.get_or_render(urban_scene, 256)
-        assert clean.sum() > 0
-
-    def test_lru_eviction_bounds_entries(self, generator):
-        from repro.geo import ZoneKind
-        from repro.scene import RenderCache
-
-        cache = RenderCache(max_entries=2)
-        scenes = [
-            generator.generate(f"lru{i}", ZoneKind.URBAN) for i in range(3)
-        ]
-        for scene in scenes:
-            cache.get_or_render(scene, 128)
-        assert len(cache) == 2
-        # The oldest entry was evicted: asking again is a miss.
-        cache.get_or_render(scenes[0], 128)
-        assert cache.misses == 4 and cache.hits == 0

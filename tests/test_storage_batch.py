@@ -1,22 +1,16 @@
-"""Tests for dataset persistence and the batch runner."""
+"""Tests for dataset persistence and the token-bucket rate limiter."""
 
 import numpy as np
 import pytest
 
-from repro.core import build_parallel_prompt
 from repro.gsv.storage import (
     load_dataset,
     save_dataset,
     scene_from_json,
     scene_to_json,
 )
-from repro.llm import ImageAttachment, InvalidRequestError
-from repro.llm.base import ChatMessage, ChatRequest
-from repro.llm.batch import (
-    BatchRunner,
-    TokenBucket,
-    VirtualClock,
-)
+from repro.llm.batch import TokenBucket
+from repro.resilience.clock import VirtualClock
 
 
 class TestSceneSerialization:
@@ -95,139 +89,28 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=0.0, capacity=1.0)
 
-
-class TestBatchRunner:
-    def _requests(self, clients, scenes, n=6):
-        prompt = build_parallel_prompt()
-        return [
-            ChatRequest(
-                model="gpt-4o-mini",
-                messages=(
-                    ChatMessage(
-                        role="user",
-                        text=prompt,
-                        images=(ImageAttachment(scene=scenes[i % len(scenes)]),),
-                    ),
-                ),
-            )
-            for i in range(n)
-        ]
-
-    def test_all_succeed_without_failures(self, clients, small_dataset):
-        scenes = [image.scene for image in small_dataset.images[:6]]
-        runner = BatchRunner(clients["gpt-4o-mini"])
-        outcomes, stats = runner.run(self._requests(clients, scenes))
-        assert stats.succeeded == 6
-        assert stats.failed == 0
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
-
-    def test_retries_rate_limits(self, calibration_dataset, small_dataset):
-        from repro.llm import build_clients
-
-        limited = build_clients(
-            [im.scene for im in calibration_dataset.images[:40]],
-            model_ids=("gpt-4o-mini",),
-            rate_limit_every=3,
-        )["gpt-4o-mini"]
-        scenes = [image.scene for image in small_dataset.images[:6]]
-        clock = VirtualClock()
-        runner = BatchRunner(limited, clock=clock, backoff_base_s=0.1)
-        outcomes, stats = runner.run(self._requests(None, scenes))
-        assert stats.succeeded == 6
-        assert stats.retries >= 1
-        assert clock.sleeps  # backoff happened on the virtual clock
-
-    def test_non_retryable_recorded_not_raised(self, clients, urban_scene):
-        bad = ChatRequest(
-            model="grok-2",  # wrong client below → InvalidRequestError
-            messages=(
-                ChatMessage(
-                    role="user",
-                    text="Is there a sidewalk visible in the image?",
-                    images=(ImageAttachment(scene=urban_scene),),
-                ),
-            ),
-        )
-        runner = BatchRunner(clients["gpt-4o-mini"])
-        outcomes, stats = runner.run([bad])
-        assert stats.failed == 1
-        assert isinstance(outcomes[0].error, InvalidRequestError)
-        assert outcomes[0].attempts == 1
-
-    def test_rate_limited_batch_timing(self, clients, small_dataset):
-        scenes = [image.scene for image in small_dataset.images[:4]]
-        clock = VirtualClock()
-        bucket = TokenBucket(rate=2.0, capacity=1.0, clock=clock)
-        runner = BatchRunner(
-            clients["gpt-4o-mini"], limiter=bucket, clock=clock
-        )
-        _, stats = runner.run(self._requests(None, scenes, n=4))
-        # 4 requests at 2/s with burst 1 → ≥1.5 s of waiting.
-        assert stats.rate_limit_waits == pytest.approx(1.5, abs=0.01)
-
-    def test_progress_callback(self, clients, small_dataset):
-        scenes = [image.scene for image in small_dataset.images[:3]]
-        seen = []
-        runner = BatchRunner(
-            clients["gpt-4o-mini"],
-            on_progress=lambda done, total: seen.append((done, total)),
-        )
-        runner.run(self._requests(None, scenes, n=3))
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
-    def test_validates_attempts(self, clients):
+    @pytest.mark.parametrize(
+        "rate,capacity",
+        [
+            # Less than one token: the bucket never refills to a whole
+            # token, so acquire() would wait forever.
+            (1.0, 0.5),
+            (1.0, 0.999),
+            # A NaN rate compares false everywhere and would wave every
+            # request through instead of limiting it.
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+        ],
+    )
+    def test_rejects_unusable_parameters(self, rate, capacity):
+        # Construction only: a bad bucket must never reach acquire().
         with pytest.raises(ValueError):
-            BatchRunner(clients["gpt-4o-mini"], max_attempts=0)
+            TokenBucket(rate=rate, capacity=capacity, clock=VirtualClock())
 
+    def test_bad_service_burst_is_rejected(self):
+        from repro.service import ServiceStack
 
-class TestBatchCoalescing:
-    def _duplicated_requests(self, scenes, n):
-        prompt = build_parallel_prompt()
-        return [
-            ChatRequest(
-                model="gpt-4o-mini",
-                messages=(
-                    ChatMessage(
-                        role="user",
-                        text=prompt,
-                        images=(ImageAttachment(scene=scenes[i % len(scenes)]),),
-                    ),
-                ),
-            )
-            for i in range(n)
-        ]
-
-    def test_duplicates_share_one_upstream_call(self, clients, small_dataset):
-        scenes = [image.scene for image in small_dataset.images[:2]]
-        requests = self._duplicated_requests(scenes, n=6)  # 2 unique
-        client = clients["gpt-4o-mini"]
-        before = client.stats.requests
-        runner = BatchRunner(client, coalesce=True)
-        outcomes, stats = runner.run(requests)
-        assert client.stats.requests - before == 2
-        assert stats.coalesced == 4
-        assert stats.succeeded == 6
-        assert [o.index for o in outcomes] == list(range(6))
-        # A duplicate's outcome is a copy of its representative's.
-        assert outcomes[2].response.content == outcomes[0].response.content
-
-    def test_outcomes_match_uncoalesced_run(self, clients, small_dataset):
-        scenes = [image.scene for image in small_dataset.images[:2]]
-        requests = self._duplicated_requests(scenes, n=4)
-        client = clients["gpt-4o-mini"]
-        plain, plain_stats = BatchRunner(client).run(requests)
-        merged, merged_stats = BatchRunner(client, coalesce=True).run(requests)
-        assert plain_stats.coalesced == 0
-        assert merged_stats.coalesced == 2
-        for a, b in zip(plain, merged):
-            assert a.index == b.index
-            assert a.response.content == b.response.content
-
-    def test_unique_requests_are_never_coalesced(self, clients, small_dataset):
-        scenes = [image.scene for image in small_dataset.images[:4]]
-        requests = self._duplicated_requests(scenes, n=4)  # all unique
-        _, stats = BatchRunner(clients["gpt-4o-mini"], coalesce=True).run(
-            requests
-        )
-        assert stats.coalesced == 0
-        assert stats.succeeded == 4
+        with pytest.raises(ValueError, match="capacity"):
+            ServiceStack(rate_limit_per_s=5.0, rate_limit_burst=0.5)
