@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import os
 import sys
 import time
@@ -109,6 +110,39 @@ def _parse_workers(value: str) -> int | str:
         raise argparse.ArgumentTypeError(
             f"workers must be an integer or 'auto', got {value!r}"
         ) from None
+
+
+def _positive_int(value: str) -> int:
+    """A count that must be at least 1 (``--queue-depth``, ...)."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value!r}"
+        )
+    return number
+
+
+def _finite_float(*, positive: bool):
+    """An argparse type for a finite float, > 0 or >= 0."""
+
+    def parse(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not (
+            math.isfinite(number) and (number > 0 if positive else number >= 0)
+        ):
+            bound = "positive" if positive else "non-negative"
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {bound} number, got {value!r}"
+            )
+        return number
+
+    return parse
 
 
 def _config_for(scale: str) -> ExperimentConfig:
@@ -856,14 +890,14 @@ def _main(argv: list[str] | None) -> int:
     )
     serve_group.add_argument(
         "--queue-depth",
-        type=int,
+        type=_positive_int,
         default=16,
         metavar="N",
         help="serve: bounded admission queue depth (default: 16)",
     )
     serve_group.add_argument(
         "--tenant-budget",
-        type=float,
+        type=_finite_float(positive=False),
         default=None,
         metavar="USD",
         help=(
@@ -873,7 +907,7 @@ def _main(argv: list[str] | None) -> int:
     )
     serve_group.add_argument(
         "--rate-limit",
-        type=float,
+        type=_finite_float(positive=True),
         default=None,
         metavar="PER_S",
         help="serve: shared LLM token-bucket rate (default: unlimited)",
@@ -889,7 +923,7 @@ def _main(argv: list[str] | None) -> int:
     )
     serve_group.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="N",
         help=(

@@ -32,7 +32,7 @@ from ..llm.base import (
 )
 from ..llm.errors import RateLimitError, ServerError
 from ..llm.language import Language
-from ..parallel.aio import active_batcher, batched_complete
+from ..parallel.aio import active_batcher
 from ..resilience.clock import Clock, WallClock
 from ..resilience.retry import RetryPolicy, RetryStats
 from .indicators import Indicator, IndicatorPresence
@@ -187,9 +187,7 @@ class LLMIndicatorClassifier:
             return response.content, answers_to_presence(parsed, asked)
 
         outcome = self.config.retry_policy().execute(
-            lambda: settle(
-                batched_complete(self.client, self._request(image, asked))
-            ),
+            lambda: settle(self.client.complete(self._request(image, asked))),
             first=None if first is None else lambda: settle(first.result()),
             retryable=self.RETRYABLE,
             clock=self.clock,
@@ -269,7 +267,8 @@ class LLMIndicatorClassifier:
         the whole set goes out as one batched dispatch, so the location
         pays one LLM round-trip instead of one per image; each image
         then runs its own retry loop with its batched seat as attempt
-        1.  A lone image joins the batcher's shared window instead.
+        1, and every retry goes straight to the client.  A one-image
+        call has nothing to amortize and takes the one-by-one path.
         The indicator set is validated before anything is sent.
         """
         batcher = active_batcher()

@@ -312,8 +312,8 @@ class NeighborhoodDecoder:
         The classify stage runs under an AIMD window that narrows on
         observed rate limiting and recovers additively
         (``report.pipeline_stats``); whenever the window allows two or
-        more concurrent locations, compatible classify calls dispatch
-        as single batched windows (``report.batch_stats``).
+        more concurrent locations, each location's classify requests
+        dispatch as one batched window (``report.batch_stats``).
 
         A caller that owns the survey's identity may pass an opened
         ``checkpoint_store`` instead of a ``checkpoint`` path (mutually
@@ -515,11 +515,7 @@ class NeighborhoodDecoder:
         controller = AIMDController(
             initial=max_inflight, max_limit=max_inflight
         )
-        batcher = (
-            MicroBatcher(max_batch=min(8, max_inflight))
-            if max_inflight > 1
-            else None
-        )
+        batcher = MicroBatcher() if max_inflight > 1 else None
         fetch_gate = asyncio.Semaphore(max_inflight)
         # The window is the thread cap: ``imap_async`` keeps at most
         # ``max_inflight`` locations alive, and each awaits one bridge
@@ -743,8 +739,7 @@ class NeighborhoodDecoder:
         come from the location's own :class:`~repro.obs.scope.Tally`,
         never from the shared meter, classifiers or cache, so a survey
         that overlaps another (two daemon jobs on one stack) reports
-        exactly its own work.  Cache counters of a micro-batch window
-        land in its leader's location; the survey's sum is exact.
+        exactly its own work.
         """
         report.retry_stats.merge(RetryStats.from_dict(scope.section("retry")))
         # One addition per image, in location order: the same float

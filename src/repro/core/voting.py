@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from ..gsv.dataset import LabeledImage
 from ..obs.trace import get_tracer
-from ..parallel.executor import ParallelExecutor
 from ..resilience.breaker import CircuitBreaker
 from .classifier import ClassificationError, LLMIndicatorClassifier
 from .indicators import ALL_INDICATORS, Indicator, IndicatorPresence
@@ -101,18 +100,11 @@ class VotingEnsemble:
     :class:`~repro.resilience.breaker.CircuitBreaker` instances; a
     member whose circuit is open is skipped without burning attempts,
     and repeated member failures trip it.
-
-    ``executor`` fans the repeated per-member queries of
-    :meth:`vote_image` out concurrently — the paper's ensemble drives
-    three or four *independent* commercial APIs, so member latency
-    overlaps instead of adding.  Votes combine by sorted member name
-    either way, so the voted result is executor-independent.
     """
 
     classifiers: dict[str, LLMIndicatorClassifier]
     quorum: int | None = None
     breakers: dict[str, CircuitBreaker] | None = None
-    executor: ParallelExecutor | None = None
 
     def __post_init__(self) -> None:
         if len(self.classifiers) < 2:
@@ -175,19 +167,10 @@ class VotingEnsemble:
         image: LabeledImage,
         indicators: tuple[Indicator, ...] | None = None,
     ) -> VoteRecord:
-        names = sorted(self.classifiers)
-        if self.executor is not None:
-            member_votes = [
-                task.result()
-                for task in self.executor.imap(
-                    lambda name: self._member_vote(name, image, indicators),
-                    names,
-                )
-            ]
-        else:
-            member_votes = [
-                self._member_vote(name, image, indicators) for name in names
-            ]
+        member_votes = [
+            self._member_vote(name, image, indicators)
+            for name in sorted(self.classifiers)
+        ]
         votes: dict[str, IndicatorPresence] = {}
         failed: list[str] = []
         prompt_tokens = completion_tokens = 0

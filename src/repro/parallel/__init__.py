@@ -1,11 +1,10 @@
 """Parallel execution for the survey and detector hot paths.
 
-:class:`~repro.parallel.executor.ParallelExecutor` is shared by
-:class:`repro.core.voting.VotingEnsemble` (per-member fan-out) and
-the CPU-bound detector pipeline (chunked rendering, feature
-extraction, batched inference, concurrent experiments), all on one
-thread pool: numpy releases the GIL, so the
-detector's kernels scale across cores on threads.  The survey engine
+:class:`~repro.parallel.executor.ParallelExecutor` fans out the
+CPU-bound detector pipeline (chunked rendering, feature extraction,
+batched inference) and concurrent experiments on one thread pool:
+numpy releases the GIL, so the detector's kernels scale across cores
+on threads.  The survey engine
 pipelines locations on an event loop instead, from the pieces in
 :mod:`repro.parallel.aio`.  The resilience primitives shared across
 threads (``TokenBucket``, ``CircuitBreaker``, ``RetryStats``, usage
@@ -18,13 +17,11 @@ from .aio import (
     MicroBatcher,
     ThreadBridge,
     active_batcher,
-    batched_complete,
     imap_async,
 )
 from .arena import TensorArena
 from .executor import (
     ParallelExecutor,
-    TaskCancelledError,
     TaskOutcome,
     effective_cpu_count,
     resolve_workers,
@@ -35,11 +32,9 @@ __all__ = [
     "MicroBatcher",
     "ParallelExecutor",
     "ThreadBridge",
-    "TaskCancelledError",
     "TaskOutcome",
     "TensorArena",
     "active_batcher",
-    "batched_complete",
     "effective_cpu_count",
     "imap_async",
     "resolve_workers",

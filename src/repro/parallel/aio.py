@@ -22,10 +22,10 @@ deliberately free of any ``repro.core`` import, mirroring
   window control for the in-flight LLM stage, fed by observed
   throttle signals (rate-limited retries, token-bucket waits).
 * :class:`MicroBatcher` — sends a survey location's classify requests
-  as one batched dispatch window
-  (:meth:`~repro.llm.base.ChatClient.complete_batch`) and groups lone
-  pending requests per client into shared windows, dovetailing with
-  the cache's single-flight coalescing.
+  as one batched dispatch
+  (:meth:`~repro.llm.base.ChatClient.complete_batch`), dovetailing
+  with the cache's single-flight coalescing; every other request goes
+  straight to its client.
 
 See DESIGN.md §8 for the stage layout and the ordering discipline
 that keeps reports byte-identical at every window.
@@ -51,7 +51,6 @@ __all__ = [
     "MicroBatcher",
     "ThreadBridge",
     "active_batcher",
-    "batched_complete",
     "imap_async",
 ]
 
@@ -310,106 +309,48 @@ class AIMDController:
         }
 
 
-class _BatchWindow:
-    """Pending requests accumulating toward one batched dispatch."""
-
-    __slots__ = ("entries", "closed", "full")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[Any, Future]] = []
-        self.closed = False
-        self.full = threading.Event()
-
-
 class MicroBatcher:
-    """Group ``complete`` calls into batched dispatches.
+    """Send one survey location's classify requests as one dispatch.
 
-    Two ways in, both ending in one
-    :meth:`~repro.llm.base.ChatClient.complete_batch` call per window:
+    :meth:`submit_many` hands a caller's related requests (a location's
+    images) to :meth:`~repro.llm.base.ChatClient.complete_batch` at
+    once, however many; they already amortize the round-trip, so they
+    never wait for companions, and one caller's window never mixes
+    with another's.  Every other request (a lone image, a retry, an
+    ensemble or cascade member call) goes straight to its client's
+    ``complete``.
 
-    * :meth:`submit_many` — one caller's related requests (a survey
-      location's images) dispatch together at once, however many.
-      They already amortize the round-trip, so they never wait for
-      companions.
-    * :meth:`submit` — a lone request.  The first caller into an empty
-      window becomes the *leader*, waits up to ``max_wait_s`` for
-      companions (returning immediately once ``max_batch`` seats
-      fill), then dispatches the whole window.
-
-    Requests for different inner clients never share a window —
-    models must not cross-serve.  Failure is per seat: when the
-    client raises a :class:`~repro.llm.base.BatchError`, each seat
-    gets its own response or error, so the seats a failed window did
-    serve keep their answers (they were billed) and only the failed
-    and unsent ones see an error to retry.  Any other exception fails
-    every seat, exactly as if each had made the call itself.
-
-    The wait is real time by design: batching is a latency/amortization
-    trade for *concurrent* traffic, and ``max_wait_s`` bounds the
-    worst case a lone request pays.  With the cache's single-flight
-    table underneath, duplicate fingerprints inside one window are
-    still billed once.
+    Failure is per seat: when the client raises a
+    :class:`~repro.llm.base.BatchError`, each seat gets its own
+    response or error, so the seats a failed window did serve keep
+    their answers (they were billed) and only the failed and unsent
+    ones see an error to retry.  Any other exception fails every
+    seat, exactly as if each had made the call itself.  With the
+    cache's single-flight table underneath, duplicate fingerprints
+    inside one window are still billed once.
 
     :meth:`install` makes the batcher active in the current context
     for a ``with`` block — the async engine's integration point; the
-    classifier reaches it through :func:`active_batcher` and
-    :func:`batched_complete`.
+    classifier reaches it through :func:`active_batcher`.
     """
 
-    def __init__(self, max_batch: int = 8, max_wait_s: float = 0.002) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive: {max_batch}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be non-negative: {max_wait_s}")
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._windows: dict[int, _BatchWindow] = {}
         self.batches = 0
         self.batched_requests = 0
         self.max_batch_seen = 0
-
-    def submit(self, client: Any, request: Any) -> Any:
-        """Send one request in a shared window; returns its response."""
-        seat: Future = Future()
-        key = id(client)
-        with self._lock:
-            window = self._windows.get(key)
-            if window is None or window.closed:
-                window = _BatchWindow()
-                self._windows[key] = window
-                leading = True
-            else:
-                leading = False
-            window.entries.append((request, seat))
-            if len(window.entries) >= self.max_batch:
-                window.closed = True
-                window.full.set()
-        if leading:
-            self._lead(key, window, client)
-        return seat.result()
 
     def submit_many(self, client: Any, requests: Sequence[Any]) -> list[Future]:
         """Dispatch ``requests`` now as one window of their own.
 
         Returns one finished :class:`~concurrent.futures.Future` per
         request, in order: ``result()`` gives that request's response
-        or raises its error.  ``max_batch`` does not apply — the
-        requests are one caller's, sent together by design.
+        or raises its error.
         """
         entries = [(request, Future()) for request in requests]
         if entries:
             self._dispatch(client, entries)
         return [seat for _, seat in entries]
-
-    def _lead(self, key: int, window: _BatchWindow, client: Any) -> None:
-        window.full.wait(self.max_wait_s)
-        with self._lock:
-            window.closed = True
-            if self._windows.get(key) is window:
-                del self._windows[key]
-            entries = list(window.entries)
-        self._dispatch(client, entries)
 
     def _dispatch(self, client: Any, entries: list[tuple[Any, Future]]) -> None:
         """Send one window and settle every seat in it."""
@@ -445,12 +386,11 @@ class MicroBatcher:
     def install(self):
         """Route the current context's classify calls through this batcher.
 
-        Classifiers send every request through :func:`batched_complete`,
-        which submits it to the batcher installed in the caller's
-        context (bridge threads run in a copy of it).  No client is
-        touched: a concurrent survey with its own batcher, or none, is
-        unaffected, and a nested install restores the outer batcher
-        on exit, even on error.
+        A classifier sends a location's images through the batcher
+        installed in the caller's context (bridge threads run in a
+        copy of it).  No client is touched: a concurrent survey with
+        its own batcher, or none, is unaffected, and a nested install
+        restores the outer batcher on exit, even on error.
         """
         token = _active_batcher.set(self)
         try:
@@ -476,10 +416,3 @@ def active_batcher() -> MicroBatcher | None:
     """The batcher installed in the caller's context, if any."""
     return _active_batcher.get()
 
-
-def batched_complete(client: Any, request: Any) -> Any:
-    """``client.complete(request)``, via the context's batcher if any."""
-    batcher = _active_batcher.get()
-    if batcher is None:
-        return client.complete(request)
-    return batcher.submit(client, request)

@@ -1,8 +1,9 @@
-"""The one fan-out loop: ordered, bounded, cancellable task execution.
+"""The one thread fan-out loop: ordered, bounded task execution.
 
-Every hot path that fans out — the LLM batch runner, the voting
-ensemble, and the detector's rendering, feature extraction and batched
-inference — goes through :class:`ParallelExecutor`.  It has two
+The detector's rendering, feature extraction and batched inference,
+and concurrent experiments, fan out through :class:`ParallelExecutor`
+(the survey engine pipelines locations on an event loop instead; see
+:mod:`repro.parallel.aio`).  It has two
 strategies, chosen from the worker count alone:
 
 * **one worker** runs each task inline as the consumer advances (the
@@ -24,12 +25,9 @@ Whatever the strategy, the executor gives the same concurrency shape:
 * **bounded in-flight work** — at most ``max_in_flight`` tasks are
   submitted ahead of the consumer, so a million-location survey never
   materializes a million futures.
-* **cooperative cancellation** — a ``should_cancel`` predicate
-  (typically "is the circuit breaker open?") is consulted before each
-  new submission; once it fires, unsubmitted work is marked cancelled
-  without ever running and already-running tasks are drained.  The
-  pool cancels queued futures and joins its threads on early consumer
-  exit, so no worker outlives its generator.
+* **clean early exit** — a consumer that stops early cancels the
+  queued futures and the pool joins its threads, so no worker
+  outlives its generator.
 
 Workers never see raised exceptions swallowed: a task that raises is
 captured into its :class:`TaskOutcome` and re-raised by
@@ -50,15 +48,10 @@ from ..obs.metrics import get_metrics
 
 __all__ = [
     "ParallelExecutor",
-    "TaskCancelledError",
     "TaskOutcome",
     "effective_cpu_count",
     "resolve_workers",
 ]
-
-
-class TaskCancelledError(RuntimeError):
-    """The task was cancelled before it started running."""
 
 
 @dataclass
@@ -68,16 +61,13 @@ class TaskOutcome:
     index: int
     value: Any = None
     error: Exception | None = None
-    cancelled: bool = False
 
     @property
     def ok(self) -> bool:
-        return self.error is None and not self.cancelled
+        return self.error is None
 
     def result(self) -> Any:
-        """The value, or raise the captured error / cancellation."""
-        if self.cancelled:
-            raise TaskCancelledError(f"task {self.index} was cancelled")
+        """The value, or raise the captured error."""
         if self.error is not None:
             raise self.error
         return self.value
@@ -86,9 +76,7 @@ class TaskOutcome:
 def _consume(outcome: TaskOutcome) -> TaskOutcome:
     """Count one outcome's fate as it reaches the consumer."""
     registry = get_metrics()
-    if outcome.cancelled:
-        registry.inc("parallel.tasks.cancelled")
-    elif outcome.error is not None:
+    if outcome.error is not None:
         registry.inc("parallel.tasks.errors")
     else:
         registry.inc("parallel.tasks.completed")
@@ -166,8 +154,6 @@ class ParallelExecutor:
         self,
         fn: Callable[[Any], Any],
         items: Iterable[Any],
-        *,
-        should_cancel: Callable[[], bool] | None = None,
     ) -> Iterator[TaskOutcome]:
         """Yield one :class:`TaskOutcome` per item, in submission order.
 
@@ -176,22 +162,20 @@ class ParallelExecutor:
         to ``max_in_flight`` tasks running ahead of the consumer.
         """
         if self.workers == 1:
-            yield from self._imap_serial(fn, items, should_cancel)
+            yield from self._imap_serial(fn, items)
             return
         # Context-manager exit joins the threads, so a consumer that
         # stops early never leaks workers.
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            yield from self._imap_pooled(pool, fn, items, should_cancel)
+            yield from self._imap_pooled(pool, fn, items)
 
     def run(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        should_cancel: Callable[[], bool] | None = None,
     ) -> list[TaskOutcome]:
         """Eager :meth:`imap`: collect every outcome into a list."""
-        return list(self.imap(fn, items, should_cancel=should_cancel))
+        return list(self.imap(fn, items))
 
     def map_results(
         self,
@@ -207,12 +191,8 @@ class ParallelExecutor:
     def _imap_serial(
         fn: Callable[[Any], Any],
         items: Iterable[Any],
-        should_cancel: Callable[[], bool] | None,
     ) -> Iterator[TaskOutcome]:
         for index, item in enumerate(items):
-            if should_cancel is not None and should_cancel():
-                yield _consume(TaskOutcome(index=index, cancelled=True))
-                continue
             yield _consume(ParallelExecutor._execute(fn, index, item))
 
     def _imap_pooled(
@@ -220,50 +200,33 @@ class ParallelExecutor:
         pool: ThreadPoolExecutor,
         fn: Callable[[Any], Any],
         items: Iterable[Any],
-        should_cancel: Callable[[], bool] | None,
     ) -> Iterator[TaskOutcome]:
-        pending: deque[tuple[int, Future | None]] = deque()
+        pending: deque[Future] = deque()
         iterator = enumerate(items)
         exhausted = False
-        cancelling = False
         try:
             while True:
                 while not exhausted and len(pending) < self.max_in_flight:
-                    if not cancelling and should_cancel is not None:
-                        cancelling = should_cancel()
                     try:
                         index, item = next(iterator)
                     except StopIteration:
                         exhausted = True
                         break
-                    if cancelling:
-                        pending.append((index, None))
-                    else:
-                        # Each task runs in its own copy of the caller's
-                        # context, so scoped metrics, tracers and tallies
-                        # reach the worker as they would inline.
-                        context = contextvars.copy_context()
-                        pending.append(
-                            (
-                                index,
-                                pool.submit(
-                                    context.run, self._execute, fn, index, item
-                                ),
-                            )
-                        )
+                    # Each task runs in its own copy of the caller's
+                    # context, so scoped metrics, tracers and tallies
+                    # reach the worker as they would inline.
+                    context = contextvars.copy_context()
+                    pending.append(
+                        pool.submit(context.run, self._execute, fn, index, item)
+                    )
                 if not pending:
                     break
-                index, future = pending.popleft()
-                if future is None:
-                    yield _consume(TaskOutcome(index=index, cancelled=True))
-                    continue
-                yield _consume(future.result())
+                yield _consume(pending.popleft().result())
         finally:
             # A consumer that stops early (or a generator close) must
             # not leave queued tasks running.
-            for _, future in pending:
-                if future is not None:
-                    future.cancel()
+            for future in pending:
+                future.cancel()
 
     @staticmethod
     def _execute(fn: Callable[[Any], Any], index: int, item: Any) -> TaskOutcome:

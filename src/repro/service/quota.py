@@ -22,6 +22,7 @@ the reservation fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .jobs import ServiceError
@@ -76,8 +77,12 @@ class TenantQuota:
                 "max_locations_per_job must be positive: "
                 f"{self.max_locations_per_job}"
             )
-        if self.budget_usd is not None and self.budget_usd < 0:
-            raise ValueError(f"budget cannot be negative: {self.budget_usd}")
+        if self.budget_usd is not None and not (
+            math.isfinite(self.budget_usd) and self.budget_usd >= 0
+        ):
+            raise ValueError(
+                f"budget must be finite and non-negative: {self.budget_usd}"
+            )
         if self.on_budget_exhausted not in ("reject", "pause"):
             raise ValueError(
                 "on_budget_exhausted must be 'reject' or 'pause': "
@@ -165,8 +170,10 @@ class TenantLedger:
         )
 
     def grant(self, usd: float) -> None:
-        if usd < 0:
-            raise ValueError(f"grant cannot be negative: {usd}")
+        # A NaN grant would persist and make every later budget check
+        # fail, so only a finite, non-negative amount reaches the books.
+        if not (math.isfinite(usd) and usd >= 0):
+            raise ValueError(f"grant must be finite and non-negative: {usd}")
         self.grants_usd = round(self.grants_usd + usd, 9)
 
     def to_dict(self) -> dict:

@@ -108,3 +108,41 @@ def test_serve_stdio_session_exits_cleanly(tmp_path, stdin_kind, stdout_kind):
     if written is not None:
         expected = [] if stdin_kind == "devnull" else RESPONSES
         assert written.decode().splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--rate-limit", "nan"],
+        ["--rate-limit", "-1"],
+        ["--tenant-budget", "-5"],
+        ["--tenant-budget", "nan"],
+        ["--queue-depth", "0"],
+        ["--max-attempts", "0"],
+    ],
+    ids=lambda option: " ".join(option),
+)
+def test_serve_rejects_unusable_options_as_usage_errors(tmp_path, option):
+    """A value the daemon cannot run with is a usage error, not a
+    traceback from deep inside the stack (or, for a NaN budget, a
+    daemon that rejects every job)."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "repro",
+            "serve",
+            "--state-dir",
+            str(tmp_path / "state"),
+            *option,
+        ],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
+        timeout=60,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert f"argument {option[0]}:" in done.stderr
+    assert "Traceback" not in done.stderr

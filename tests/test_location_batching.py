@@ -2,22 +2,22 @@
 
 Inside a pipelined survey ``LLMIndicatorClassifier.classify`` sends a
 location's requests as one :class:`~repro.parallel.aio.MicroBatcher`
-window; each image then retries on its own.  These tests pin the
-dispatch shape, that it changes nothing a report or an outcome
-records, and that a window failing part-way never re-bills the seats
-it already served.
+window; each image then retries on its own, straight to the client,
+as does every lone request (ensemble and cascade member calls).  These
+tests pin the dispatch shape, that it changes nothing a report or an
+outcome records, and that a window failing part-way never re-bills
+the seats it already served.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
-import threading
 
 import pytest
 
 from repro.core import ClassifierConfig, LLMIndicatorClassifier, NeighborhoodDecoder
 from repro.core.indicators import Indicator
+from repro.core.voting import VotingEnsemble
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient
 from repro.llm import BatchError, ChatClient, ChatResponse, ServerError, Usage
@@ -66,6 +66,25 @@ class _GarbleOnce(ChatClient):
         return response
 
 
+class _Counting(ChatClient):
+    """Forwards to ``inner``, logging which entry point each call used."""
+
+    def __init__(self, inner: ChatClient) -> None:
+        super().__init__(inner.model_name)
+        self.inner = inner
+        self.calls: list[str] = []
+
+    def complete(self, request):
+        self.calls.append("complete")
+        response = self.inner.complete(request)
+        self.stats.record(response.usage)
+        return response
+
+    def complete_batch(self, requests):
+        self.calls.append("complete_batch")
+        return super().complete_batch(requests)
+
+
 class TestLocationDispatch:
     @pytest.fixture(scope="class")
     def county(self):
@@ -93,8 +112,8 @@ class TestLocationDispatch:
             )
         )
         stats = report.batch_stats
-        # Wider than the lone-request cap of min(8, window) = 2: the
-        # location's four captures went out together.
+        # Wider than the window of 2: the location's four captures went
+        # out together.
         assert stats["max_batch_size"] >= 4
         assert stats["batched_requests"] == report.images_classified
         assert stats["batches"] == 4
@@ -113,7 +132,7 @@ class TestLocationDispatch:
 
         garbling = _GarbleOnce(clients[MODEL], target)
         batched = LLMIndicatorClassifier(garbling)
-        batcher = MicroBatcher(max_batch=2, max_wait_s=0.0)
+        batcher = MicroBatcher()
         with batcher.install():
             outcomes = batched.classify(images)
 
@@ -124,10 +143,11 @@ class TestLocationDispatch:
             assert got.presence == want.presence
             assert got.raw_response == want.raw_response
         assert batched.retry_stats.as_dict() == serial.retry_stats.as_dict()
-        # One window for the location, one lone retry for the image.
+        # One window for the location; the image's retry went straight
+        # to the client.
         assert batcher.stats() == {
-            "batches": 2,
-            "batched_requests": 5,
+            "batches": 1,
+            "batched_requests": 4,
             "max_batch_size": 4,
         }
         assert _billed(garbling) == _billed(serial.client)
@@ -148,12 +168,44 @@ class TestLocationDispatch:
         assert _billed(upstream) == (0, 0, 0)
         assert batcher.stats()["batches"] == 0
 
+    def test_ensemble_members_go_straight_to_their_clients(
+        self, county, clients
+    ):
+        """Every member call is a lone request: no window at any width."""
+
+        def survey(max_inflight):
+            members = {
+                name: _Counting(clients[name])
+                for name in ("gemini-1.5-pro", "claude-3.7", "gpt-4o-mini")
+            }
+            decoder = NeighborhoodDecoder(
+                street_view=StreetViewClient(counties=[county], api_key="e"),
+                ensemble=VotingEnsemble(
+                    classifiers={
+                        name: LLMIndicatorClassifier(client)
+                        for name, client in members.items()
+                    }
+                ),
+            )
+            report = decoder.survey(
+                county, n_locations=4, seed=5, max_inflight=max_inflight
+            )
+            return report, members
+
+        serial, _ = survey(1)
+        report, members = survey(2)
+        for client in members.values():
+            assert client.calls
+            assert set(client.calls) == {"complete"}
+        assert report.batch_stats["batches"] == 0
+        assert report.to_json() == serial.to_json()
+
 
 @pytest.mark.parametrize("cached", [False, True], ids=["bare", "cached"])
 def test_failed_window_bills_each_request_once(clients, small_dataset, cached):
     """A 503 mid-window keeps the answers the window already served.
 
-    Four one-image classify calls share one window; the third
+    One location's four images go out as one window; the third
     upstream call fails.  The two seats served before it keep their
     answers, and only the failed and unsent seats retry, so the model
     bills exactly what the one-by-one path bills.
@@ -170,31 +222,14 @@ def test_failed_window_bills_each_request_once(clients, small_dataset, cached):
 
     upstream = _fails_on_call(clients, 3)
     classifier = classifier_over(upstream)
-    batcher = MicroBatcher(max_batch=4, max_wait_s=0.5)
-    start = threading.Barrier(len(images))
-    outcomes = {}
-
-    def call(index):
-        start.wait()
-        outcomes[index] = classifier.classify([images[index]])[0]
-
+    batcher = MicroBatcher()
     with batcher.install():
-        threads = [
-            threading.Thread(
-                target=contextvars.copy_context().run, args=(call, index)
-            )
-            for index in range(len(images))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-    assert not any(thread.is_alive() for thread in threads)
+        outcomes = classifier.classify(images)
 
     assert batcher.stats()["max_batch_size"] == len(images)
     assert upstream.schedule.injected == 1
     assert _billed(upstream) == _billed(serial_upstream)
-    assert [outcomes[i].presence for i in range(len(images))] == [
+    assert [outcome.presence for outcome in outcomes] == [
         outcome.presence for outcome in expected
     ]
     if cached:

@@ -12,7 +12,6 @@ from repro.llm.base import Usage
 from repro.llm.batch import TokenBucket
 from repro.parallel import (
     ParallelExecutor,
-    TaskCancelledError,
     TaskOutcome,
     effective_cpu_count,
     resolve_workers,
@@ -93,35 +92,6 @@ class TestParallelExecutor:
             outcomes[3].result()
         # Other tasks are unaffected by one failure.
         assert outcomes[5].result() == 5
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_cancellation_on_breaker_open(self, workers):
-        """Once the circuit opens, unsubmitted work never runs."""
-        breaker = CircuitBreaker(
-            name="llm", failure_threshold=2, recovery_time_s=60.0
-        )
-        executed: list[int] = []
-        lock = threading.Lock()
-
-        def task(item: int) -> int:
-            with lock:
-                executed.append(item)
-            breaker.record_failure()
-            return item
-
-        # A window of 2 keeps submissions close behind the consumer, so
-        # the breaker (open after task 1) is observed before the tail.
-        executor = ParallelExecutor(workers=workers, max_in_flight=2)
-        outcomes = executor.run(
-            task, list(range(50)), should_cancel=lambda: not breaker.allow()
-        )
-        cancelled = [outcome for outcome in outcomes if outcome.cancelled]
-        assert cancelled, "breaker open should have cancelled the tail"
-        assert len(executed) < 50
-        with pytest.raises(TaskCancelledError):
-            cancelled[0].result()
-        # Ordering still holds for the outcomes that did run.
-        assert [outcome.index for outcome in outcomes] == list(range(50))
 
     def test_bounded_in_flight(self):
         running = 0

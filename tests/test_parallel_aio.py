@@ -8,7 +8,6 @@ engine is byte-identical to the serial survey.
 """
 
 import asyncio
-import contextvars
 import threading
 import time
 
@@ -21,7 +20,7 @@ from repro.parallel import (
     AIMDController,
     MicroBatcher,
     ThreadBridge,
-    batched_complete,
+    active_batcher,
     imap_async,
 )
 from repro.resilience import VirtualClock
@@ -229,79 +228,16 @@ class _ScriptedBatchClient:
             raise self.error
         return [f"ans:{request}" for request in requests]
 
-    def complete(self, request):
-        return f"direct:{request}"
-
 
 class TestMicroBatcher:
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            MicroBatcher(max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_s"):
-            MicroBatcher(max_wait_s=-0.1)
-
-    def test_concurrent_submits_share_one_dispatch(self):
-        client = _ScriptedBatchClient()
-        batcher = MicroBatcher(max_batch=4, max_wait_s=5.0)
-        results = {}
-
-        def call(i):
-            results[i] = batcher.submit(client, f"q{i}")
-
-        with use_metrics(MetricsRegistry()) as registry:
-            # Raw threads start in an empty context: run each in a copy
-            # of this one so the scoped registry reaches it.
-            threads = [
-                threading.Thread(
-                    target=contextvars.copy_context().run, args=(call, i)
-                )
-                for i in range(4)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(10.0)
-            assert registry.counter("llm.microbatch.batches") == 1
-            assert registry.counter("llm.microbatch.requests") == 4
-
-        # One upstream dispatch served all four seats, each getting
-        # exactly its own answer back.  The window filled to max_batch,
-        # so the leader returned long before the 5 s wait ceiling.
-        assert len(client.batch_calls) == 1
-        assert sorted(client.batch_calls[0]) == [f"q{i}" for i in range(4)]
-        assert results == {i: f"ans:q{i}" for i in range(4)}
-        assert batcher.stats() == {
-            "batches": 1,
-            "batched_requests": 4,
-            "max_batch_size": 4,
-        }
-
-    def test_lone_request_pays_only_the_window_wait(self):
-        client = _ScriptedBatchClient()
-        batcher = MicroBatcher(max_batch=8, max_wait_s=0.001)
-        assert batcher.submit(client, "solo") == "ans:solo"
-        assert client.batch_calls == [["solo"]]
-
-    def test_leader_failure_fans_out_to_every_seat(self):
+    def test_plain_failure_fans_out_to_every_seat(self):
         client = _ScriptedBatchClient(error=RuntimeError("window down"))
-        batcher = MicroBatcher(max_batch=2, max_wait_s=5.0)
-        errors = []
-
-        def call(i):
-            try:
-                batcher.submit(client, f"q{i}")
-            except RuntimeError as err:
-                errors.append(err)
-
-        threads = [
-            threading.Thread(target=call, args=(i,)) for i in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-        assert len(errors) == 2  # nobody hangs, everybody sees the error
-        assert not batcher._windows  # window cleared for the next round
+        batcher = MicroBatcher()
+        seats = batcher.submit_many(client, ["a", "b"])
+        for seat in seats:  # nobody hangs, everybody sees the error
+            with pytest.raises(RuntimeError, match="window down"):
+                seat.result()
+        assert batcher.stats()["batches"] == 0  # nothing was served
 
     def test_batch_error_settles_each_seat_on_its_own(self):
         """Seats a failed window served keep their answers."""
@@ -314,8 +250,11 @@ class TestMicroBatcher:
                 raise BatchError(outcomes)
 
         client = _Partial()
-        batcher = MicroBatcher(max_batch=8, max_wait_s=5.0)
-        seats = batcher.submit_many(client, ["a", "b", "c"])
+        batcher = MicroBatcher()
+        with use_metrics(MetricsRegistry()) as registry:
+            seats = batcher.submit_many(client, ["a", "b", "c"])
+            assert registry.counter("llm.microbatch.batches") == 1
+            assert registry.counter("llm.microbatch.requests") == 2
         assert seats[0].result() == "ans:a"
         with pytest.raises(RuntimeError, match="seat down"):
             seats[1].result()
@@ -326,14 +265,12 @@ class TestMicroBatcher:
             "max_batch_size": 3,
         }
 
-    def test_submit_many_dispatches_at_once_past_the_cap(self):
+    def test_submit_many_dispatches_at_once(self):
         client = _ScriptedBatchClient()
-        # A lone submit would wait 5 s for a second seat; a caller's
-        # own requests go out together immediately, cap or no cap.
-        batcher = MicroBatcher(max_batch=2, max_wait_s=5.0)
-        started = time.perf_counter()
+        batcher = MicroBatcher()
         seats = batcher.submit_many(client, ["a", "b", "c", "d"])
-        assert time.perf_counter() - started < 1.0
+        # The seats are settled on return: nothing waits for companions.
+        assert all(seat.done() for seat in seats)
         assert [seat.result() for seat in seats] == [
             "ans:a", "ans:b", "ans:c", "ans:d"
         ]
@@ -344,35 +281,30 @@ class TestMicroBatcher:
 
     def test_different_clients_never_share_a_window(self):
         first, second = _ScriptedBatchClient(), _ScriptedBatchClient()
-        batcher = MicroBatcher(max_batch=8, max_wait_s=0.001)
-        batcher.submit(first, "a")
-        batcher.submit(second, "b")
+        batcher = MicroBatcher()
+        batcher.submit_many(first, ["a"])
+        batcher.submit_many(second, ["b"])
         assert first.batch_calls == [["a"]]
         assert second.batch_calls == [["b"]]
 
     def test_install_routes_calls_without_touching_clients(self):
-        class _Clf:
-            def __init__(self, client):
-                self.client = client
-
         client = _ScriptedBatchClient()
-        clf = _Clf(client)
-        outer = MicroBatcher(max_batch=8, max_wait_s=0.001)
-        inner = MicroBatcher(max_batch=8, max_wait_s=0.001)
+        outer, inner = MicroBatcher(), MicroBatcher()
+
+        def route(request):
+            return active_batcher().submit_many(client, [request])[0].result()
+
+        assert active_batcher() is None
         with outer.install():
-            assert clf.client is client  # nothing swapped
-            assert batched_complete(clf.client, "q") == "ans:q"
+            assert route("q") == "ans:q"
             with inner.install():
-                assert batched_complete(clf.client, "r") == "ans:r"
+                assert route("r") == "ans:r"
             # The nested install restored the outer batcher on exit.
-            assert batched_complete(clf.client, "s") == "ans:s"
-        assert clf.client is client
+            assert route("s") == "ans:s"
+        assert active_batcher() is None
         assert client.batch_calls == [["q"], ["r"], ["s"]]
         assert outer.stats()["batched_requests"] == 2
         assert inner.stats()["batched_requests"] == 1
-        # Outside any install a call goes straight to the client.
-        assert batched_complete(clf.client, "t") == "direct:t"
-        assert client.batch_calls == [["q"], ["r"], ["s"]]
 
 
 class TestTokenBucketAsyncAcquire:

@@ -1,15 +1,13 @@
-"""Parallel execution through the pipeline layers: pipelined survey
-determinism and ensemble member fan-out."""
+"""Parallel execution through the pipeline layers: a pipelined survey
+is byte-identical to the serial one and resumes from its checkpoint."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import LLMIndicatorClassifier, NeighborhoodDecoder
-from repro.core.voting import VotingEnsemble
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient
-from repro.parallel import ParallelExecutor
 
 
 @pytest.fixture(scope="module")
@@ -52,21 +50,3 @@ class TestParallelSurvey:
         assert resumed.images_classified == first.images_classified
         assert resumed.fees_usd == 0.0
 
-
-class TestParallelEnsemble:
-    def test_executor_votes_match_serial(self, clients, small_dataset):
-        members = {
-            name: LLMIndicatorClassifier(clients[name])
-            for name in ("gemini-1.5-pro", "claude-3.7", "gpt-4o-mini")
-        }
-        serial = VotingEnsemble(classifiers=dict(members))
-        parallel = VotingEnsemble(
-            classifiers=dict(members),
-            executor=ParallelExecutor(workers=3),
-        )
-        for image in small_dataset.images[:6]:
-            a = serial.vote_image(image)
-            b = parallel.vote_image(image)
-            assert b.presence == a.presence
-            assert b.members_voted == a.members_voted
-            assert b.members_failed == a.members_failed

@@ -34,6 +34,7 @@ from repro.service import (
     QueueFullError,
     ReportDirSink,
     ServiceError,
+    ServiceProtocol,
     ServiceStack,
     SurveyService,
     TenantQuota,
@@ -179,6 +180,44 @@ def test_budget_pause_policy_waits_for_grant(clients, tmp_path):
             assert ledger["remaining_usd"] >= 0.0
 
     run(drill())
+
+
+@pytest.mark.parametrize("amount", ["NaN", "Infinity"])
+def test_non_finite_grant_is_refused_and_never_persisted(
+    clients, tmp_path, amount
+):
+    """A non-finite grant is an error response and never reaches the
+    manifest, so a restarted daemon cannot inherit a budget of $nan."""
+    quota = TenantQuota(budget_usd=1.0)
+    line = '{"op": "budget", "tenant": "acme", "grant_usd": %s}' % amount
+
+    async def first_daemon():
+        async with SurveyService(
+            make_stack(clients), tmp_path, default_quota=quota
+        ) as service:
+            [response] = await ServiceProtocol(service).handle_request(
+                json.loads(line)
+            )
+            assert response["ok"] is False
+            assert response["error"] == "ValueError"
+            assert service.ledger_snapshot("acme")["grants_usd"] == 0.0
+            assert "acme" not in service.store.ledger
+
+    async def restarted_daemon():
+        async with SurveyService(
+            make_stack(clients), tmp_path, default_quota=quota
+        ) as service:
+            assert service.ledger_snapshot("acme")["remaining_usd"] == 1.0
+            await service.submit(JobSpec(tenant="acme", n_locations=2))
+
+    run(first_daemon())
+    run(restarted_daemon())
+
+
+def test_quota_rejects_a_non_finite_budget():
+    for budget in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TenantQuota(budget_usd=budget)
 
 
 def test_unknown_job_raises(clients, tmp_path):
