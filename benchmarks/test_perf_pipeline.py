@@ -4,7 +4,7 @@ Measures the two optimizations this repo's perf trajectory tracks
 (`BENCH_pipeline.json` at the repo root, one document per commit):
 
 * **pipelined window** — a 32-location × 4-capture survey at
-  ``max_inflight=4`` vs window 1 (strictly serial), under realistic
+  ``max_inflight=4`` vs window 1 (one location at a time), under realistic
   simulated API latency (the real workload is network-bound; see
   DESIGN.md §8);
 * **LLM response caching** — hit rate and wall-clock effect of the

@@ -263,8 +263,8 @@ def _run_survey(args: argparse.Namespace, tracer=None) -> int:
             f"{ps['throttle_events']} throttle events, "
             f"{ps['decreases']} decreases)"
         )
-    if report.batch_stats:
-        bs = report.batch_stats
+    bs = report.batch_stats
+    if bs.get("batches"):
         print(
             f"micro-batches  {bs['batches']} dispatches / "
             f"{bs['batched_requests']} requests "
@@ -802,7 +802,7 @@ def _main(argv: list[str] | None) -> int:
             "of the AIMD classify window; fetches for upcoming "
             "locations overlap LLM calls for earlier ones and the "
             "report stays byte-identical at any window (default: 1, "
-            "strictly sequential)"
+            "one location at a time)"
         ),
     )
     survey_group.add_argument(

@@ -16,7 +16,6 @@ injectable clock.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from ..gsv.dataset import LabeledImage
@@ -29,10 +28,10 @@ from ..llm.base import (
     ChatResponse,
     ImageAttachment,
     Usage,
+    complete_seats,
 )
 from ..llm.errors import RateLimitError, ServerError
 from ..llm.language import Language
-from ..parallel.aio import active_batcher
 from ..resilience.clock import Clock, WallClock
 from ..resilience.retry import RetryPolicy, RetryStats
 from .indicators import Indicator, IndicatorPresence
@@ -165,14 +164,15 @@ class LLMIndicatorClassifier:
         self,
         image: LabeledImage,
         asked: tuple[Indicator, ...],
-        first: Future | None = None,
+        first: ChatResponse | Exception | None = None,
     ) -> ClassificationOutcome:
         """Classify ``image`` on validated indicators under the retry policy.
 
-        ``first`` is attempt 1 when it was already dispatched — a
-        finished seat of a batched window, holding its response or its
-        error.  Every later attempt sends a fresh request, so retries,
-        usage and attempt counts are what the one-by-one path records.
+        ``first`` is attempt 1 when it was already sent — the image's
+        seat of a batched window, holding its response or its error.
+        Every later attempt sends a fresh request straight to the
+        client, so retries, usage and attempt counts are what the
+        one-by-one path records.
         """
         spent: list[Usage] = []
 
@@ -188,7 +188,7 @@ class LLMIndicatorClassifier:
 
         outcome = self.config.retry_policy().execute(
             lambda: settle(self.client.complete(self._request(image, asked))),
-            first=None if first is None else lambda: settle(first.result()),
+            first=None if first is None else lambda: settle(_seat(first)),
             retryable=self.RETRYABLE,
             clock=self.clock,
             stats=self.retry_stats,
@@ -260,25 +260,15 @@ class LLMIndicatorClassifier:
     ) -> list[ClassificationOutcome]:
         """Classify a batch of images (one survey location's captures).
 
-        Without a :class:`~repro.parallel.aio.MicroBatcher` active in
-        the caller's context (the window-1 survey, plain library use)
-        each image goes through :meth:`classify_image` in turn.  Inside
-        a pipelined survey every image's request is built up front and
-        the whole set goes out as one batched dispatch, so the location
-        pays one LLM round-trip instead of one per image; each image
-        then runs its own retry loop with its batched seat as attempt
-        1, and every retry goes straight to the client.  A one-image
-        call has nothing to amortize and takes the one-by-one path.
-        The indicator set is validated before anything is sent.
+        The indicator set is validated, every image's request is built
+        up front and the whole set goes out as one window
+        (:func:`~repro.llm.base.complete_seats`), so a survey location
+        pays one LLM round trip instead of one per image.  Each image
+        then runs its own retry loop with its seat as attempt 1, and
+        every retry goes straight to the client's ``complete``.
         """
-        batcher = active_batcher()
-        if batcher is None or len(images) < 2:
-            return [
-                self.classify_image(image, indicators=indicators)
-                for image in images
-            ]
         asked = self._asked(indicators)
-        seats = batcher.submit_many(
+        seats = complete_seats(
             self.client, [self._request(image, asked) for image in images]
         )
         return [
@@ -291,3 +281,10 @@ class LLMIndicatorClassifier:
     ) -> list[IndicatorPresence]:
         """Batch classify, returning just the presence predictions."""
         return [outcome.presence for outcome in self.classify(images)]
+
+
+def _seat(outcome: ChatResponse | Exception) -> ChatResponse:
+    """A batched seat's response, or raise the error it failed with."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -47,13 +47,7 @@ from ..geo.sampling import (
 from ..obs.metrics import get_metrics
 from ..obs.scope import Tally, use_tally
 from ..obs.trace import get_tracer
-from ..parallel.aio import (
-    AIMDController,
-    MicroBatcher,
-    ThreadBridge,
-    active_batcher,
-    imap_async,
-)
+from ..parallel.aio import AIMDController, ThreadBridge, imap_async
 from ..parallel.executor import TaskOutcome
 from ..resilience.breaker import CircuitBreaker, CircuitOpenError
 from ..resilience.checkpoint import SurveyCheckpoint
@@ -121,11 +115,12 @@ class SurveyReport:
     survey) are likewise observability, not decoded output, and stay
     out of the payload — a cascade at threshold 0 must serialize
     byte-identically to a plain ensemble.
-    ``batch_stats`` (micro-batch dispatch provenance of a pipelined
-    survey) and ``pipeline_stats`` (its AIMD window summary) follow
-    the same rule: how classify calls were grouped or throttled must
-    never change what the survey decoded, so the payload stays
-    byte-identical at every window.
+    ``batch_stats`` (the locations' batched LLM windows, the requests
+    they served and the largest location window) and
+    ``pipeline_stats`` (the AIMD window summary) follow the same rule:
+    how classify calls were grouped or throttled must never change
+    what the survey decoded, so the payload stays byte-identical at
+    every window.
     """
 
     locations: list[LocationResult] = field(default_factory=list)
@@ -308,12 +303,12 @@ class NeighborhoodDecoder:
         :meth:`survey`.  Each location flows through fetch → classify
         stages gated separately, so imagery acquisition for upcoming
         locations overlaps LLM calls for earlier ones; ``max_inflight``
-        bounds the pipelined window (1 keeps it strictly sequential).
+        bounds the pipelined window (1 decodes one location at a time).
         The classify stage runs under an AIMD window that narrows on
         observed rate limiting and recovers additively
-        (``report.pipeline_stats``); whenever the window allows two or
-        more concurrent locations, each location's classify requests
-        dispatch as one batched window (``report.batch_stats``).
+        (``report.pipeline_stats``).  At every window a location's
+        captures go out as one imagery round and a single classifier's
+        requests as one batched window (``report.batch_stats``).
 
         A caller that owns the survey's identity may pass an opened
         ``checkpoint_store`` instead of a ``checkpoint`` path (mutually
@@ -510,19 +505,21 @@ class NeighborhoodDecoder:
         registry = get_metrics()
         metrics_before = registry.snapshot()
         report.coalesce_stats = dict.fromkeys(_COALESCE_TALLIES, 0)
+        report.batch_stats = dict.fromkeys(
+            ("batches", "batched_requests", "max_batch_size"), 0
+        )
         if self.cascade is not None:
             report.cascade_stats = dict.fromkeys(self.cascade.stats.FIELDS, 0)
         controller = AIMDController(
             initial=max_inflight, max_limit=max_inflight
         )
-        batcher = MicroBatcher() if max_inflight > 1 else None
         fetch_gate = asyncio.Semaphore(max_inflight)
         # The window is the thread cap: ``imap_async`` keeps at most
         # ``max_inflight`` locations alive, and each awaits one bridge
         # call at a time, its fetch and then its classify.  Each call's
-        # batched dispatch (the four imagery captures from window 2
-        # on, the location's LLM window) and its retries run on that
-        # one thread, so a location never parks a second sync call.
+        # batched dispatch (the location's imagery round, its LLM
+        # window) and its retries run on that one thread, so a
+        # location never parks a second sync call.
         # A caller-owned bridge (the service daemon reusing one pool
         # across concurrent jobs) is used as handed over; its owner
         # keeps the windows it lends within the bridge's threads.
@@ -551,8 +548,6 @@ class NeighborhoodDecoder:
             root_span = stack.enter_context(
                 tracer.span("survey", max_inflight=max_inflight)
             )
-            if batcher is not None:
-                stack.enter_context(batcher.install())
 
             async def decode_one(
                 indexed: tuple[int, SamplePoint]
@@ -617,8 +612,6 @@ class NeighborhoodDecoder:
                     controller.on_success()
                 throttle_base = throttle_now
 
-            if batcher is not None:
-                report.batch_stats = batcher.stats()
             report.pipeline_stats = controller.stats()
         report.metrics = registry.delta_since(metrics_before)
         return drawn
@@ -735,8 +728,8 @@ class NeighborhoodDecoder:
     def _fold_tally(report: SurveyReport, scope: Tally) -> None:
         """Add one location's tally to the report.
 
-        Imagery fees, retries, cache traffic and cascade routing each
-        come from the location's own :class:`~repro.obs.scope.Tally`,
+        Imagery fees, retries, cache traffic, LLM windows and cascade
+        routing each come from the location's own :class:`~repro.obs.scope.Tally`,
         never from the shared meter, classifiers or cache, so a survey
         that overlaps another (two daemon jobs on one stack) reports
         exactly its own work.
@@ -751,6 +744,13 @@ class NeighborhoodDecoder:
             report.coalesce_stats[key] += int(scope.get(name))
         for name, value in scope.section("cascade").items():
             report.cascade_stats[name] += int(value)
+        batch = scope.section("llm.microbatch")
+        stats = report.batch_stats
+        stats["batches"] += int(batch.get("batches", 0))
+        stats["batched_requests"] += int(batch.get("requests", 0))
+        stats["max_batch_size"] = max(
+            stats["max_batch_size"], int(batch.get("seats", 0))
+        )
 
     # ------------------------------------------------------------------
 
@@ -759,28 +759,31 @@ class NeighborhoodDecoder:
     ) -> list[LabeledImage]:
         """Fetch all headings of one location under the retry policy.
 
-        Window 1 (no batcher in the location's context) fetches the
-        headings one after another.  From window 2 on, attempt 1 of
-        every heading goes out as one
-        :meth:`~repro.gsv.api.StreetViewClient.fetch_captures`
-        dispatch, gated once by the breaker, so the location pays one
-        imagery round trip.  Each heading then runs its own retry
-        loop with its seat as attempt 1, and later attempts fetch one
-        by one.  The first heading that gives up fails the location,
-        as at window 1; the headings after it were already served and
-        billed by the dispatch (DESIGN.md §8, "Imagery batching").
+        Attempt 1 of every heading goes out as one
+        :meth:`~repro.gsv.api.StreetViewClient.fetch_captures` round,
+        gated once by the breaker, so the location pays one imagery
+        round trip at any window.  The round feeds the breaker as soon
+        as it returns: a success per served seat, then a failure per
+        failed one.  Each heading then runs its own retry loop with its
+        seat as attempt 1, and later attempts fetch one by one.  The
+        first heading that gives up fails the location; the round has
+        already served and billed the others (DESIGN.md §8, "Imagery
+        batching").
         """
         captures = expand_to_captures([point])
         seats: list = [None] * len(captures)
-        if active_batcher() is not None and (
-            self.gsv_breaker is None or self.gsv_breaker.allow()
-        ):
-            seats = [
-                seat.result
-                for seat in self.street_view.fetch_captures(
-                    captures, render=self.render_pixels
-                )
-            ]
+        breaker = self.gsv_breaker
+        if breaker is None or breaker.allow():
+            served = self.street_view.fetch_captures(
+                captures, render=self.render_pixels
+            )
+            if breaker is not None:
+                failed = sum(seat.exception() is not None for seat in served)
+                for _ in range(len(served) - failed):
+                    breaker.record_success()
+                for _ in range(failed):
+                    breaker.record_failure()
+            seats = [seat.result for seat in served]
         images: list[LabeledImage] = []
         for offset, (capture, seat) in enumerate(zip(captures, seats)):
             outcome = self.retry_policy.execute(

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..obs.metrics import get_metrics
+from ..obs.scope import tally
 from ..scene.model import Scene
 
 #: Default sampling parameters, matching the Gemini defaults the paper
@@ -167,6 +169,43 @@ def complete_each(
             unsent = len(requests) - len(responses)
             raise BatchError([*responses, *[err] * unsent])
     return responses
+
+
+def complete_seats(
+    client: ChatClient, requests: Sequence[ChatRequest]
+) -> list[ChatResponse | Exception]:
+    """Send ``requests`` as one ``complete_batch`` window; settle each seat.
+
+    Returns one outcome per request, in order: its response, or the
+    error it failed with.  A :class:`BatchError` settles each seat on
+    its own, so the seats a failed window did serve keep their answers
+    (they were billed) and only the failed and unsent ones carry an
+    error; any other exception fails every seat.  A window that served
+    at least one seat counts in the ``llm.microbatch.*`` metrics and in
+    the active tally, which a survey folds into ``batch_stats``.
+    """
+    if not requests:
+        return []
+    try:
+        outcomes = client.complete_batch(requests)
+        if len(outcomes) != len(requests):  # pragma: no cover
+            raise RuntimeError(
+                f"client answered {len(outcomes)} of "
+                f"{len(requests)} batched requests"
+            )
+    except BatchError as err:
+        outcomes = err.outcomes
+    except Exception as err:  # noqa: BLE001 - re-raised per seat
+        outcomes = [err] * len(requests)
+    served = sum(not isinstance(o, Exception) for o in outcomes)
+    if served:
+        metrics = get_metrics()
+        metrics.inc("llm.microbatch.batches")
+        metrics.inc("llm.microbatch.requests", served)
+        tally("llm.microbatch.batches")
+        tally("llm.microbatch.requests", served)
+        tally("llm.microbatch.seats", len(requests))
+    return outcomes
 
 
 @dataclass

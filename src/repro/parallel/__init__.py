@@ -12,13 +12,7 @@ meters) are thread-safe; see DESIGN.md §8 for the survey engine and
 thread model and §9 for the detector's thread fan-out.
 """
 
-from .aio import (
-    AIMDController,
-    MicroBatcher,
-    ThreadBridge,
-    active_batcher,
-    imap_async,
-)
+from .aio import AIMDController, ThreadBridge, imap_async
 from .arena import TensorArena
 from .executor import (
     ParallelExecutor,
@@ -29,12 +23,10 @@ from .executor import (
 
 __all__ = [
     "AIMDController",
-    "MicroBatcher",
     "ParallelExecutor",
     "ThreadBridge",
     "TaskOutcome",
     "TensorArena",
-    "active_batcher",
     "effective_cpu_count",
     "imap_async",
     "resolve_workers",

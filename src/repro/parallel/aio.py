@@ -1,11 +1,14 @@
 """Asyncio building blocks for the pipelined survey engine.
 
-The survey hot path is latency-dominated: every location pays a GSV
-fetch round-trip plus several LLM round-trips.  This module holds the
-generic pieces the survey engine (every entry point of
-:class:`repro.core.pipeline.NeighborhoodDecoder`) is built from —
-deliberately free of any ``repro.core`` import, mirroring
-:mod:`repro.parallel.executor`:
+The survey hot path is latency-dominated: every location pays one
+imagery round trip and at least one LLM round trip (a single model's
+one batched window, or one per ensemble or cascade member call).  The
+engine sends a location the same way at every window; the window only
+decides how many locations overlap, and how many such round trips
+wait at once.  This module holds the generic pieces the survey engine
+(every entry point of :class:`repro.core.pipeline.NeighborhoodDecoder`)
+is built from — deliberately free of any ``repro.core`` import,
+mirroring :mod:`repro.parallel.executor`:
 
 * :func:`imap_async` — the event-loop twin of
   :meth:`~repro.parallel.executor.ParallelExecutor.imap`: ordered
@@ -21,11 +24,6 @@ deliberately free of any ``repro.core`` import, mirroring
 * :class:`AIMDController` — additive-increase/multiplicative-decrease
   window control for the in-flight LLM stage, fed by observed
   throttle signals (rate-limited retries, token-bucket waits).
-* :class:`MicroBatcher` — sends a survey location's classify requests
-  as one batched dispatch
-  (:meth:`~repro.llm.base.ChatClient.complete_batch`), dovetailing
-  with the cache's single-flight coalescing; every other request goes
-  straight to its client.
 
 See DESIGN.md §8 for the stage layout and the ordering discipline
 that keeps reports byte-identical at every window.
@@ -37,22 +35,15 @@ import asyncio
 import contextlib
 import contextvars
 import functools
-import threading
 from collections import deque
-from collections.abc import AsyncIterator, Awaitable, Callable, Iterable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import AsyncIterator, Awaitable, Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from ..obs.metrics import get_metrics
 from .executor import TaskOutcome
 
-__all__ = [
-    "AIMDController",
-    "MicroBatcher",
-    "ThreadBridge",
-    "active_batcher",
-    "imap_async",
-]
+__all__ = ["AIMDController", "ThreadBridge", "imap_async"]
 
 
 async def imap_async(
@@ -307,112 +298,3 @@ class AIMDController:
             "increases": self.increases,
             "decreases": self.decreases,
         }
-
-
-class MicroBatcher:
-    """Send one survey location's classify requests as one dispatch.
-
-    :meth:`submit_many` hands a caller's related requests (a location's
-    images) to :meth:`~repro.llm.base.ChatClient.complete_batch` at
-    once, however many; they already amortize the round-trip, so they
-    never wait for companions, and one caller's window never mixes
-    with another's.  Every other request (a lone image, a retry, an
-    ensemble or cascade member call) goes straight to its client's
-    ``complete``.
-
-    Failure is per seat: when the client raises a
-    :class:`~repro.llm.base.BatchError`, each seat gets its own
-    response or error, so the seats a failed window did serve keep
-    their answers (they were billed) and only the failed and unsent
-    ones see an error to retry.  Any other exception fails every
-    seat, exactly as if each had made the call itself.  With the
-    cache's single-flight table underneath, duplicate fingerprints
-    inside one window are still billed once.
-
-    :meth:`install` makes the batcher active in the current context
-    for a ``with`` block — the async engine's integration point; the
-    classifier reaches it through :func:`active_batcher`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_seen = 0
-
-    def submit_many(self, client: Any, requests: Sequence[Any]) -> list[Future]:
-        """Dispatch ``requests`` now as one window of their own.
-
-        Returns one finished :class:`~concurrent.futures.Future` per
-        request, in order: ``result()`` gives that request's response
-        or raises its error.
-        """
-        entries = [(request, Future()) for request in requests]
-        if entries:
-            self._dispatch(client, entries)
-        return [seat for _, seat in entries]
-
-    def _dispatch(self, client: Any, entries: list[tuple[Any, Future]]) -> None:
-        """Send one window and settle every seat in it."""
-        try:
-            outcomes = client.complete_batch([request for request, _ in entries])
-            if len(outcomes) != len(entries):  # pragma: no cover
-                raise RuntimeError(
-                    f"client answered {len(outcomes)} of "
-                    f"{len(entries)} batched requests"
-                )
-        except Exception as err:  # noqa: BLE001 - re-raised per seat
-            # A BatchError names each seat's fate; duck-typed, so this
-            # layer stays free of repro.llm.
-            outcomes = getattr(err, "outcomes", None)
-            if outcomes is None or len(outcomes) != len(entries):
-                outcomes = [err] * len(entries)
-        served = sum(not isinstance(o, Exception) for o in outcomes)
-        if served:
-            with self._lock:
-                self.batches += 1
-                self.batched_requests += served
-                self.max_batch_seen = max(self.max_batch_seen, len(entries))
-            metrics = get_metrics()
-            metrics.inc("llm.microbatch.batches")
-            metrics.inc("llm.microbatch.requests", served)
-        for (_, seat), outcome in zip(entries, outcomes):
-            if isinstance(outcome, Exception):
-                seat.set_exception(outcome)
-            else:
-                seat.set_result(outcome)
-
-    @contextlib.contextmanager
-    def install(self):
-        """Route the current context's classify calls through this batcher.
-
-        A classifier sends a location's images through the batcher
-        installed in the caller's context (bridge threads run in a
-        copy of it).  No client is touched: a concurrent survey with
-        its own batcher, or none, is unaffected, and a nested install
-        restores the outer batcher on exit, even on error.
-        """
-        token = _active_batcher.set(self)
-        try:
-            yield self
-        finally:
-            _active_batcher.reset(token)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "max_batch_size": self.max_batch_seen,
-        }
-
-
-#: The batcher :meth:`MicroBatcher.install` made active in this context.
-_active_batcher: contextvars.ContextVar[MicroBatcher | None] = (
-    contextvars.ContextVar("repro_parallel_active_batcher", default=None)
-)
-
-
-def active_batcher() -> MicroBatcher | None:
-    """The batcher installed in the caller's context, if any."""
-    return _active_batcher.get()
-

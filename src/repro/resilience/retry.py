@@ -220,13 +220,16 @@ class RetryPolicy:
         dispatch, returning its value or raising its error.  That
         request passed the caller's breaker check before it went out,
         and its answer is already paid for, so it is not gated again;
-        its outcome feeds the breaker like any attempt's.  Every later
-        attempt calls ``fn``.
+        the caller fed its outcome to the breaker when the dispatch
+        returned, so reading it feeds the breaker nothing.  Every later
+        attempt calls ``fn``, gated and fed as usual.
         """
         clock = clock or WallClock()
         outcome = RetryOutcome()
         for attempt in range(1, self.max_attempts + 1):
             call, first = first, None
+            # A caller-sent seat was booked with the breaker at dispatch.
+            fed = breaker if call is None else None
             if call is None:
                 if breaker is not None and not breaker.allow():
                     outcome.error = CircuitOpenError(
@@ -239,8 +242,8 @@ class RetryPolicy:
             try:
                 outcome.value = call()
                 outcome.error = None
-                if breaker is not None:
-                    breaker.record_success()
+                if fed is not None:
+                    fed.record_success()
                 break
             except retryable as err:
                 outcome.error = err
@@ -252,8 +255,8 @@ class RetryPolicy:
                     # controller its backpressure signal without this
                     # layer importing ``repro.llm``.
                     get_metrics().inc("retry.rate_limited")
-                if breaker is not None:
-                    breaker.record_failure()
+                if fed is not None:
+                    fed.record_failure()
                 if attempt < self.max_attempts:
                     delay = self.delay_for(attempt, err)
                     outcome.retries += 1
@@ -261,8 +264,8 @@ class RetryPolicy:
                     clock.sleep(delay)
             except giveup as err:
                 outcome.error = err
-                if breaker is not None:
-                    breaker.record_failure()
+                if fed is not None:
+                    fed.record_failure()
                 break
         _book(outcome)
         if stats is not None:

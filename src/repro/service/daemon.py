@@ -17,10 +17,10 @@ each as its own task, while the ``max_inflight`` windows of the
 running jobs plus the next job's fit in the shared bridge's
 ``max_threads``.  That sum bounds the threads because a job's engine
 keeps at most ``max_inflight`` locations alive and each location
-awaits one bridge call at a time: its fetch, then its classify.  From
-window 2 on the fetch sends all four headings as one dispatch inside
-that single call, and the classify call's batched LLM window runs on
-the same thread, so neither call parks a second thread.  Every
+awaits one bridge call at a time: its fetch, then its classify.  The
+fetch sends all four headings as one round inside that single call,
+and the classify call's batched LLM window runs on the same thread,
+so neither call parks a second thread.  Every
 running job therefore gets its whole window; a job that does
 not fit yet holds back the jobs behind it, so wide jobs are never
 starved; ``submit`` rejects a window wider than the bridge, so every

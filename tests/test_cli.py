@@ -146,3 +146,30 @@ def test_serve_rejects_unusable_options_as_usage_errors(tmp_path, option):
     assert done.returncode == 2
     assert f"argument {option[0]}:" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def _repro_lines(tmp_path, *args: str) -> list[str]:
+    """Run ``python -m repro *args`` in ``tmp_path``; its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_micro_batches_line_prints_only_when_a_location_batched(tmp_path):
+    """A single-model survey batches each location at every window; an
+    ensemble survey's member calls never batch, so it prints no line."""
+    single = _repro_lines(tmp_path, "survey", "--locations", "3", "--seed", "4")
+    assert "micro-batches  3 dispatches / 12 requests (largest 4)" in single
+    ensemble = _repro_lines(
+        tmp_path, "trace", "--locations", "3", "--max-inflight", "2"
+    )
+    assert "coverage       100.0% (3/3 locations)" in ensemble
+    assert not any(line.startswith("micro-batches") for line in ensemble)

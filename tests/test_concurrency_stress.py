@@ -13,8 +13,8 @@ counts a correct lock discipline guarantees:
   exactly once however many threads report failures concurrently;
 * :class:`~repro.obs.metrics.MetricsRegistry` loses no increments and
   no histogram observations;
-* every :class:`~repro.parallel.aio.MicroBatcher` seat settles with
-  its own response or error.
+* every seat of a :func:`~repro.llm.base.complete_seats` window
+  settles with its own response or error.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ import time
 import pytest
 
 from repro.llm import BatchError
+from repro.llm.base import complete_seats
 from repro.llm.batch import TokenBucket
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.scope import Tally, use_tally
 from repro.resilience.breaker import CircuitBreaker, CircuitState
-from repro.parallel import MicroBatcher
 from repro.resilience.clock import VirtualClock, WallClock
 
 N_THREADS = 16
@@ -214,42 +215,46 @@ class _OddSeatsFail:
         return outcomes
 
 
-class TestMicroBatcherStress:
+class TestCompleteSeatsStress:
     def test_every_seat_settles_with_its_own_outcome(self):
-        """Location windows race on one batcher.
+        """Location windows race on one client and one set of books.
 
         Each thread sends whole groups; every seat must get exactly its
-        own answer or error, and the stats must count every served seat
-        once.
+        own answer or error, and the shared tally and registry must
+        count every served seat once.
         """
-        batcher = MicroBatcher()
         client = _OddSeatsFail()
+        books = Tally()
         rounds = 40
 
         def worker(index: int) -> None:
-            for step in range(rounds):
-                base = (index * rounds + step) * 10
-                group = [base + k for k in range(4)]
-                for n, seat in zip(group, batcher.submit_many(client, group)):
-                    if n % 2:
-                        with pytest.raises(ValueError):
-                            seat.result()
-                    else:
-                        assert seat.result() == f"ans:{n}"
+            with use_tally(books):
+                for step in range(rounds):
+                    base = (index * rounds + step) * 10
+                    group = [base + k for k in range(4)]
+                    for n, seat in zip(group, complete_seats(client, group)):
+                        if n % 2:
+                            assert isinstance(seat, ValueError)
+                            assert seat.args == (n,)
+                        else:
+                            assert seat == f"ans:{n}"
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _hammer(worker)
+            with use_metrics(MetricsRegistry()) as registry:
+                _hammer(worker)
         finally:
             sys.setswitchinterval(interval)
 
         calls = N_THREADS * rounds
-        assert batcher.stats() == {
+        assert books.section("llm.microbatch") == {
             "batches": calls,
-            "batched_requests": 2 * calls,
-            "max_batch_size": 4,
+            "requests": 2 * calls,
+            "seats": 4 * calls,
         }
+        assert registry.counter("llm.microbatch.batches") == calls
+        assert registry.counter("llm.microbatch.requests") == 2 * calls
 
 
 class TestServiceDaemonUnderLoad:

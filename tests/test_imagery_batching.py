@@ -1,12 +1,13 @@
 """A survey location's four captures share one imagery dispatch.
 
-From window 2 on, ``NeighborhoodDecoder._fetch_location`` sends attempt
+At every window ``NeighborhoodDecoder._fetch_location`` sends attempt
 1 of every heading through ``StreetViewClient.fetch_captures``, which
 pays one round trip for all of them; each heading then retries on its
 own.  These tests pin the dispatch shape, that quota admission stays
 atomic however many requests wait on the network, the failure-billing
-and breaker rules of DESIGN.md §8 ("Imagery batching"), and that a
-location still parks at most one sync call on the thread bridge.
+and breaker rules of DESIGN.md §8 ("Imagery batching") and that they
+read the same at every window, and that a location still parks at
+most one sync call on the thread bridge.
 """
 
 from __future__ import annotations
@@ -70,6 +71,23 @@ def _decoder(county, clients, **kwargs) -> NeighborhoodDecoder:
         classifier=LLMIndicatorClassifier(clients[MODEL]),
         **kwargs,
     )
+
+
+def _cliff_survey(county, clients, heading: int, window: int):
+    """A one-location survey whose ``heading`` capture hits a quota cliff.
+
+    Returns the report and the imagery meter.
+    """
+    schedule = FaultSchedule().burst(
+        lambda: QuotaExceededError("cliff"), start=heading + 1, length=1
+    )
+    street_view = StreetViewClient(
+        counties=[county], api_key="giveup", fault_schedule=schedule
+    )
+    report = _decoder(county, clients, street_view=street_view).survey(
+        county, 1, seed=5, max_inflight=window
+    )
+    return report, street_view.usage()
 
 
 def _fee(images: int) -> float:
@@ -183,7 +201,7 @@ class TestFetchCaptures:
 
 
 class TestLocationDispatch:
-    def test_window_two_pays_one_round_trip_per_location(
+    def test_every_window_pays_one_round_trip_per_location(
         self, county, clients
     ):
         reports = {}
@@ -194,8 +212,7 @@ class TestLocationDispatch:
                     county, 4, seed=5, max_inflight=window
                 )
             counters = reports[window].metrics["counters"]
-            per_location = 4 if window == 1 else 1
-            assert counters["gsv.round_trips"] == 4 * per_location
+            assert counters["gsv.round_trips"] == 4
             assert counters["gsv.requests"] == 16
         assert reports[2].to_json() == reports[1].to_json()
 
@@ -203,28 +220,13 @@ class TestLocationDispatch:
     def test_a_give_up_bills_what_the_dispatch_served(
         self, county, clients, heading
     ):
-        """The location fails at ``heading``, as at window 1, but the
-        dispatch already served and billed the other three headings:
-        the report's fees still equal the meter's, because the failed
-        location's tally travels on its error."""
-
-        def survey(window: int):
-            schedule = FaultSchedule().burst(
-                lambda: QuotaExceededError("cliff"),
-                start=heading + 1,
-                length=1,
-            )
-            street_view = StreetViewClient(
-                counties=[county], api_key="giveup", fault_schedule=schedule
-            )
-            report = _decoder(
-                county, clients, street_view=street_view
-            ).survey(county, 1, seed=5, max_inflight=window)
-            return report, street_view.usage()
-
-        serial, serial_meter = survey(1)
-        report, meter = survey(2)
-        assert serial_meter.images_served == heading
+        """The location fails at ``heading``, but its round already
+        served and billed the other three headings: the report's fees
+        still equal the meter's, because the failed location's tally
+        travels on its error."""
+        serial, serial_meter = _cliff_survey(county, clients, heading, 1)
+        report, meter = _cliff_survey(county, clients, heading, 2)
+        assert serial_meter.images_served == 3
         assert meter.images_served == 3
         for got, usage in ((report, meter), (serial, serial_meter)):
             assert got.completed_locations == 0
@@ -234,6 +236,22 @@ class TestLocationDispatch:
         # Same headings consumed, same fault handling recorded.
         assert report.retry_stats.as_dict() == serial.retry_stats.as_dict()
         assert report.retry_stats.operations == heading + 1
+
+    @pytest.mark.parametrize("heading", range(4))
+    def test_a_give_up_reports_the_same_bytes_at_every_window(
+        self, county, clients, heading
+    ):
+        """Under one fault script the payload, fees included, does not
+        depend on the window: every window sends the same round."""
+        runs = {
+            window: _cliff_survey(county, clients, heading, window)
+            for window in (1, 2, 8)
+        }
+        payloads = {report.to_json() for report, _ in runs.values()}
+        assert len(payloads) == 1
+        for report, meter in runs.values():
+            assert meter.images_served == 3
+            assert report.fees_usd == _fee(3)
 
     @pytest.mark.parametrize("heading", range(4))
     def test_daemon_settles_the_checkpoint_after_a_give_up(
@@ -331,6 +349,37 @@ class TestBreaker:
         assert reports[2].retry_stats.breaker_blocks == 1
         (failed,) = reports[2].failed_locations
         assert failed.reason.startswith("CircuitOpenError")
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_a_round_feeds_the_breaker_at_dispatch(
+        self, county, clients, window
+    ):
+        """A hard-down endpoint behind a breaker: each round books its
+        failed seats as soon as it returns, so the breaker opens after
+        the first round; only rounds already in flight by then (at most
+        ``window - 1`` other locations) reach the endpoint."""
+        schedule = FaultSchedule().after(
+            TransientNetworkError("regional outage"), start=1
+        )
+        clock = VirtualClock()
+        breaker = CircuitBreaker(
+            name="gsv", failure_threshold=4, recovery_time_s=1e9, clock=clock
+        )
+        decoder = _decoder(
+            county,
+            clients,
+            street_view=StreetViewClient(
+                counties=[county], api_key="down", fault_schedule=schedule
+            ),
+            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.1),
+            gsv_breaker=breaker,
+            clock=clock,
+        )
+        report = decoder.survey(county, 10, seed=0, max_inflight=window)
+        assert len(report.failed_locations) == 10
+        assert breaker.state is CircuitState.OPEN
+        assert schedule.calls <= breaker.failure_threshold + (window - 1) * 4
+        assert report.retry_stats.breaker_blocks > 0
 
     def test_a_failing_seat_trips_the_breaker_for_its_retry(
         self, county, clients

@@ -1,12 +1,13 @@
 """A survey location's images share one batched LLM dispatch.
 
-Inside a pipelined survey ``LLMIndicatorClassifier.classify`` sends a
-location's requests as one :class:`~repro.parallel.aio.MicroBatcher`
-window; each image then retries on its own, straight to the client,
-as does every lone request (ensemble and cascade member calls).  These
-tests pin the dispatch shape, that it changes nothing a report or an
-outcome records, and that a window failing part-way never re-bills
-the seats it already served.
+``LLMIndicatorClassifier.classify`` sends the images it is given (a
+survey location's captures, at every window) as one
+:func:`~repro.llm.base.complete_seats` window; each image then retries
+on its own, straight to the client, as does every lone request
+(``classify_image``, ensemble and cascade member calls).  These tests
+pin the dispatch shape, that it changes nothing a report or an outcome
+records, and that a window failing part-way never re-bills the seats
+it already served.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from repro.core.voting import VotingEnsemble
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient
 from repro.llm import BatchError, ChatClient, ChatResponse, ServerError, Usage
+from repro.llm.base import complete_seats
 from repro.llm.batch import TokenBucket
 from repro.llm.cache import CachingChatClient
-from repro.parallel import MicroBatcher
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.scope import Tally, use_tally
 from repro.perf import LatencyChatClient
 from repro.resilience.faults import FaultSchedule, FaultyChatClient
 from repro.service import RateLimitedChatClient
@@ -117,6 +120,8 @@ class TestLocationDispatch:
         assert stats["max_batch_size"] >= 4
         assert stats["batched_requests"] == report.images_classified
         assert stats["batches"] == 4
+        # Window 1 sends each location the same way.
+        assert serial.batch_stats == stats
         assert report.to_json() == serial.to_json()
 
     def test_parse_failure_retries_only_that_image(
@@ -128,12 +133,11 @@ class TestLocationDispatch:
         serial = LLMIndicatorClassifier(
             _GarbleOnce(clients[MODEL], target)
         )
-        expected = serial.classify(images)
+        expected = [serial.classify_image(image) for image in images]
 
         garbling = _GarbleOnce(clients[MODEL], target)
         batched = LLMIndicatorClassifier(garbling)
-        batcher = MicroBatcher()
-        with batcher.install():
+        with use_tally(Tally()) as scope:
             outcomes = batched.classify(images)
 
         assert [o.attempts for o in outcomes] == [1, 1, 2, 1]
@@ -145,10 +149,10 @@ class TestLocationDispatch:
         assert batched.retry_stats.as_dict() == serial.retry_stats.as_dict()
         # One window for the location; the image's retry went straight
         # to the client.
-        assert batcher.stats() == {
+        assert scope.section("llm.microbatch") == {
             "batches": 1,
-            "batched_requests": 4,
-            "max_batch_size": 4,
+            "requests": 4,
+            "seats": 4,
         }
         assert _billed(garbling) == _billed(serial.client)
 
@@ -161,12 +165,11 @@ class TestLocationDispatch:
             upstream,
             ClassifierConfig(indicators=(Indicator.POWERLINE,)),
         )
-        batcher = MicroBatcher()
-        with batcher.install(), pytest.raises(ValueError):
+        with use_tally(Tally()) as scope, pytest.raises(ValueError):
             classifier.classify(small_dataset.images[:4], indicators=indicators)
         assert upstream.schedule.calls == 0
         assert _billed(upstream) == (0, 0, 0)
-        assert batcher.stats()["batches"] == 0
+        assert scope.section("llm.microbatch") == {}
 
     def test_ensemble_members_go_straight_to_their_clients(
         self, county, clients
@@ -222,11 +225,10 @@ def test_failed_window_bills_each_request_once(clients, small_dataset, cached):
 
     upstream = _fails_on_call(clients, 3)
     classifier = classifier_over(upstream)
-    batcher = MicroBatcher()
-    with batcher.install():
+    with use_tally(Tally()) as scope:
         outcomes = classifier.classify(images)
 
-    assert batcher.stats()["max_batch_size"] == len(images)
+    assert scope.get("llm.microbatch.seats") == len(images)
     assert upstream.schedule.injected == 1
     assert _billed(upstream) == _billed(serial_upstream)
     assert [outcome.presence for outcome in outcomes] == [
@@ -294,3 +296,62 @@ def test_wrappers_book_only_the_served_part_of_a_failed_window(
             first.usage.prompt_tokens,
             first.usage.completion_tokens,
         )
+
+
+class _ScriptedBatchClient:
+    """Counts batched dispatches; answers ``ans:<request>`` per seat."""
+
+    def __init__(self, error: Exception | None = None):
+        self.batch_calls = []
+        self.error = error
+
+    def complete_batch(self, requests):
+        self.batch_calls.append(list(requests))
+        if self.error is not None:
+            raise self.error
+        return [f"ans:{request}" for request in requests]
+
+
+class TestCompleteSeats:
+    def test_plain_failure_fans_out_to_every_seat(self):
+        client = _ScriptedBatchClient(error=RuntimeError("window down"))
+        with use_tally(Tally()) as scope:
+            seats = complete_seats(client, ["a", "b"])
+        # Nobody is left without an outcome; everybody sees the error.
+        assert [str(seat) for seat in seats] == ["window down"] * 2
+        assert all(isinstance(seat, RuntimeError) for seat in seats)
+        assert scope.section("llm.microbatch") == {}  # nothing was served
+
+    def test_batch_error_settles_each_seat_on_its_own(self):
+        """Seats a failed window served keep their answers."""
+
+        class _Partial(_ScriptedBatchClient):
+            def complete_batch(self, requests):
+                self.batch_calls.append(list(requests))
+                outcomes = [f"ans:{r}" for r in requests]
+                outcomes[1] = RuntimeError("seat down")
+                raise BatchError(outcomes)
+
+        with use_metrics(MetricsRegistry()) as registry, use_tally(
+            Tally()
+        ) as scope:
+            seats = complete_seats(_Partial(), ["a", "b", "c"])
+            assert registry.counter("llm.microbatch.batches") == 1
+            assert registry.counter("llm.microbatch.requests") == 2
+        assert seats[0] == "ans:a"
+        assert isinstance(seats[1], RuntimeError)
+        assert seats[2] == "ans:c"
+        assert scope.section("llm.microbatch") == {
+            "batches": 1,
+            "requests": 2,
+            "seats": 3,
+        }
+
+    def test_one_call_is_one_window(self):
+        client = _ScriptedBatchClient()
+        seats = complete_seats(client, ["a", "b", "c", "d"])
+        assert seats == ["ans:a", "ans:b", "ans:c", "ans:d"]
+        assert client.batch_calls == [["a", "b", "c", "d"]]
+        # An empty call sends nothing.
+        assert complete_seats(client, []) == []
+        assert len(client.batch_calls) == 1

@@ -1,9 +1,8 @@
 """Unit tests for the asyncio pipeline primitives (``repro.parallel.aio``).
 
 These cover the building blocks in isolation — ordering and windowing
-of :func:`imap_async`, the AIMD congestion window, micro-batch window
-mechanics, the sync/async thread bridge, and the token bucket's async
-acquire — while ``tests/test_golden_report.py`` proves the assembled
+of :func:`imap_async`, the AIMD congestion window, the sync/async
+thread bridge, and the token bucket's async acquire — while ``tests/test_golden_report.py`` proves the assembled
 engine is byte-identical to the serial survey.
 """
 
@@ -13,16 +12,9 @@ import time
 
 import pytest
 
-from repro.llm import BatchError
 from repro.llm.batch import TokenBucket
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.parallel import (
-    AIMDController,
-    MicroBatcher,
-    ThreadBridge,
-    active_batcher,
-    imap_async,
-)
+from repro.parallel import AIMDController, ThreadBridge, imap_async
 from repro.resilience import VirtualClock
 
 
@@ -213,98 +205,6 @@ class TestAIMDController:
             "increases": 1,
             "decreases": 1,
         }
-
-
-class _ScriptedBatchClient:
-    """Counts batched dispatches; answers ``ans:<request>`` per seat."""
-
-    def __init__(self, error: Exception | None = None):
-        self.batch_calls = []
-        self.error = error
-
-    def complete_batch(self, requests):
-        self.batch_calls.append(list(requests))
-        if self.error is not None:
-            raise self.error
-        return [f"ans:{request}" for request in requests]
-
-
-class TestMicroBatcher:
-    def test_plain_failure_fans_out_to_every_seat(self):
-        client = _ScriptedBatchClient(error=RuntimeError("window down"))
-        batcher = MicroBatcher()
-        seats = batcher.submit_many(client, ["a", "b"])
-        for seat in seats:  # nobody hangs, everybody sees the error
-            with pytest.raises(RuntimeError, match="window down"):
-                seat.result()
-        assert batcher.stats()["batches"] == 0  # nothing was served
-
-    def test_batch_error_settles_each_seat_on_its_own(self):
-        """Seats a failed window served keep their answers."""
-
-        class _Partial(_ScriptedBatchClient):
-            def complete_batch(self, requests):
-                self.batch_calls.append(list(requests))
-                outcomes = [f"ans:{r}" for r in requests]
-                outcomes[1] = RuntimeError("seat down")
-                raise BatchError(outcomes)
-
-        client = _Partial()
-        batcher = MicroBatcher()
-        with use_metrics(MetricsRegistry()) as registry:
-            seats = batcher.submit_many(client, ["a", "b", "c"])
-            assert registry.counter("llm.microbatch.batches") == 1
-            assert registry.counter("llm.microbatch.requests") == 2
-        assert seats[0].result() == "ans:a"
-        with pytest.raises(RuntimeError, match="seat down"):
-            seats[1].result()
-        assert seats[2].result() == "ans:c"
-        assert batcher.stats() == {
-            "batches": 1,
-            "batched_requests": 2,
-            "max_batch_size": 3,
-        }
-
-    def test_submit_many_dispatches_at_once(self):
-        client = _ScriptedBatchClient()
-        batcher = MicroBatcher()
-        seats = batcher.submit_many(client, ["a", "b", "c", "d"])
-        # The seats are settled on return: nothing waits for companions.
-        assert all(seat.done() for seat in seats)
-        assert [seat.result() for seat in seats] == [
-            "ans:a", "ans:b", "ans:c", "ans:d"
-        ]
-        assert client.batch_calls == [["a", "b", "c", "d"]]
-        assert batcher.stats()["max_batch_size"] == 4
-        assert batcher.submit_many(client, []) == []
-        assert len(client.batch_calls) == 1
-
-    def test_different_clients_never_share_a_window(self):
-        first, second = _ScriptedBatchClient(), _ScriptedBatchClient()
-        batcher = MicroBatcher()
-        batcher.submit_many(first, ["a"])
-        batcher.submit_many(second, ["b"])
-        assert first.batch_calls == [["a"]]
-        assert second.batch_calls == [["b"]]
-
-    def test_install_routes_calls_without_touching_clients(self):
-        client = _ScriptedBatchClient()
-        outer, inner = MicroBatcher(), MicroBatcher()
-
-        def route(request):
-            return active_batcher().submit_many(client, [request])[0].result()
-
-        assert active_batcher() is None
-        with outer.install():
-            assert route("q") == "ans:q"
-            with inner.install():
-                assert route("r") == "ans:r"
-            # The nested install restored the outer batcher on exit.
-            assert route("s") == "ans:s"
-        assert active_batcher() is None
-        assert client.batch_calls == [["q"], ["r"], ["s"]]
-        assert outer.stats()["batched_requests"] == 2
-        assert inner.stats()["batched_requests"] == 1
 
 
 class TestTokenBucketAsyncAcquire:
