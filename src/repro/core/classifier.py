@@ -27,6 +27,7 @@ from ..llm.base import (
     ChatRequest,
     ChatResponse,
     ImageAttachment,
+    UnsentError,
     Usage,
     complete_seats,
 )
@@ -265,14 +266,21 @@ class LLMIndicatorClassifier:
         (:func:`~repro.llm.base.complete_seats`), so a survey location
         pays one LLM round trip instead of one per image.  Each image
         then runs its own retry loop with its seat as attempt 1, and
-        every retry goes straight to the client's ``complete``.
+        every retry goes straight to the client's ``complete``.  A seat
+        the window never sent (an :class:`~repro.llm.base.UnsentError`
+        behind an earlier failure) spent no attempt: its image sends
+        attempt 1 fresh.
         """
         asked = self._asked(indicators)
         seats = complete_seats(
             self.client, [self._request(image, asked) for image in images]
         )
         return [
-            self._classify(image, asked, first=seat)
+            self._classify(
+                image,
+                asked,
+                first=None if isinstance(seat, UnsentError) else seat,
+            )
             for image, seat in zip(images, seats)
         ]
 

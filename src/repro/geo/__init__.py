@@ -22,18 +22,9 @@ from .county import (
 from .roadnet import (
     RoadClass,
     RoadEdge,
+    RoadNetwork,
     build_road_network,
     iter_edges,
-    multilane_fraction,
-    total_length_m,
-)
-from .routes import (
-    NoRouteError,
-    Route,
-    nearest_node,
-    plan_route,
-    route_captures,
-    route_sample_points,
 )
 from .sampling import (
     CaptureRequest,
@@ -41,7 +32,6 @@ from .sampling import (
     SamplingFrame,
     build_sampling_frame,
     expand_to_captures,
-    frame_statistics,
     plan_survey_points,
     select_survey_locations,
 )
@@ -64,22 +54,14 @@ __all__ = [
     "study_counties",
     "RoadClass",
     "RoadEdge",
+    "RoadNetwork",
     "build_road_network",
     "iter_edges",
-    "multilane_fraction",
-    "total_length_m",
-    "NoRouteError",
-    "Route",
-    "nearest_node",
-    "plan_route",
-    "route_captures",
-    "route_sample_points",
     "CaptureRequest",
     "SamplePoint",
     "SamplingFrame",
     "build_sampling_frame",
     "expand_to_captures",
-    "frame_statistics",
     "plan_survey_points",
     "select_survey_locations",
 ]

@@ -1,7 +1,8 @@
 """Road-network generation over a synthetic county.
 
 The sampling frame in the paper is "all roadways" in the two study
-counties.  We synthesize a road network per county as a planar graph:
+counties.  We synthesize a road network per county on a jittered
+lattice:
 
 * a sparse arterial grid of multilane roads through urban/commercial
   zones,
@@ -9,18 +10,19 @@ counties.  We synthesize a road network per county as a planar graph:
 * rural connector roads meandering between zone centers.
 
 Each edge carries a ``RoadClass`` that the scene generator uses to
-decide lane count, shoulder type, and roadside furniture.  The graph is
-a ``networkx.Graph`` whose nodes are ``LatLon`` points, so standard
-graph algorithms (connectivity checks, shortest paths for route-based
-surveys) work out of the box.
+decide lane count, shoulder type, and roadside furniture.  The result
+is a frozen :class:`RoadNetwork`: the county name and the edge list of
+the lattice's largest connected component, sorted once by
+``(start, end)``.  The sampling frame reads nothing else, so that sort
+is the frame's order.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .coordinates import LatLon
@@ -74,21 +76,63 @@ _ARTERIAL_PROBABILITY = {
 }
 
 
+@dataclass(frozen=True)
+class RoadNetwork:
+    """A county's generated road network, frozen.
+
+    ``edges`` is every road of the largest connected component, each
+    with its endpoints normalized (lexicographically smaller endpoint
+    first), sorted by ``(start, end)``.
+    """
+
+    county: str
+    edges: tuple[RoadEdge, ...]
+
+
+def largest_component(
+    n_nodes: int, links: Iterable[tuple[int, int]]
+) -> frozenset[int]:
+    """The node indices of the largest connected component.
+
+    Union-find over ``0 .. n_nodes - 1`` joined by ``links``.  Among
+    components of equal size the one holding the lowest node index
+    wins: the pick of ``max(components, key=len)`` over components
+    listed in order of their lowest node.
+    """
+    parent = list(range(n_nodes))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for a, b in links:
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            # The lower index stays the root, so a root is its
+            # component's lowest node.
+            parent[max(root_a, root_b)] = min(root_a, root_b)
+    roots = [find(node) for node in range(n_nodes)]
+    sizes: dict[int, int] = {}
+    for root in roots:
+        sizes[root] = sizes.get(root, 0) + 1
+    best = min(sizes, key=lambda root: (-sizes[root], root))
+    return frozenset(node for node, root in enumerate(roots) if root == best)
+
+
 def build_road_network(
     county: County,
     lattice_rows: int = 14,
     lattice_cols: int = 14,
     seed: int = 0,
-) -> nx.Graph:
+) -> RoadNetwork:
     """Generate the road network for ``county``.
 
     The network is built on a jittered lattice clipped to the county
     extent.  Edge retention and classification follow the land-use zone
     at the edge midpoint, then the largest connected component is kept
     so every road is reachable (GSV coverage follows drivable roads).
-
-    Nodes are ``LatLon``; edges carry ``road_class`` (a ``RoadClass``)
-    and ``length_m`` attributes.
     """
     if lattice_rows < 2 or lattice_cols < 2:
         raise ValueError("lattice must be at least 2x2")
@@ -96,26 +140,26 @@ def build_road_network(
     lat_step = (county.north - county.south) / (lattice_rows - 1)
     lon_step = (county.east - county.west) / (lattice_cols - 1)
 
-    # Jittered lattice nodes: regular spacing with a bounded random
-    # displacement so roads are not perfectly rectilinear.
-    nodes: dict[tuple[int, int], LatLon] = {}
+    # Jittered lattice nodes, row by row: regular spacing with a
+    # bounded random displacement so roads are not perfectly
+    # rectilinear.  Node ``i * lattice_cols + j`` sits at row i, col j.
+    nodes: list[LatLon] = []
     for i in range(lattice_rows):
         for j in range(lattice_cols):
             jlat = float(rng.uniform(-0.22, 0.22)) * lat_step
             jlon = float(rng.uniform(-0.22, 0.22)) * lon_step
-            nodes[(i, j)] = LatLon(
-                county.south + i * lat_step + jlat,
-                county.west + j * lon_step + jlon,
+            nodes.append(
+                LatLon(
+                    county.south + i * lat_step + jlat,
+                    county.west + j * lon_step + jlon,
+                )
             )
 
-    graph = nx.Graph(county=county.name)
-    for key, point in nodes.items():
-        graph.add_node(point, grid=key)
+    kept: list[tuple[int, int, RoadClass]] = []
 
-    def consider(a: tuple[int, int], b: tuple[int, int]) -> None:
+    def consider(a: int, b: int) -> None:
         pa, pb = nodes[a], nodes[b]
-        midpoint = pa.toward(pb, 0.5)
-        zone = county.zone_at(midpoint)
+        zone = county.zone_at(pa.toward(pb, 0.5))
         if rng.random() > _KEEP_PROBABILITY[zone.kind]:
             return
         if rng.random() < _ARTERIAL_PROBABILITY[zone.kind]:
@@ -124,60 +168,37 @@ def build_road_network(
             road_class = RoadClass.COLLECTOR
         else:
             road_class = RoadClass.LOCAL
-        graph.add_edge(
-            pa,
-            pb,
-            road_class=road_class,
-            length_m=pa.distance_m(pb),
-        )
+        kept.append((a, b, road_class))
 
     for i in range(lattice_rows):
         for j in range(lattice_cols):
+            node = i * lattice_cols + j
             if j + 1 < lattice_cols:
-                consider((i, j), (i, j + 1))
+                consider(node, node + 1)
             if i + 1 < lattice_rows:
-                consider((i, j), (i + 1, j))
+                consider(node, node + lattice_cols)
 
     # Keep the largest connected component; prune isolated stubs.
-    if graph.number_of_edges() == 0:
+    if not kept:
         raise RuntimeError(
             f"road network generation for {county.name!r} produced no "
             "edges; increase lattice density or keep probabilities"
         )
-    largest = max(nx.connected_components(graph), key=len)
-    graph.remove_nodes_from(set(graph.nodes) - largest)
-    return graph
+    largest = largest_component(len(nodes), ((a, b) for a, b, _ in kept))
+    edges = [
+        RoadEdge(*sorted((nodes[a], nodes[b])), road_class)
+        for a, b, road_class in kept
+        if a in largest
+    ]
+    edges.sort(key=lambda e: (e.start, e.end))
+    return RoadNetwork(county=county.name, edges=tuple(edges))
 
 
-def iter_edges(graph: nx.Graph) -> list[RoadEdge]:
-    """Materialize the network's edges as ``RoadEdge`` records.
+def iter_edges(network: RoadNetwork) -> list[RoadEdge]:
+    """The network's edges as ``RoadEdge`` records, in frame order.
 
     Edge direction is normalized (lexicographically smaller endpoint
-    first) so iteration order is deterministic across runs.
+    first) and edges are sorted by ``(start, end)``, so iteration order
+    is deterministic across runs.
     """
-    edges = []
-    for u, v, data in graph.edges(data=True):
-        start, end = sorted((u, v))
-        edges.append(RoadEdge(start, end, data["road_class"]))
-    edges.sort(key=lambda e: (e.start, e.end))
-    return edges
-
-
-def total_length_m(graph: nx.Graph) -> float:
-    """Total drivable road length represented by the network."""
-    return float(
-        sum(data["length_m"] for _, _, data in graph.edges(data=True))
-    )
-
-
-def multilane_fraction(graph: nx.Graph) -> float:
-    """Fraction of road length classified as multilane (diagnostic)."""
-    total = total_length_m(graph)
-    if total == 0:
-        return 0.0
-    arterial = sum(
-        data["length_m"]
-        for _, _, data in graph.edges(data=True)
-        if data["road_class"].is_multilane
-    )
-    return float(arterial) / total
+    return list(network.edges)

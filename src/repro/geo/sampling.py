@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import overload
 
-import networkx as nx
 import numpy as np
 
 from .coordinates import (
@@ -33,7 +32,7 @@ from .coordinates import (
     SegmentedEdge,
 )
 from .county import County, ZoneKind
-from .roadnet import RoadClass, build_road_network, iter_edges
+from .roadnet import RoadClass, RoadNetwork, build_road_network
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,8 @@ class SamplingFrame(Sequence[SamplePoint]):
     edge, places the one point with :meth:`SegmentedEdge.point` and
     zones it; slicing and iteration materialize only what they visit.
     The points are exactly those of segmenting every edge with
-    :func:`segment_points`, in :func:`iter_edges` order.
+    :func:`segment_points`, in the network's edge order (sorted by
+    ``(start, end)``, see :func:`~repro.geo.roadnet.iter_edges`).
     """
 
     __slots__ = ("_county", "_edges", "_classes", "_bearings", "_starts", "_len")
@@ -76,10 +76,10 @@ class SamplingFrame(Sequence[SamplePoint]):
     def __init__(
         self,
         county: County,
-        graph: nx.Graph,
+        network: RoadNetwork,
         interval_m: float = SEGMENT_INTERVAL_M,
     ) -> None:
-        edges = iter_edges(graph)
+        edges = network.edges
         self._county = county
         self._edges = tuple(
             SegmentedEdge(edge.start, edge.end, interval_m) for edge in edges
@@ -128,15 +128,15 @@ class SamplingFrame(Sequence[SamplePoint]):
 
 def build_sampling_frame(
     county: County,
-    graph: nx.Graph,
+    network: RoadNetwork,
     interval_m: float = SEGMENT_INTERVAL_M,
 ) -> SamplingFrame:
-    """Segment every road edge of ``graph`` at ``interval_m``.
+    """Segment every road edge of ``network`` at ``interval_m``.
 
     Returns the full deterministic sampling frame for the county as a
     lazy, immutable sequence (see :class:`SamplingFrame`).
     """
-    return SamplingFrame(county, graph, interval_m)
+    return SamplingFrame(county, network, interval_m)
 
 
 def select_survey_locations(
@@ -207,8 +207,8 @@ def plan_survey_points(
     require_distinct_counties(counties)
     frames: dict[str, Sequence[SamplePoint]] = {}
     for county in counties:
-        graph = build_road_network(county, seed=seed + 17)
-        frames[county.name] = build_sampling_frame(county, graph)
+        network = build_road_network(county, seed=seed + 17)
+        frames[county.name] = build_sampling_frame(county, network)
     if not any(frames.values()):
         return []
     return select_survey_locations(frames, n_locations, seed=seed + 23)
@@ -224,24 +224,3 @@ def expand_to_captures(
         for point in points
         for heading in headings
     ]
-
-
-def frame_statistics(frame: Sequence[SamplePoint]) -> dict[str, float]:
-    """Descriptive statistics of a sampling frame (diagnostics)."""
-    if not frame:
-        return {"n_points": 0}
-    zone_counts: dict[str, int] = {}
-    road_counts: dict[str, int] = {}
-    for point in frame:
-        zone_counts[point.zone_kind.value] = (
-            zone_counts.get(point.zone_kind.value, 0) + 1
-        )
-        road_counts[point.road_class.value] = (
-            road_counts.get(point.road_class.value, 0) + 1
-        )
-    stats: dict[str, float] = {"n_points": float(len(frame))}
-    for name, count in sorted(zone_counts.items()):
-        stats[f"zone_{name}"] = count / len(frame)
-    for name, count in sorted(road_counts.items()):
-        stats[f"road_{name}"] = count / len(frame)
-    return stats

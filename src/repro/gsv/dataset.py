@@ -363,8 +363,8 @@ def build_survey_dataset(
 
     frames = {}
     for index, county in enumerate(counties):
-        graph = build_road_network(county, seed=seed + 13 * (index + 1))
-        frames[county.name] = build_sampling_frame(county, graph)
+        network = build_road_network(county, seed=seed + 13 * (index + 1))
+        frames[county.name] = build_sampling_frame(county, network)
     locations = select_survey_locations(frames, n_images // 4, seed=seed + 29)
     captures = expand_to_captures(locations)
 

@@ -79,8 +79,8 @@ def build_tract_survey(
         health_model = HealthModel(seed=seed)
     rng = np.random.default_rng(seed + 101)
 
-    graph = build_road_network(county, seed=seed + 3)
-    frame = build_sampling_frame(county, graph)
+    network = build_road_network(county, seed=seed + 3)
+    frame = build_sampling_frame(county, network)
     points = select_survey_locations(
         {county.name: frame}, n_tracts * locations_per_tract, seed=seed + 5
     )

@@ -128,13 +128,27 @@ def estimate_prompt_tokens(request: ChatRequest) -> int:
     return max(1, text_chars // 4) + IMAGE_PROMPT_TOKENS * len(request.images)
 
 
+class UnsentError(Exception):
+    """A batched request the dispatch never sent.
+
+    :func:`complete_each` stops at a window's first failure; each
+    request after it carries this marker (its ``__cause__`` is that
+    failure), so a caller sends it fresh as its first attempt instead
+    of counting a failed one.
+    """
+
+    def __init__(self, cause: Exception) -> None:
+        super().__init__("not sent: an earlier request in the window failed")
+        self.__cause__ = cause
+
+
 class BatchError(Exception):
     """A batched dispatch in which at least one request failed.
 
     ``outcomes`` lines up with the batch's requests: each entry is
     that request's :class:`ChatResponse`, or the exception it failed
-    with.  A request the dispatch never sent carries the error that
-    stopped it.  The first failure is also the ``__cause__``.
+    with.  A request the dispatch never sent carries an
+    :class:`UnsentError`.  The first failure is also the ``__cause__``.
     """
 
     def __init__(self, outcomes: Sequence[ChatResponse | Exception]) -> None:
@@ -158,16 +172,16 @@ def complete_each(
     """Serve ``requests`` one after another as one batch window.
 
     Stops at the first failure and raises :class:`BatchError`: the
-    requests before it keep their responses, the failed one and every
-    one after it carry the error.
+    requests before it keep their responses, the failed one carries
+    the error and every one after it an :class:`UnsentError`.
     """
     responses: list[ChatResponse] = []
     for request in requests:
         try:
             responses.append(complete(request))
         except Exception as err:
-            unsent = len(requests) - len(responses)
-            raise BatchError([*responses, *[err] * unsent])
+            unsent = [UnsentError(err) for _ in requests[len(responses) + 1 :]]
+            raise BatchError([*responses, err, *unsent])
     return responses
 
 
@@ -179,10 +193,11 @@ def complete_seats(
     Returns one outcome per request, in order: its response, or the
     error it failed with.  A :class:`BatchError` settles each seat on
     its own, so the seats a failed window did serve keep their answers
-    (they were billed) and only the failed and unsent ones carry an
-    error; any other exception fails every seat.  A window that served
-    at least one seat counts in the ``llm.microbatch.*`` metrics and in
-    the active tally, which a survey folds into ``batch_stats``.
+    (they were billed), the failed ones carry their error and the
+    unsent ones an :class:`UnsentError`; any other exception fails
+    every seat.  A window that served at least one seat counts in the
+    ``llm.microbatch.*`` metrics and in the active tally, which a
+    survey folds into ``batch_stats``.
     """
     if not requests:
         return []
@@ -258,11 +273,12 @@ class ChatClient(abc.ABC):
         override this.  Responses come back in request order.  A
         failure raises :class:`BatchError`, whose ``outcomes`` keep the
         responses already served — they were billed, so a caller must
-        not re-send them — and give every failed or unsent request its
-        error.  A caller that wants retries per request runs each
-        failed seat through
+        not re-send them — give every failed request its error and
+        every unsent one an :class:`UnsentError`.  A caller that wants
+        retries per request runs each failed seat through
         :meth:`~repro.resilience.retry.RetryPolicy.execute` with the
-        seat as its first attempt, as the survey classifier does.
+        seat as its first attempt, and sends an unsent one fresh, as
+        the survey classifier does.
         """
         return complete_each(self.complete, requests)
 

@@ -30,7 +30,14 @@ from typing import IO
 from ..obs.metrics import get_metrics
 from ..obs.scope import tally
 from ..obs.trace import get_tracer
-from .base import BatchError, ChatClient, ChatRequest, ChatResponse, Usage
+from .base import (
+    BatchError,
+    ChatClient,
+    ChatRequest,
+    ChatResponse,
+    UnsentError,
+    Usage,
+)
 
 
 class _Flight:
@@ -135,24 +142,26 @@ class CachingChatClient(ChatClient):
     def complete(self, request: ChatRequest) -> ChatResponse:
         metrics = get_metrics()
         key = request_fingerprint(request)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                metrics.inc("llm.cache.hits")
-                tally("llm.cache.hits")
-                self.stats.record(Usage(0, 0))  # logical request, zero tokens
-                return _response_from_record(cached)
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._inflight[key] = flight
-                leading = True
-            else:
-                leading = False
-
-        if not leading:
-            return self._follow(flight)
+        while True:
+            with self._lock:
+                cached = self._cache.get(key)
+                if cached is not None:
+                    self.hits += 1
+                    metrics.inc("llm.cache.hits")
+                    tally("llm.cache.hits")
+                    self.stats.record(Usage(0, 0))  # logical request, zero tokens
+                    return _response_from_record(cached)
+                flight = self._inflight.get(key)
+                if flight is None:
+                    flight = _Flight()
+                    self._inflight[key] = flight
+                    break
+            try:
+                return self._follow(flight)
+            except UnsentError:
+                # Its leader's window never sent it: look again, and
+                # lead the call if nobody else has.
+                continue
 
         # Leader: the billable call happens outside the lock so
         # concurrent misses on *different* requests overlap instead of
@@ -180,8 +189,9 @@ class CachingChatClient(ChatClient):
         one never double-bill the same fingerprint.
 
         A dispatch that fails part-way still caches what it served and
-        releases the flights it failed, so followers see the failure
-        and the next request re-leads.  Any failure raises
+        releases the flights it failed or left unsent, so followers
+        see the failure (an unsent one is theirs to send) and the next
+        request re-leads.  Any failure raises
         :class:`~repro.llm.base.BatchError` with every position's
         response or error.
         """
@@ -245,8 +255,15 @@ class CachingChatClient(ChatClient):
         return outcomes  # type: ignore[return-value]
 
     def _follow(self, flight: _Flight) -> ChatResponse:
-        """Wait (outside the lock) on a leader's flight and share it."""
+        """Wait (outside the lock) on a leader's flight and share it.
+
+        A flight its leader's window never sent raises its
+        :class:`~repro.llm.base.UnsentError` without counting as
+        coalesced: nothing was shared.
+        """
         flight.done.wait()
+        if isinstance(flight.error, UnsentError):
+            raise flight.error
         with self._lock:
             self.coalesced += 1
             get_metrics().inc("llm.cache.coalesced")

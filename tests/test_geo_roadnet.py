@@ -1,6 +1,10 @@
 """Tests for road-network generation and the sampling frame."""
 
-import networkx as nx
+import hashlib
+import subprocess
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -8,21 +12,74 @@ from repro.geo import (
     CARDINAL_HEADINGS,
     County,
     RoadClass,
+    RoadNetwork,
     SamplePoint,
     build_road_network,
     build_sampling_frame,
     expand_to_captures,
-    frame_statistics,
     iter_edges,
     make_durham_like,
     make_robeson_like,
-    multilane_fraction,
     plan_survey_points,
     segment_points,
     select_survey_locations,
-    total_length_m,
 )
+from repro.geo.roadnet import largest_component
 from repro.gsv import build_survey_dataset
+
+
+def total_length_m(network):
+    """Total drivable road length represented by the network."""
+    return sum(edge.length_m for edge in network.edges)
+
+
+def multilane_fraction(network):
+    """Fraction of road length classified as multilane."""
+    total = total_length_m(network)
+    if total == 0:
+        return 0.0
+    arterial = sum(
+        edge.length_m
+        for edge in network.edges
+        if edge.road_class.is_multilane
+    )
+    return arterial / total
+
+
+def frame_statistics(frame):
+    """Zone and road-class shares of a sampling frame's points."""
+    if not frame:
+        return {"n_points": 0}
+    zone_counts = {}
+    road_counts = {}
+    for point in frame:
+        zone = point.zone_kind.value
+        road = point.road_class.value
+        zone_counts[zone] = zone_counts.get(zone, 0) + 1
+        road_counts[road] = road_counts.get(road, 0) + 1
+    stats = {"n_points": float(len(frame))}
+    for name, count in sorted(zone_counts.items()):
+        stats[f"zone_{name}"] = count / len(frame)
+    for name, count in sorted(road_counts.items()):
+        stats[f"road_{name}"] = count / len(frame)
+    return stats
+
+
+def reachable(network):
+    """The nodes a breadth-first walk from the first edge reaches."""
+    neighbours = {}
+    for edge in network.edges:
+        neighbours.setdefault(edge.start, []).append(edge.end)
+        neighbours.setdefault(edge.end, []).append(edge.start)
+    first = network.edges[0].start
+    seen = {first}
+    queue = deque([first])
+    while queue:
+        for node in neighbours[queue.popleft()]:
+            if node not in seen:
+                seen.add(node)
+                queue.append(node)
+    return seen, set(neighbours)
 
 
 @pytest.fixture(scope="module")
@@ -31,53 +88,115 @@ def county():
 
 
 @pytest.fixture(scope="module")
-def graph(county):
+def network(county):
     return build_road_network(county, seed=9)
 
 
 class TestRoadNetwork:
-    def test_connected(self, graph):
-        assert nx.is_connected(graph)
+    def test_connected(self, network):
+        seen, nodes = reachable(network)
+        assert len(nodes) > 2
+        assert seen == nodes
 
-    def test_has_edges_with_attributes(self, graph):
-        for _, _, data in graph.edges(data=True):
-            assert isinstance(data["road_class"], RoadClass)
-            assert data["length_m"] > 0
+    def test_has_edges_with_attributes(self, network):
+        assert isinstance(network, RoadNetwork)
+        assert network.county == "Robeson"
+        assert network.edges
+        for edge in network.edges:
+            assert isinstance(edge.road_class, RoadClass)
+            assert edge.start < edge.end
+            assert edge.length_m > 0
 
     def test_deterministic(self, county):
         a = build_road_network(county, seed=4)
         b = build_road_network(county, seed=4)
-        assert set(a.edges) == set(b.edges)
+        assert a == b
 
     def test_rejects_tiny_lattice(self, county):
         with pytest.raises(ValueError):
             build_road_network(county, lattice_rows=1, lattice_cols=5)
 
-    def test_total_length_positive(self, graph):
-        assert total_length_m(graph) > 100_000  # county-scale network
+    def test_total_length_positive(self, network):
+        assert total_length_m(network) > 100_000  # county-scale network
 
-    def test_multilane_fraction_in_range(self, graph):
-        assert 0.0 < multilane_fraction(graph) < 1.0
+    def test_multilane_fraction_in_range(self, network):
+        assert 0.0 < multilane_fraction(network) < 1.0
 
     def test_urban_county_has_more_multilane(self):
         rural = build_road_network(make_robeson_like(seed=2), seed=3)
         urban = build_road_network(make_durham_like(seed=2), seed=3)
         assert multilane_fraction(urban) > multilane_fraction(rural)
 
-    def test_iter_edges_deterministic_order(self, graph):
-        first = iter_edges(graph)
-        second = iter_edges(graph)
+    def test_iter_edges_deterministic_order(self, network):
+        first = iter_edges(network)
+        second = iter_edges(network)
         assert first == second
+        assert first == sorted(first, key=lambda e: (e.start, e.end))
+
+    def test_import_loads_only_numpy_and_the_stdlib(self):
+        """``import repro`` pulls in no third-party package but numpy."""
+        probe = (
+            "import sys; before = set(sys.modules); import repro; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "extra = new - set(sys.stdlib_module_names) - {'numpy', 'repro'}; "
+            "assert not extra, sorted(extra)"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+#: SHA-256 over ``repr`` of each network's ``(start, end, class)`` edge
+#: list, for both county models x county seeds 0-5 x network seeds
+#: 0-39, as the graph-library builder produced them.  The sampling
+#: frame walks edges in this order, so a change here moves every plan.
+EDGE_ORDER_DIGEST = (
+    "86cbbe50ea2fe07e86e9f57e06cdd0e7c640d253ab74fbdc132c1c22c92b64e5"
+)
+
+
+class TestEdgeOrderPin:
+    def test_edges_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for make in (make_durham_like, make_robeson_like):
+            for county_seed in range(6):
+                county = make(seed=county_seed)
+                for seed in range(40):
+                    network = build_road_network(county, seed=seed)
+                    edges = [
+                        (e.start, e.end, e.road_class.value)
+                        for e in iter_edges(network)
+                    ]
+                    digest.update(repr(edges).encode())
+        assert digest.hexdigest() == EDGE_ORDER_DIGEST
+
+
+class TestLargestComponent:
+    def test_equal_sizes_keep_the_lowest_node(self):
+        # Two 3-node components; the one found second is linked first.
+        links = [(3, 4), (4, 5), (1, 2), (0, 1)]
+        assert largest_component(6, links) == {0, 1, 2}
+        assert largest_component(6, links[::-1]) == {0, 1, 2}
+
+    def test_equal_sizes_past_an_isolated_node(self):
+        assert largest_component(5, [(3, 4), (1, 2)]) == {1, 2}
+
+    def test_larger_component_beats_a_lower_index(self):
+        assert largest_component(5, [(0, 1), (3, 4), (2, 3)]) == {2, 3, 4}
+
+    def test_lattice_with_two_equal_halves(self):
+        # A 2x4 lattice cut down the middle: columns 0-1 and 2-3.
+        links = [(0, 1), (4, 5), (0, 4), (1, 5), (2, 3), (6, 7), (2, 6), (3, 7)]
+        assert largest_component(8, links) == {0, 1, 4, 5}
+        assert largest_component(8, links[4:] + links[:4]) == {0, 1, 4, 5}
 
 
 class TestSamplingFrame:
-    def test_frame_covers_all_edges(self, county, graph):
-        frame = build_sampling_frame(county, graph)
+    def test_frame_covers_all_edges(self, county, network):
+        frame = build_sampling_frame(county, network)
         # Every edge contributes at least one sample point.
-        assert len(frame) >= graph.number_of_edges()
+        assert len(frame) >= len(network.edges)
 
-    def test_frame_statistics_fractions_sum(self, county, graph):
-        frame = build_sampling_frame(county, graph)
+    def test_frame_statistics_fractions_sum(self, county, network):
+        frame = build_sampling_frame(county, network)
         stats = frame_statistics(frame)
         zone_total = sum(
             value for key, value in stats.items() if key.startswith("zone_")
@@ -91,24 +210,24 @@ class TestSamplingFrame:
     def test_empty_frame_statistics(self):
         assert frame_statistics([]) == {"n_points": 0}
 
-    def test_select_is_deterministic(self, county, graph):
-        frame = build_sampling_frame(county, graph)
+    def test_select_is_deterministic(self, county, network):
+        frame = build_sampling_frame(county, network)
         a = select_survey_locations({"X": frame}, 50, seed=1)
         b = select_survey_locations({"X": frame}, 50, seed=1)
         assert a == b
 
-    def test_select_without_replacement(self, county, graph):
-        frame = build_sampling_frame(county, graph)
+    def test_select_without_replacement(self, county, network):
+        frame = build_sampling_frame(county, network)
         chosen = select_survey_locations({"X": frame}, 100, seed=1)
         assert len({p.location for p in chosen}) == len(chosen)
 
-    def test_select_rejects_oversized_request(self, county, graph):
-        frame = build_sampling_frame(county, graph)[:10]
+    def test_select_rejects_oversized_request(self, county, network):
+        frame = build_sampling_frame(county, network)[:10]
         with pytest.raises(ValueError):
             select_survey_locations({"X": frame}, 11, seed=0)
 
-    def test_expand_to_captures_four_headings(self, county, graph):
-        frame = build_sampling_frame(county, graph)
+    def test_expand_to_captures_four_headings(self, county, network):
+        frame = build_sampling_frame(county, network)
         points = select_survey_locations({"X": frame}, 5, seed=0)
         captures = expand_to_captures(points)
         assert len(captures) == 20
@@ -116,7 +235,7 @@ class TestSamplingFrame:
         assert headings == set(CARDINAL_HEADINGS)
 
 
-def eager_frame(county, graph):
+def eager_frame(county, network):
     """Reference frame: every 50-ft point built and zoned up front."""
     return [
         SamplePoint(
@@ -126,7 +245,7 @@ def eager_frame(county, graph):
             road_class=edge.road_class,
             road_bearing=edge.bearing,
         )
-        for edge in iter_edges(graph)
+        for edge in iter_edges(network)
         for location in segment_points(edge.start, edge.end)
     ]
 
@@ -158,9 +277,9 @@ class TestLazyFrameIdentity:
     @pytest.mark.parametrize("make, county_seed", PIN_COUNTIES)
     def test_frame_equals_eager(self, make, county_seed):
         county = make(seed=county_seed)
-        graph = build_road_network(county, seed=9)
-        frame = build_sampling_frame(county, graph)
-        eager = eager_frame(county, graph)
+        network = build_road_network(county, seed=9)
+        frame = build_sampling_frame(county, network)
+        eager = eager_frame(county, network)
         assert len(frame) == len(eager)
         assert list(frame) == eager
         assert frame[-1] == eager[-1]

@@ -13,6 +13,8 @@ it already served.
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import threading
 
 import pytest
 
@@ -21,10 +23,17 @@ from repro.core.indicators import Indicator
 from repro.core.voting import VotingEnsemble
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient
-from repro.llm import BatchError, ChatClient, ChatResponse, ServerError, Usage
+from repro.llm import (
+    BatchError,
+    ChatClient,
+    ChatResponse,
+    ServerError,
+    UnsentError,
+    Usage,
+)
 from repro.llm.base import complete_seats
 from repro.llm.batch import TokenBucket
-from repro.llm.cache import CachingChatClient
+from repro.llm.cache import CachingChatClient, _Flight, request_fingerprint
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.scope import Tally, use_tally
 from repro.perf import LatencyChatClient
@@ -239,6 +248,77 @@ def test_failed_window_bills_each_request_once(clients, small_dataset, cached):
         assert not classifier.client._inflight
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["bare", "cached"])
+def test_unsent_seats_do_not_burn_a_retry(clients, small_dataset, cached):
+    """Seats behind a window's failure were never sent: no attempt spent.
+
+    Twenty images go out as one window and upstream call 2 fails, so
+    the window stops there: one seat served, one failed, eighteen
+    unsent.  The failed seat retries once; each unsent one is sent
+    fresh as its attempt 1.  That is 21 upstream calls and exactly one
+    retry, with the one-by-one path's answers.
+    """
+    images = small_dataset.images[:20]
+    upstream = _fails_on_call(clients, 2)
+    client = CachingChatClient(upstream) if cached else upstream
+    classifier = LLMIndicatorClassifier(client)
+    outcomes = classifier.classify(images)
+
+    assert upstream.schedule.calls == 21
+    assert upstream.schedule.injected == 1
+    assert classifier.retry_stats.retries == 1
+    assert classifier.retry_stats.attempts == 21
+    assert [outcome.attempts for outcome in outcomes] == [1, 2] + [1] * 18
+    serial = LLMIndicatorClassifier(clients[MODEL])
+    assert [outcome.presence for outcome in outcomes] == [
+        serial.classify_image(image).presence for image in images
+    ]
+    if cached:
+        assert not client._inflight and client.coalesced == 0
+
+
+def test_a_follower_of_an_unsent_flight_sends_it_itself(
+    clients, small_dataset
+):
+    """A lone request waiting on a flight its window never sent leads it."""
+    classifier = LLMIndicatorClassifier(clients[MODEL])
+    request = classifier._request(
+        small_dataset.images[0], classifier.config.indicators
+    )
+
+    class _Watched(threading.Event):
+        """An event that reports when somebody starts waiting on it."""
+
+        def __init__(self):
+            super().__init__()
+            self.waiting = threading.Event()
+
+        def wait(self, timeout=None):
+            self.waiting.set()
+            return super().wait(timeout)
+
+    cache = CachingChatClient(clients[MODEL])
+    key = request_fingerprint(request)
+    flight = _Flight()
+    flight.done = _Watched()
+    cache._inflight[key] = flight
+    answer = []
+    follower = threading.Thread(
+        target=contextvars.copy_context().run,
+        args=(lambda: answer.append(cache.complete(request)),),
+    )
+    follower.start()
+    assert flight.done.waiting.wait(timeout=10)  # it follows the flight
+    cache._resolve_flight(
+        key, flight, error=UnsentError(ServerError("503"))
+    )
+    follower.join(timeout=10)
+    assert not follower.is_alive()
+    assert answer == [clients[MODEL].complete(request)]
+    assert cache.misses == 1 and cache.coalesced == 0
+    assert not cache._inflight
+
+
 class _PartialUpstream(ChatClient):
     """Serves the first request of a batch, then fails."""
 
@@ -289,7 +369,8 @@ def test_wrappers_book_only_the_served_part_of_a_failed_window(
         limited.complete_batch(requests)
     first, failed, unsent = caught.value.outcomes
     assert isinstance(first, ChatResponse)
-    assert isinstance(failed, ServerError) and unsent is failed
+    assert isinstance(failed, ServerError)
+    assert isinstance(unsent, UnsentError) and unsent.__cause__ is failed
     for client in (faulty, latency, limited):
         assert _billed(client) == (
             1,
