@@ -16,7 +16,6 @@ Rendered result tables are printed and also written to
 from __future__ import annotations
 
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -30,14 +29,6 @@ from repro.experiments import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-# The detect bench times the fused feature kernel against the legacy
-# extractor, which lives with the tests as their oracle
-# (tests/features_legacy.py): make the ``tests`` package importable
-# from whatever directory the benches are started in.
-REPO_ROOT = Path(__file__).resolve().parents[1]
-if str(REPO_ROOT) not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT))
 
 
 def _bench_config() -> ExperimentConfig:

@@ -20,7 +20,6 @@ def test_fig5_voting(suite, benchmark, results_dir):
         assert abs(row["average"] - paper_accuracy) < 0.06, model_id
 
     vote = result.row_by("model", "Majority vote (top 3)")
-    gemini = result.row_by("model", "Gemini 1.5 Pro")
     grok = result.row_by("model", "Grok 2")
     # Voting reaches the high-80s and beats the weaker members.
     assert vote["average"] > 0.84

@@ -5,7 +5,6 @@ Generates tract-level outcomes from literature-informed coefficients
 standard binomial logistic regression with both exposure sources.
 """
 
-import numpy as np
 from conftest import publish
 from repro.core import LLMIndicatorClassifier
 from repro.core.indicators import ALL_INDICATORS

@@ -47,10 +47,10 @@ from ..llm.calibration import MarginCalibration
 from ..obs.metrics import get_metrics
 from ..obs.scope import tally
 
-#: Default doubt tolerance — calibrated against the paper-synthetic
-#: benchmark (see ``benchmarks/test_perf_cascade.py``): the largest
-#: grid threshold that held the accepted-indicator error under 1% on
-#: the validation split while clearing the >=5x fee reduction gate.
+#: Default doubt tolerance — chosen on the paper-synthetic frontier
+#: (``repro cascade frontier``): the largest grid threshold that held
+#: the accepted-indicator error under 1% on the validation split while
+#: cutting the fee per location at least fivefold.
 DEFAULT_THRESHOLD = 0.2
 
 #: Doubt beyond ``deep_factor * threshold`` skips the scout entirely:

@@ -13,7 +13,6 @@ Usage::
     python -m repro trace --locations 12 --max-inflight 4  # traced survey
     python -m repro survey --locations 40 --checkpoint c.json  # resumable
     python -m repro serve --selftest     # multi-tenant daemon drill
-    python -m repro bench                # refresh BENCH_*.json
 
 Results render as plain-text tables on stdout.  ``survey`` runs the
 deployable decoder end-to-end, prints a coverage/degradation summary,
@@ -24,9 +23,9 @@ recording :class:`~repro.obs.trace.Tracer` and a voting ensemble,
 exports the span tree to ``--trace-out`` (default ``trace.jsonl``),
 and audits it: the trace must be structurally sound and the metrics
 must reconcile exactly against the report's own counters (see
-:mod:`repro.obs.audit`).  ``bench`` runs the perf-marked benchmarks,
-refusing to overwrite ``BENCH_*.json`` documents recorded at a
-different commit unless ``--force`` is given.
+:mod:`repro.obs.audit`).  Performance is measured by perfbench
+(``perfbench/run.py``, with its workloads and bounds in
+``BENCHMARK.json``), not by this command.
 """
 
 from __future__ import annotations
@@ -546,132 +545,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return asyncio.run(serve())
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """Run the perf-marked benchmarks and refresh ``BENCH_*.json``.
-
-    Every benchmark document is stamped with the git SHA it was
-    produced at.  Rerunning at the same SHA overwrites in place;
-    rerunning at a *different* SHA refuses without ``--force`` so a
-    comparable measurement is never silently replaced by an
-    incomparable one.  Before any overwrite the current documents are
-    appended to ``benchmarks/results/bench_trajectory.jsonl``, so the
-    per-commit perf trajectory survives the refresh.
-
-    With ``--compare``, each fresh document is diffed against the last
-    trajectory entry of the same benchmark: a >20% relative drop in
-    any headline metric (see :data:`repro.perf.HEADLINE_METRICS`)
-    exits non-zero, so CI can gate merges on perf.
-    """
-    import pytest
-
-    from .perf import git_sha
-
-    repo_root = Path(__file__).resolve().parents[2]
-    only = getattr(args, "only", None)
-    if only is not None:
-        target = repo_root / "benchmarks" / f"test_perf_{only}.py"
-        if not target.exists():
-            print(f"no such benchmark: {target.name}")
-            return 2
-    sha = git_sha(repo_root)
-    documents = []
-    for path in sorted(repo_root.glob("BENCH_*.json")):
-        if only is not None and path.name != f"BENCH_{only}.json":
-            continue
-        try:
-            documents.append((path, json.loads(path.read_text())))
-        except (OSError, json.JSONDecodeError):
-            continue  # corrupt document: nothing comparable to protect
-    stale = [
-        (path, doc)
-        for path, doc in documents
-        if doc.get("git_sha", "unknown") not in ("unknown", sha)
-    ]
-    if stale and not args.force:
-        for path, doc in stale:
-            print(
-                f"{path.name}: recorded at {doc['git_sha'][:12]}, "
-                f"HEAD is {sha[:12]}"
-            )
-        print(
-            "refusing to overwrite benchmarks from a different commit; "
-            "rerun with --force to refresh them at HEAD"
-        )
-        return 1
-
-    trajectory_path = (
-        repo_root / "benchmarks" / "results" / "bench_trajectory.jsonl"
-    )
-    if documents:
-        trajectory_path.parent.mkdir(parents=True, exist_ok=True)
-        with trajectory_path.open("a") as handle:
-            for _, doc in documents:
-                handle.write(json.dumps(doc, sort_keys=False) + "\n")
-
-    # The command-line -m overrides the "not perf" exclusion baked
-    # into the project addopts.
-    bench_target = (
-        repo_root / "benchmarks"
-        if only is None
-        else repo_root / "benchmarks" / f"test_perf_{only}.py"
-    )
-    status = int(pytest.main(["-m", "perf", "-q", str(bench_target)]))
-    if status != 0 or not args.compare:
-        return status
-    return _compare_against_trajectory(repo_root, trajectory_path, only=only)
-
-
-def _compare_against_trajectory(
-    repo_root: Path, trajectory_path: Path, only: str | None = None
-) -> int:
-    """Diff fresh ``BENCH_*.json`` against the last trajectory entries."""
-    from .perf import compare_benchmarks
-
-    baselines: dict[str, dict] = {}
-    if trajectory_path.exists():
-        for line in trajectory_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(doc, dict) and "bench" in doc:
-                baselines[doc["bench"]] = doc  # last entry per bench wins
-
-    regressed = False
-    for path in sorted(repo_root.glob("BENCH_*.json")):
-        if only is not None and path.name != f"BENCH_{only}.json":
-            continue
-        try:
-            fresh = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        baseline = baselines.get(fresh.get("bench"))
-        if baseline is None:
-            print(f"{path.name}: no trajectory baseline yet, skipping")
-            continue
-        diff = compare_benchmarks(fresh, baseline)
-        for entry in diff["compared"]:
-            marker = (
-                "REGRESSED" if entry in diff["regressions"] else "ok"
-            )
-            print(
-                f"{path.name}: {entry['path']} "
-                f"{entry['baseline']} -> {entry['fresh']} "
-                f"({entry.get('relative_change', 0.0):+.1%}) {marker}"
-            )
-        for path_name in diff["waived"]:
-            print(f"{path.name}: {path_name} waived (honesty flag set)")
-        if diff["regressions"]:
-            regressed = True
-    if regressed:
-        print("benchmark regression: a headline metric dropped >20%")
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; exit quietly when the reader closes stdout.
 
@@ -701,15 +574,13 @@ def _main(argv: list[str] | None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "bench", "cascade",
-                                       "list", "serve", "survey",
-                                       "trace"],
+        choices=sorted(EXPERIMENTS) + ["all", "cascade", "list",
+                                       "serve", "survey", "trace"],
         help=(
             "which experiment to run ('survey' runs the decoder itself, "
             "'trace' runs it under a recording tracer and audits the "
             "books, 'cascade' calibrates/sweeps the cost-aware "
-            "router, 'serve' runs the multi-tenant survey daemon, "
-            "'bench' runs the perf benchmarks)"
+            "router, 'serve' runs the multi-tenant survey daemon)"
         ),
     )
     parser.add_argument(
@@ -731,29 +602,6 @@ def _main(argv: list[str] | None) -> int:
         help=(
             "content-addressed artifact cache directory; reruns replay "
             "feature tensors, detector weights, and predictions from disk"
-        ),
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="bench: overwrite BENCH_*.json recorded at a different commit",
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help=(
-            "bench: diff fresh results against the last bench_trajectory"
-            ".jsonl entries and exit non-zero on a >20%% headline-metric "
-            "regression"
-        ),
-    )
-    parser.add_argument(
-        "--only",
-        default=None,
-        metavar="NAME",
-        help=(
-            "bench: run only benchmarks/test_perf_<NAME>.py (e.g. "
-            "'detect') and compare only its document"
         ),
     )
     survey_group = parser.add_argument_group("survey options")
@@ -953,8 +801,6 @@ def _main(argv: list[str] | None) -> int:
         return _run_cascade(args)
     if args.experiment == "serve":
         return _run_serve(args)
-    if args.experiment == "bench":
-        return _run_bench(args)
 
     artifacts = None
     if args.artifacts:

@@ -28,7 +28,7 @@ from ..core.indicators import ALL_INDICATORS, Indicator
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..parallel.arena import TensorArena
-from .boxes import clip_boxes, cxcywh_to_xyxy, nms
+from .boxes import clip_boxes, cxcywh_to_xyxy
 from .features import FeatureConfig, extract_features, extract_features_batch
 
 N_CLASSES = len(ALL_INDICATORS)
@@ -446,7 +446,8 @@ class NanoDetector:
         The dtype-tiered front door: ``precision="float64"`` is
         :meth:`detect` exactly; ``"float32"`` runs backbone and head in
         float32 (tolerance-equal); ``"int8"`` adds the quantized MLP
-        forward.  See the exactness-vs-speed rows in BENCH_detect.json.
+        forward.  ``tests/test_detect_precision.py`` pins each tier's
+        tolerance and the int8 tier's presence F1.
         """
         scores, boxes = self.predict_cells(image, precision=precision)
         return self.decode_cells(scores, boxes, conf_threshold=conf_threshold)

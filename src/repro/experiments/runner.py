@@ -628,7 +628,7 @@ class SuiteRun:
     """Every result of one suite invocation, plus how it was produced.
 
     ``cache_stats`` carries the artifact cache's hit/miss counters so
-    suite consumers (the CLI, the perf benches) can report how much
+    suite consumers (the CLI, the tests) can report how much
     work was replayed from disk instead of recomputed.  ``metrics`` is
     the observability-counter delta the run moved (see
     :mod:`repro.obs.metrics`) — empty when nothing instrumented ran.

@@ -119,30 +119,13 @@ class TokenBucket:
         self._record_wait(waited)
         return waited
 
-    async def acquire_async(self) -> float:
-        """Async variant of :meth:`acquire` for event-loop callers.
+    def refund(self, tokens: int) -> None:
+        """Give back tokens taken for requests that were never sent.
 
-        Identical token accounting and metrics; the wait happens via
-        the clock's ``sleep_async`` (``asyncio.sleep`` on a wall clock,
-        instant on a virtual one) so the event loop keeps servicing
-        other stages while this caller is throttled.
+        The bucket never holds more than ``capacity``.
         """
-        waited = 0.0
-        while True:
-            with self._lock:
-                deficit = self._take_or_deficit()
-                if deficit is None:
-                    break
-                self._waiting += 1
-            try:
-                sleeper = getattr(self.clock, "sleep_async", None)
-                if sleeper is not None:
-                    await sleeper(deficit)
-                else:  # pragma: no cover - exotic injected clock
-                    self.clock.sleep(deficit)
-            finally:
-                with self._lock:
-                    self._waiting -= 1
-            waited += deficit
-        self._record_wait(waited)
-        return waited
+        if tokens <= 0:
+            return
+        with self._lock:
+            self._refill()
+            self._tokens = min(self.capacity, self._tokens + tokens)

@@ -9,12 +9,11 @@ so cross-model errors correlate.
 from __future__ import annotations
 
 from ..scene.model import Scene
-from .base import ChatClient
 from .errors import ModelNotFoundError
 from .models import SimulatedVLM
 from .paper_targets import ALL_MODEL_IDS
 from .perception import EvidenceModel
-from .profiles import ModelProfile, calibrate_profiles
+from .profiles import calibrate_profiles
 
 
 def build_clients(
@@ -39,12 +38,3 @@ def build_clients(
         )
         for model_id in model_ids
     }
-
-
-def client_from_profile(
-    profile: ModelProfile,
-    evidence_model: EvidenceModel,
-    **kwargs,
-) -> ChatClient:
-    """Build a single client from an existing profile."""
-    return SimulatedVLM(profile=profile, evidence_model=evidence_model, **kwargs)

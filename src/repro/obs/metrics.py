@@ -206,19 +206,6 @@ class MetricsRegistry:
             self._gauges.clear()
             self._histograms.clear()
 
-    def is_empty(self) -> bool:
-        with self._lock:
-            return not (self._counters or self._gauges or self._histograms)
-
-
-def nonempty_delta(delta: dict) -> bool:
-    """Did anything move in a ``delta_since`` result?"""
-    return bool(
-        delta.get("counters")
-        or delta.get("gauges")
-        or delta.get("histograms")
-    )
-
 
 #: The process-wide default registry.  Instrumented library code reads
 #: the active registry through :func:`get_metrics` at call time, so

@@ -13,7 +13,6 @@ which is what keeps the fault-injection suite deterministic.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from dataclasses import dataclass
@@ -66,10 +65,6 @@ class VirtualClock:
         """
         self.sleep(timeout)
 
-    async def sleep_async(self, seconds: float) -> None:
-        """Async virtual sleep: records and advances without yielding."""
-        self.sleep(seconds)
-
 
 @dataclass
 class WallClock:
@@ -94,8 +89,3 @@ class WallClock:
         """
         if timeout > 0:
             cond.wait(timeout)
-
-    async def sleep_async(self, seconds: float) -> None:
-        """Async sleep that yields to the event loop instead of blocking."""
-        if seconds > 0:
-            await asyncio.sleep(seconds)

@@ -42,7 +42,13 @@ from ..core.pipeline import NeighborhoodDecoder
 from ..geo.county import County, make_durham_like
 from ..gsv.api import StreetViewClient, UsageMeter
 from ..gsv.dataset import build_survey_dataset
-from ..llm.base import BatchError, ChatClient, ChatRequest, ChatResponse
+from ..llm.base import (
+    BatchError,
+    ChatClient,
+    ChatRequest,
+    ChatResponse,
+    UnsentError,
+)
 from ..llm.batch import TokenBucket
 from ..llm.cache import CachingChatClient
 from ..llm.paper_targets import GEMINI_15_PRO
@@ -91,7 +97,13 @@ class RateLimitedChatClient(ChatClient):
             responses = self.inner.complete_batch(requests)
         except BatchError as partial:
             # The served part was billed: book it before re-raising.
+            # The seats after the first failure never went out, and
+            # the caller sends them again through this limiter: give
+            # their tokens back so they are not paid for twice.
             self._record(partial.served)
+            self.bucket.refund(
+                sum(isinstance(o, UnsentError) for o in partial.outcomes)
+            )
             raise
         self._record(responses)
         return responses

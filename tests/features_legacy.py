@@ -4,8 +4,7 @@
 float64 kernel (``repro.detect.features._fused_features_f64``)
 replaced, with the helpers only it uses.  No library code calls it:
 it is kept as the oracle that ``tests/test_detect_features.py`` pins
-the fused kernel against byte for byte, and the baseline
-``benchmarks/test_perf_detect.py`` times the fused kernel against.
+the fused kernel against byte for byte.
 The fused kernel's comments name these helpers (``_box_blur``,
 ``_sobel``, ``_neighborhood_mean``, ``_cell_centroid``) as the
 expressions whose evaluation order it replicates.
@@ -138,8 +137,7 @@ def extract_features_legacy(
     call per channel/statistic, python-level ``sum`` loops in
     :func:`_box_blur`, and per-bin orientation masking.  The fused
     float64 kernel is bit-identical to this function (regression-tested
-    on random images); the detect perf bench measures its speedup
-    against it.
+    on random images).
     """
     if config is None:
         config = FeatureConfig()

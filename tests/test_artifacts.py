@@ -19,6 +19,7 @@ from repro.detect.train import (
     build_training_tensors,
     train_detector,
 )
+from repro.experiments import ExperimentConfig, ExperimentSuite
 from repro.gsv.dataset import build_survey_dataset
 
 
@@ -158,6 +159,34 @@ class TestCachedPipeline:
         assert model_fingerprint(cold.model) == model_fingerprint(warm.model)
         assert warm.loss_history == pytest.approx(cold.loss_history)
         assert warm.model.input_size == cold.model.input_size == 128
+
+    def test_warm_suite_rerun_replays_every_artifact(self, tmp_path):
+        """A second run of an experiment over the same cache directory
+        computes nothing and prints the same tables."""
+        config = ExperimentConfig(
+            n_images=48,
+            image_size=128,
+            n_calibration_images=48,
+            detector_train=TrainConfig(epochs=2, batch_size=16),
+        )
+
+        def run():
+            suite = ExperimentSuite(
+                config=config, artifacts=ArtifactCache(tmp_path / "suite")
+            )
+            return suite.run_all(names=["table1"])
+
+        cold, warm = run(), run()
+        assert cold.cache_stats["misses"] > 0
+        assert warm.cache_stats["misses"] == 0
+        assert warm.cache_stats["hits"] == (
+            cold.cache_stats["hits"] + cold.cache_stats["misses"]
+        )
+        # Rendered, so a class absent from the split (NaN metrics)
+        # compares equal.
+        assert [r.render() for r in warm.all_results()] == [
+            r.render() for r in cold.all_results()
+        ]
 
     def test_weights_key_tracks_input_size(self, cache, images):
         model_config = ModelConfig(grid=4, hidden=8)

@@ -110,6 +110,25 @@ class TestCachingClient:
         assert first == second
         assert caching.hits == 8
 
+    def test_warm_survey_rerun_is_all_hits_and_byte_identical(
+        self, clients, tmp_path
+    ):
+        county = make_durham_like(seed=3)
+        caching = CachingChatClient(
+            clients["gemini-1.5-pro"], cache_path=tmp_path / "cache.jsonl"
+        )
+        decoder = NeighborhoodDecoder(
+            street_view=StreetViewClient(counties=[county], api_key="x"),
+            classifier=LLMIndicatorClassifier(caching),
+        )
+        cold = decoder.survey(county, 4, seed=0, max_inflight=2)
+        misses = caching.misses
+        warm = decoder.survey(county, 4, seed=0, max_inflight=2)
+        assert caching.misses == misses
+        assert caching.hits == misses == cold.images_classified
+        assert warm.to_json() == cold.to_json()
+        caching.close()
+
     def test_hit_rate(self, clients, attachment):
         caching = CachingChatClient(clients["claude-3.7"])
         prompt = build_parallel_prompt()

@@ -173,3 +173,29 @@ def test_micro_batches_line_prints_only_when_a_location_batched(tmp_path):
     )
     assert "coverage       100.0% (3/3 locations)" in ensemble
     assert not any(line.startswith("micro-batches") for line in ensemble)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench"],
+        ["list", "--only", "detect"],
+        ["list", "--compare"],
+        ["list", "--force"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_the_retired_bench_command_is_a_usage_error(tmp_path, argv):
+    """perfbench is the one benchmark: the retired ``bench`` command
+    and its options are gone, and argparse says so."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
+        timeout=60,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr

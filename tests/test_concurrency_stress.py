@@ -275,7 +275,6 @@ class TestServiceDaemonUnderLoad:
         from repro.service import (
             AdmissionError,
             JobSpec,
-            JobState,
             SurveyService,
             TenantQuota,
         )

@@ -5,14 +5,13 @@ import pytest
 from repro.core import (
     ClassifierConfig,
     LLMIndicatorClassifier,
-    PromptStyle,
     agreement_rate,
     majority_vote,
     vote_predictions,
 )
-from repro.core.indicators import ALL_INDICATORS, Indicator, IndicatorPresence
+from repro.core.indicators import Indicator, IndicatorPresence
 from repro.core.voting import VotingEnsemble
-from repro.llm import ImageAttachment, Language, RateLimitError, build_clients
+from repro.llm import Language, RateLimitError, build_clients
 from repro.llm.base import ChatClient, ChatResponse, Usage
 
 

@@ -5,7 +5,6 @@ import asyncio
 import pytest
 
 from repro.core import (
-    ClassifierConfig,
     LLMIndicatorClassifier,
     NeighborhoodDecoder,
     VotingEnsemble,

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.artifacts import model_fingerprint
 from repro.cascade import CascadeClassifier
 from repro.core.indicators import ALL_INDICATORS, Indicator
 from repro.detect import (
-    CELL_COVER_THRESHOLD,
     ModelConfig,
     NanoDetector,
     TrainConfig,
@@ -242,6 +242,34 @@ class TestChunkingInvariance:
         parallel = build_training_tensors(images, 16, workers=2, chunk_size=2)
         for got, want in zip(parallel, serial):
             assert np.array_equal(got, want)
+
+    def test_thread_workers_train_and_evaluate_like_serial(
+        self, small_dataset
+    ):
+        """A thread pool changes neither the weights nor the metrics."""
+        splits = small_dataset.split(seed=0)
+
+        def train_and_eval(workers):
+            result = train_detector(
+                splits.train[:16],
+                model_config=ModelConfig(hidden=32),
+                train_config=TrainConfig(epochs=2, seed=0),
+                workers=workers,
+            )
+            report = evaluate_detector(
+                result.model, splits.test[:8], workers=workers
+            )
+            return result, report
+
+        serial, serial_report = train_and_eval(1)
+        parallel, parallel_report = train_and_eval(4)
+        assert model_fingerprint(parallel.model) == model_fingerprint(
+            serial.model
+        )
+        assert parallel.loss_history == serial.loss_history
+        # repr compares exactly and treats an absent class's NaN
+        # metrics as equal.
+        assert repr(parallel_report.rows()) == repr(serial_report.rows())
 
     def test_training_invariant_to_chunking(self, small_dataset):
         images = small_dataset.split(seed=0).train[:16]

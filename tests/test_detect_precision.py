@@ -13,7 +13,7 @@ parameters change.
 import numpy as np
 import pytest
 
-from repro.cascade.calibrate import fit_cascade_calibration
+from repro.cascade.calibrate import fit_cascade_calibration, presence_matrix
 from repro.cascade.router import DEFAULT_DEEP_FACTOR, DEFAULT_THRESHOLD
 from repro.detect import (
     ModelConfig,
@@ -104,6 +104,31 @@ class TestInt8Agreement:
         assert agreement >= 0.95
         # And the peaks themselves stay close in absolute terms.
         assert float(np.abs(quant_peaks - exact_peaks).max()) < 0.15
+
+    def test_presence_f1_within_a_point_of_float64(self):
+        """int8 presence decisions score within 0.01 micro-F1 of float64.
+
+        The detector is a wider, longer-trained one than ``tiered``: 24
+        images at hidden 64 for 6 epochs, scored on 12 held-out ones.
+        """
+        images = build_survey_dataset(n_images=48, size=256, seed=21).images
+        model = train_detector(
+            images[:24],
+            model_config=ModelConfig(hidden=64),
+            train_config=TrainConfig(epochs=6, seed=0),
+        ).model
+        held_out = images[24:36]
+        frames = [image.render() for image in held_out]
+        truths = presence_matrix(held_out).astype(bool)
+
+        def f1(precision):
+            scores, _ = model.predict_cells_batch(frames, precision=precision)
+            predicted = NanoDetector.indicator_scores(scores) >= 0.5
+            tp = int((predicted & truths).sum())
+            wrong = int((predicted != truths).sum())
+            return 2 * tp / (2 * tp + wrong)
+
+        assert abs(f1("int8") - f1("float64")) <= 0.01
 
     def test_int8_deterministic(self, tiered):
         model, frames = tiered

@@ -8,7 +8,6 @@ from repro.core.fewshot import (
     build_few_shot_request,
     count_exemplars,
 )
-from repro.core.indicators import Indicator
 from repro.core.metrics import ClassificationReport
 from repro.llm import GEMINI_15_PRO, Language
 

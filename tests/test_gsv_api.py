@@ -1,6 +1,5 @@
 """Tests for the simulated Street View API."""
 
-import numpy as np
 import pytest
 
 from repro.geo import LatLon, study_counties

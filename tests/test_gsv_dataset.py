@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.indicators import ALL_INDICATORS, PAPER_OBJECT_COUNTS
+from repro.core.indicators import ALL_INDICATORS
 from repro.gsv import (
     DatasetSplits,
     build_survey_dataset,

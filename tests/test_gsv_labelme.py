@@ -1,6 +1,5 @@
 """Tests for LabelMe annotation I/O and the label-noise model."""
 
-import numpy as np
 import pytest
 
 from repro.core.indicators import Indicator

@@ -9,7 +9,6 @@ from repro.geo import make_durham_like
 from repro.health import (
     OUTCOMES,
     TRUE_COEFFICIENTS,
-    ConvergenceError,
     HealthModel,
     build_tract_survey,
     fit_logistic,

@@ -37,6 +37,7 @@ from repro.llm.cache import CachingChatClient, _Flight, request_fingerprint
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.scope import Tally, use_tally
 from repro.perf import LatencyChatClient
+from repro.resilience.clock import VirtualClock
 from repro.resilience.faults import FaultSchedule, FaultyChatClient
 from repro.service import RateLimitedChatClient
 
@@ -275,6 +276,28 @@ def test_unsent_seats_do_not_burn_a_retry(clients, small_dataset, cached):
     ]
     if cached:
         assert not client._inflight and client.coalesced == 0
+
+
+def test_unsent_seats_give_their_rate_limit_tokens_back(clients, small_dataset):
+    """A window's unsent seats are paid for once, when they are sent.
+
+    The limiter takes one token per seat before the window goes out.
+    Upstream call 2 fails, so eighteen seats never leave; ``classify``
+    sends them again through the same limiter.  21 upstream calls must
+    spend 21 tokens, not 20 for the window plus 19 for the resends.
+    """
+    images = small_dataset.images[:20]
+    upstream = _fails_on_call(clients, 2)
+    bucket = TokenBucket(rate=1.0, capacity=100.0, clock=VirtualClock())
+    classifier = LLMIndicatorClassifier(RateLimitedChatClient(upstream, bucket))
+    classifier.classify(images)
+
+    assert upstream.schedule.calls == 21
+    # Count the whole tokens left: every acquire is free until one waits.
+    left = 0
+    while bucket.acquire() == 0.0:
+        left += 1
+    assert 100 - left == 21
 
 
 def test_a_follower_of_an_unsent_flight_sends_it_itself(

@@ -25,7 +25,6 @@ from repro.obs.audit import SURVEY_STAGES, audit_trace, reconcile_survey
 from repro.obs.metrics import (
     MetricsRegistry,
     get_metrics,
-    nonempty_delta,
     use_metrics,
 )
 from repro.obs.trace import (
@@ -36,6 +35,9 @@ from repro.obs.trace import (
     use_tracer,
 )
 from repro.parallel import ParallelExecutor
+
+#: A snapshot, or a delta, in which nothing moved.
+EMPTY = {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 class TestMetricsRegistry:
@@ -91,16 +93,17 @@ class TestMetricsRegistry:
         delta = registry.delta_since(before)
         assert delta["counters"] == {"moved": 3.0}
         assert delta["gauges"] == {}
-        assert nonempty_delta(delta)
-        assert not nonempty_delta(registry.delta_since(registry.snapshot()))
+        assert registry.delta_since(registry.snapshot()) == EMPTY
 
-    def test_reset_and_is_empty(self):
+    def test_reset_clears_every_metric(self):
         registry = MetricsRegistry()
-        assert registry.is_empty()
+        assert registry.snapshot() == EMPTY
         registry.inc("a")
-        assert not registry.is_empty()
+        registry.set_gauge("level", 1)
+        registry.observe("latency", 0.5)
+        assert registry.snapshot() != EMPTY
         registry.reset()
-        assert registry.is_empty()
+        assert registry.snapshot() == EMPTY
 
     def test_use_metrics_swaps_the_active_registry(self):
         default = get_metrics()
@@ -288,7 +291,7 @@ class TestTracedSurvey:
             report = _single_decoder(street_view, clients).survey(
                 county, n_locations=6, seed=4, max_inflight=4
             )
-        assert nonempty_delta(report.metrics)
+        assert report.metrics["counters"]
         assert reconcile_survey(report) == []
 
     def test_reconcile_flags_missing_delta_and_mismatches(

@@ -1,9 +1,9 @@
 """Unit tests for the asyncio pipeline primitives (``repro.parallel.aio``).
 
 These cover the building blocks in isolation — ordering and windowing
-of :func:`imap_async`, the AIMD congestion window, the sync/async
-thread bridge, and the token bucket's async acquire — while ``tests/test_golden_report.py`` proves the assembled
-engine is byte-identical to the serial survey.
+of :func:`imap_async`, the AIMD congestion window and the sync/async
+thread bridge — while ``tests/test_golden_report.py`` proves the
+assembled engine is byte-identical to the serial survey.
 """
 
 import asyncio
@@ -12,10 +12,8 @@ import time
 
 import pytest
 
-from repro.llm.batch import TokenBucket
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.parallel import AIMDController, ThreadBridge, imap_async
-from repro.resilience import VirtualClock
 
 
 class TestImapAsync:
@@ -205,26 +203,3 @@ class TestAIMDController:
             "increases": 1,
             "decreases": 1,
         }
-
-
-class TestTokenBucketAsyncAcquire:
-    def test_burst_is_free_then_waits_accrue(self):
-        clock = VirtualClock()
-        bucket = TokenBucket(rate=2.0, capacity=1.0, clock=clock)
-
-        async def main():
-            first = await bucket.acquire_async()
-            second = await bucket.acquire_async()
-            return first, second
-
-        with use_metrics(MetricsRegistry()) as registry:
-            first, second = asyncio.run(main())
-            # The burst token is free; the next caller owes exactly one
-            # refill interval — identical accounting to the sync path.
-            assert first == 0.0
-            assert second == pytest.approx(0.5)
-            assert clock.sleeps == [pytest.approx(0.5)]
-            assert registry.counter("ratelimit.waits") == 1
-            assert registry.counter("llm.throttle_wait_seconds") == (
-                pytest.approx(0.5)
-            )

@@ -1,13 +1,17 @@
 """Parallel execution through the pipeline layers: a pipelined survey
-is byte-identical to the serial one and resumes from its checkpoint."""
+is byte-identical to the serial one, keeps several locations in flight
+under network latency, and resumes from its checkpoint."""
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
 from repro.core import LLMIndicatorClassifier, NeighborhoodDecoder
 from repro.geo import make_durham_like
 from repro.gsv import StreetViewClient
+from repro.perf import LatencyChatClient
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,23 @@ class TestParallelSurvey:
         assert parallel.to_json() == serial.to_json()
         assert parallel.payload() == serial.payload()
         assert parallel.fees_usd == serial.fees_usd
+
+    def test_window_opens_under_latency(self, county, clients):
+        """With every location waiting on the network, the engine keeps
+        locations in flight together instead of one at a time."""
+        decoder = NeighborhoodDecoder(
+            street_view=StreetViewClient(
+                counties=[county], api_key="x", latency_s=0.01
+            ),
+            classifier=LLMIndicatorClassifier(
+                LatencyChatClient(clients["gemini-1.5-pro"], latency_s=0.01)
+            ),
+        )
+        report = asyncio.run(
+            decoder.survey_async(county, 8, seed=0, max_inflight=4)
+        )
+        assert report.coverage == 1.0
+        assert report.pipeline_stats["peak_inflight"] >= 2
 
     def test_parallel_resume_from_checkpoint(self, county, clients, tmp_path):
         path = tmp_path / "survey.ckpt.json"

@@ -11,7 +11,6 @@ from repro.scene import (
     measured_snr_db,
     noise_sigma_for_snr,
     random_crop,
-    render_scene,
     resize_nearest,
     rotate_box,
     rotate_image,

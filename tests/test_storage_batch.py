@@ -10,6 +10,7 @@ from repro.gsv.storage import (
     scene_to_json,
 )
 from repro.llm.batch import TokenBucket
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.resilience.clock import VirtualClock
 
 
@@ -84,6 +85,34 @@ class TestTokenBucket:
         bucket.acquire()
         clock.sleep(2.0)
         assert bucket.acquire() == 0.0
+
+    def test_waits_are_recorded_in_the_throttle_metrics(self):
+        clock = VirtualClock()
+        bucket = TokenBucket(rate=2.0, capacity=1.0, clock=clock)
+        with use_metrics(MetricsRegistry()) as registry:
+            # The burst token is free; the next caller owes exactly one
+            # refill interval, and the metrics record that wait.
+            assert bucket.acquire() == 0.0
+            assert bucket.acquire() == pytest.approx(0.5)
+            assert clock.sleeps == [pytest.approx(0.5)]
+            assert registry.counter("ratelimit.waits") == 1
+            assert registry.counter("llm.throttle_wait_seconds") == (
+                pytest.approx(0.5)
+            )
+
+    def test_refund_returns_tokens_up_to_capacity(self):
+        clock = VirtualClock()
+        bucket = TokenBucket(rate=1.0, capacity=3.0, clock=clock)
+        for _ in range(3):
+            bucket.acquire()
+        bucket.refund(2)
+        assert [bucket.acquire() for _ in range(2)] == [0.0, 0.0]
+        assert bucket.acquire() == pytest.approx(1.0)
+        # A refund never lifts the bucket above its capacity.
+        clock.sleep(10.0)
+        bucket.refund(5)
+        assert [bucket.acquire() for _ in range(3)] == [0.0] * 3
+        assert bucket.acquire() == pytest.approx(1.0)
 
     def test_validates_parameters(self):
         with pytest.raises(ValueError):
