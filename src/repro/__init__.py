@@ -73,12 +73,6 @@ from .llm import (
     calibrate_profiles,
 )
 from .parallel import ParallelExecutor
-from .reporting import (
-    export_survey,
-    survey_to_csv,
-    survey_to_geojson,
-    survey_to_markdown,
-)
 from .resilience import (
     CircuitBreaker,
     FaultSchedule,
@@ -122,10 +116,6 @@ __all__ = [
     "fit_logistic",
     "run_association_study",
     "ParallelExecutor",
-    "export_survey",
-    "survey_to_csv",
-    "survey_to_geojson",
-    "survey_to_markdown",
     "CircuitBreaker",
     "FaultSchedule",
     "RetryPolicy",

@@ -104,7 +104,6 @@ def model_fingerprint(model) -> str:
                 config.grid,
                 config.hidden,
                 config.conf_threshold,
-                config.nms_iou,
                 config.smooth_features,
                 config.context_features,
             )

@@ -647,8 +647,8 @@ def _main(argv: list[str] | None) -> int:
         metavar="N",
         help=(
             "survey/trace: max locations pipelined at once and ceiling "
-            "of the AIMD classify window; fetches for upcoming "
-            "locations overlap LLM calls for earlier ones and the "
+            "of the AIMD classify window; inside the window one "
+            "location's fetch overlaps another's LLM calls, and the "
             "report stays byte-identical at any window (default: 1, "
             "one location at a time)"
         ),

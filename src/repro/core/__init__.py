@@ -10,7 +10,6 @@ from .fewshot import (
     EXAMPLE_MARKERS,
     build_few_shot_messages,
     build_few_shot_request,
-    count_exemplars,
 )
 from .indicators import (
     ALL_INDICATORS,
@@ -57,7 +56,6 @@ from .prompts import (
 from .voting import (
     VoteRecord,
     VotingEnsemble,
-    agreement_rate,
     majority_vote,
     vote_predictions,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "EXAMPLE_MARKERS",
     "build_few_shot_messages",
     "build_few_shot_request",
-    "count_exemplars",
     "ClassificationError",
     "ClassificationOutcome",
     "ClassifierConfig",
@@ -103,7 +100,6 @@ __all__ = [
     "prompt_for_style",
     "VoteRecord",
     "VotingEnsemble",
-    "agreement_rate",
     "majority_vote",
     "vote_predictions",
 ]

@@ -82,8 +82,3 @@ def build_few_shot_request(
         temperature=temperature,
         top_p=top_p,
     )
-
-
-def count_exemplars(text: str) -> int:
-    """How many exemplar blocks a request's text carries."""
-    return sum(text.count(marker) for marker in EXAMPLE_MARKERS.values())

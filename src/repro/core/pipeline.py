@@ -300,12 +300,13 @@ class NeighborhoodDecoder:
         """Pipelined :meth:`survey` on the running event loop.
 
         Same sampling, same checkpoint key, same report as the blocking
-        :meth:`survey`.  Each location flows through fetch → classify
-        stages gated separately, so imagery acquisition for upcoming
-        locations overlaps LLM calls for earlier ones; ``max_inflight``
-        bounds the pipelined window (1 decodes one location at a time).
-        The classify stage runs under an AIMD window that narrows on
-        observed rate limiting and recovers additively
+        :meth:`survey`.  ``max_inflight`` bounds the window of locations
+        decoded at once (1 decodes one location at a time); each
+        location fetches its imagery and then classifies it, so one
+        location's fetch overlaps another's LLM calls only inside the
+        window, and no imagery is fetched ahead of it.  The classify
+        step runs under an AIMD window that narrows on observed rate
+        limiting and recovers additively
         (``report.pipeline_stats``).  At every window a location's
         captures go out as one imagery round and a single classifier's
         requests as one batched window (``report.batch_stats``).
@@ -479,10 +480,12 @@ class NeighborhoodDecoder:
     ) -> int:
         """Fan out fetch+classify over ``points``; returns points drawn.
 
-        Each location is a coroutine pipelined through two gated
-        stages: fetch(+render) behind a semaphore sized to the window,
-        then classify(+vote) behind the AIMD controller's slot.  Both
-        stages execute the sync client helpers on a capped
+        Each location is a coroutine that fetches (and renders) its
+        imagery, then classifies (and votes) behind the AIMD
+        controller's slot.  ``imap_async`` keeps at most
+        ``max_inflight`` of these coroutines alive, and that is the only
+        bound on the fetch step.  Both steps execute the sync client
+        helpers on a capped
         :class:`~repro.parallel.aio.ThreadBridge`, so client APIs and
         retry/breaker semantics are untouched.  Merging happens on the
         event loop, strictly in submission order, through
@@ -513,7 +516,6 @@ class NeighborhoodDecoder:
         controller = AIMDController(
             initial=max_inflight, max_limit=max_inflight
         )
-        fetch_gate = asyncio.Semaphore(max_inflight)
         # The window is the thread cap: ``imap_async`` keeps at most
         # ``max_inflight`` locations alive, and each awaits one bridge
         # call at a time, its fetch and then its classify.  Each call's
@@ -564,10 +566,9 @@ class NeighborhoodDecoder:
                         loc_span.set(checkpointed=True)
                         return store.get(index)
                     try:
-                        async with fetch_gate:
-                            images = await bridge.run(
-                                self._fetch_location, index, point
-                            )
+                        images = await bridge.run(
+                            self._fetch_location, index, point
+                        )
                         async with controller.slot():
                             with tracer.span(
                                 "survey.classify",

@@ -237,22 +237,3 @@ class VotingEnsemble:
     ) -> list[VoteRecord]:
         """Vote a batch image-by-image, surviving member outages."""
         return [self.vote_image(image) for image in images]
-
-
-def agreement_rate(
-    per_model: Mapping[str, Sequence[IndicatorPresence]],
-    indicator: Indicator,
-) -> float:
-    """Fraction of images on which all models agree about ``indicator``."""
-    names = sorted(per_model)
-    if not names:
-        raise ValueError("no model predictions")
-    n_images = len(per_model[names[0]])
-    if n_images == 0:
-        return float("nan")
-    unanimous = 0
-    for index in range(n_images):
-        answers = {per_model[name][index][indicator] for name in names}
-        if len(answers) == 1:
-            unanimous += 1
-    return unanimous / n_images

@@ -1,17 +1,10 @@
 """Detector substrate: the YOLOv11-Nano analog trained from scratch."""
 
-from .analysis import (
-    ClassErrorBreakdown,
-    ErrorReport,
-    analyze_errors,
-)
 from .boxes import (
-    as_boxes,
     box_area,
     clip_boxes,
     cxcywh_to_xyxy,
     iou_matrix,
-    nms,
     xyxy_to_cxcywh,
 )
 from .evaluate import (
@@ -31,7 +24,6 @@ from .features import (
     FEATURE_PRECISIONS,
     FeatureConfig,
     cell_bounds,
-    cell_centers,
     extract_features,
     extract_features_batch,
 )
@@ -52,15 +44,10 @@ from .train import (
 )
 
 __all__ = [
-    "ClassErrorBreakdown",
-    "ErrorReport",
-    "analyze_errors",
-    "as_boxes",
     "box_area",
     "clip_boxes",
     "cxcywh_to_xyxy",
     "iou_matrix",
-    "nms",
     "xyxy_to_cxcywh",
     "ClassMetrics",
     "DetectionAccumulator",
@@ -76,7 +63,6 @@ __all__ = [
     "FEATURE_PRECISIONS",
     "FeatureConfig",
     "cell_bounds",
-    "cell_centers",
     "extract_features",
     "extract_features_batch",
     "Detection",

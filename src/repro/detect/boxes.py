@@ -1,4 +1,4 @@
-"""Vectorized box algebra: IoU, NMS, and coordinate conversions.
+"""Vectorized box algebra: IoU, clipping, and coordinate conversions.
 
 Boxes are numpy arrays of shape ``(N, 4)`` in normalized ``xyxy``
 (``x_min, y_min, x_max, y_max``) unless a function says otherwise.
@@ -9,18 +9,6 @@ path of both training target assignment and evaluation matching.
 from __future__ import annotations
 
 import numpy as np
-
-
-def as_boxes(array_like) -> np.ndarray:
-    """Coerce to an ``(N, 4)`` float64 box array, validating extents."""
-    boxes = np.atleast_2d(np.asarray(array_like, dtype=np.float64))
-    if boxes.size == 0:
-        return boxes.reshape(0, 4)
-    if boxes.shape[1] != 4:
-        raise ValueError(f"boxes must have 4 columns, got {boxes.shape}")
-    if np.any(boxes[:, 2] <= boxes[:, 0]) or np.any(boxes[:, 3] <= boxes[:, 1]):
-        raise ValueError("degenerate box: max edge must exceed min edge")
-    return boxes
 
 
 def box_area(boxes: np.ndarray) -> np.ndarray:
@@ -78,58 +66,3 @@ def clip_boxes(boxes: np.ndarray, eps: float = 1e-4) -> np.ndarray:
     boxes[:, 2] = np.clip(boxes[:, 2], boxes[:, 0] + eps, 1.0)
     boxes[:, 3] = np.clip(boxes[:, 3], boxes[:, 1] + eps, 1.0)
     return boxes
-
-
-def nms(
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    iou_threshold: float = 0.5,
-    merge: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy non-maximum suppression.
-
-    Returns ``(kept_boxes, kept_scores)`` sorted by descending score.
-    With ``merge=True`` each kept box is replaced by the score-weighted
-    average of its suppressed cluster — the grid head emits one box per
-    positive cell, and merging the cluster localizes far better than
-    keeping the single highest-scoring cell's guess.
-    """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou threshold out of range: {iou_threshold}")
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if boxes.shape[0] != scores.shape[0]:
-        raise ValueError("boxes and scores must have the same length")
-    if boxes.shape[0] == 0:
-        return boxes, scores
-
-    # Work in score-sorted domain so "the next unsuppressed candidate"
-    # is always the first surviving row: the Python loop then runs
-    # once per *kept* box (typically a handful) instead of once per
-    # candidate (hundreds of grid cells), with the suppression mask
-    # updated as one vectorized comparison against the precomputed
-    # IoU matrix.
-    order = np.argsort(-scores)
-    ious_sorted = iou_matrix(boxes, boxes)[np.ix_(order, order)]
-    alive = np.ones(len(order), dtype=bool)
-    kept_boxes = []
-    kept_scores = []
-    while True:
-        remaining = np.nonzero(alive)[0]
-        if remaining.size == 0:
-            break
-        best = remaining[0]
-        cluster = alive & (ious_sorted[best] >= iou_threshold)
-        alive &= ~cluster
-        if merge:
-            # Ascending original index keeps the weighted-average
-            # summation order identical to the pre-vectorized loop.
-            members = np.sort(order[cluster])
-            merged = np.average(
-                boxes[members], axis=0, weights=scores[members]
-            )
-            kept_boxes.append(merged)
-        else:
-            kept_boxes.append(boxes[order[best]])
-        kept_scores.append(scores[order[best]])
-    return np.asarray(kept_boxes), np.asarray(kept_scores)

@@ -850,17 +850,6 @@ def extract_features_batch(
 
 
 @lru_cache(maxsize=32)
-def _cell_centers_cached(grid: int) -> np.ndarray:
-    step = 1.0 / grid
-    ys, xs = np.mgrid[0:grid, 0:grid]
-    centers = np.stack(
-        [(xs + 0.5) * step, (ys + 0.5) * step], axis=-1
-    ).reshape(-1, 2)
-    centers.setflags(write=False)
-    return centers
-
-
-@lru_cache(maxsize=32)
 def _cell_bounds_cached(grid: int) -> np.ndarray:
     step = 1.0 / grid
     ys, xs = np.mgrid[0:grid, 0:grid]
@@ -869,15 +858,6 @@ def _cell_bounds_cached(grid: int) -> np.ndarray:
     ).reshape(-1, 4)
     bounds.setflags(write=False)
     return bounds
-
-
-def cell_centers(grid: int = DEFAULT_GRID) -> np.ndarray:
-    """Normalized (x, y) centers of every grid cell, row-major.
-
-    Memoized per grid size (callers like ``assign_targets`` ask once
-    per annotation); the returned array is read-only — copy to mutate.
-    """
-    return _cell_centers_cached(int(grid))
 
 
 def cell_bounds(grid: int = DEFAULT_GRID) -> np.ndarray:

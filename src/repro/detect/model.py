@@ -10,16 +10,18 @@ Architecture (mirroring the YOLOv11 stage names the paper cites):
   boxes always live on the unit canvas).
 
 Every positive cell predicts the *full* box of the object covering it;
-at inference the per-class NMS (with cluster merging) collapses the
-redundant per-cell predictions into one detection.  Forward and
-backward passes are written out explicitly — no autograd framework.
+at inference :meth:`NanoDetector.decode_cells` groups each class's
+confident cells into 8-connected components and turns each component
+into one detection, so the redundant per-cell predictions collapse
+without a suppression pass.  Forward and backward passes are written
+out explicitly — no autograd framework.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +81,6 @@ class ModelConfig:
     grid: int = 16
     hidden: int = 160
     conf_threshold: float = 0.40
-    nms_iou: float = 0.45
     smooth_features: bool = True
     context_features: bool = True
 
@@ -596,7 +597,6 @@ class NanoDetector:
                 "grid": self.config.grid,
                 "hidden": self.config.hidden,
                 "conf_threshold": self.config.conf_threshold,
-                "nms_iou": self.config.nms_iou,
                 "smooth_features": self.config.smooth_features,
                 "context_features": self.config.context_features,
             },
@@ -611,7 +611,19 @@ class NanoDetector:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NanoDetector":
-        config = ModelConfig(**payload["config"])
+        """Rebuild a detector from :meth:`to_dict` output.
+
+        A model saved while ``ModelConfig`` still had its retired
+        ``nms_iou`` option loads unchanged: that key is dropped.  Any
+        other config key ``ModelConfig`` does not know is a
+        ``ValueError`` that names it.
+        """
+        settings = dict(payload["config"])
+        settings.pop("nms_iou", None)
+        unknown = sorted(set(settings) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise ValueError(f"unknown model config keys: {unknown}")
+        config = ModelConfig(**settings)
         model = cls(config=config, input_size=payload.get("input_size"))
         model.w1 = np.asarray(payload["w1"], dtype=np.float64)
         model.b1 = np.asarray(payload["b1"], dtype=np.float64)

@@ -6,7 +6,6 @@ from .coordinates import (
     FOOT_M,
     SEGMENT_INTERVAL_M,
     LatLon,
-    heading_name,
     normalize_heading,
     segment_points,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "FOOT_M",
     "SEGMENT_INTERVAL_M",
     "LatLon",
-    "heading_name",
     "normalize_heading",
     "segment_points",
     "ZONE_PRIORS",

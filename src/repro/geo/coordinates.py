@@ -40,19 +40,6 @@ def normalize_heading(heading_deg: float) -> float:
     return folded
 
 
-def heading_name(heading_deg: float) -> str:
-    """Return the compass name for a cardinal heading.
-
-    Raises ``ValueError`` for non-cardinal headings, since the GSV
-    sampling frame only uses the four cardinal directions.
-    """
-    names = {0: "north", 90: "east", 180: "south", 270: "west"}
-    folded = normalize_heading(heading_deg)
-    if folded not in names:
-        raise ValueError(f"not a cardinal heading: {heading_deg!r}")
-    return names[int(folded)]
-
-
 @dataclass(frozen=True, order=True)
 class LatLon:
     """A WGS-84 style latitude/longitude pair in decimal degrees."""

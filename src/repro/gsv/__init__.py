@@ -10,7 +10,6 @@ from .api import (
     StreetViewImage,
     TransientNetworkError,
     UsageMeter,
-    zone_kind_at,
 )
 from .dataset import (
     DatasetSplits,
@@ -20,12 +19,6 @@ from .dataset import (
     build_survey_dataset,
     cropped_image,
     rotated_image,
-)
-from .storage import (
-    load_dataset,
-    save_dataset,
-    scene_from_json,
-    scene_to_json,
 )
 from .labelme import (
     LABELME_VERSION,
@@ -47,7 +40,6 @@ __all__ = [
     "StreetViewImage",
     "TransientNetworkError",
     "UsageMeter",
-    "zone_kind_at",
     "DatasetSplits",
     "LabeledImage",
     "SurveyDataset",
@@ -55,10 +47,6 @@ __all__ = [
     "build_survey_dataset",
     "cropped_image",
     "rotated_image",
-    "load_dataset",
-    "save_dataset",
-    "scene_from_json",
-    "scene_to_json",
     "LABELME_VERSION",
     "LabelMeShape",
     "labelme_to_annotations",

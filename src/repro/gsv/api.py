@@ -25,7 +25,7 @@ from ..geo.coordinates import CARDINAL_HEADINGS, LatLon, normalize_heading
 from ..obs.metrics import get_metrics
 from ..obs.scope import tally
 from ..obs.trace import get_tracer
-from ..geo.county import County, ZoneKind
+from ..geo.county import County
 from ..geo.roadnet import RoadClass
 from ..geo.sampling import CaptureRequest, SamplePoint
 from ..resilience.clock import Clock, WallClock
@@ -521,14 +521,3 @@ class StreetViewClient:
         return (
             f"pano_{location.lat:.6f}_{location.lon:.6f}_{heading:03d}"
         )
-
-
-def zone_kind_at(counties: list[County], location: LatLon) -> ZoneKind | None:
-    """Convenience lookup of the zone kind at a location, if covered."""
-    for county in counties:
-        if (
-            county.south <= location.lat <= county.north
-            and county.west <= location.lon <= county.east
-        ):
-            return county.zone_at(location).kind
-    return None

@@ -31,6 +31,13 @@ from ..geo.sampling import (
     require_distinct_counties,
     select_survey_locations,
 )
+from ..scene.augment import (
+    PAPER_CROP_FRACTION,
+    PAPER_ROTATIONS_DEG,
+    resize_nearest,
+    rotate_box,
+    rotate_image,
+)
 from ..scene.model import BoundingBox, Scene
 from ..scene.render import DEFAULT_SIZE, render_scene
 from .api import StreetViewClient
@@ -64,8 +71,6 @@ class LabeledImage:
 
     def render(self, size: int | None = None) -> np.ndarray:
         """Rasterize the image (lazy; deterministic per scene)."""
-        from ..scene.augment import resize_nearest, rotate_image
-
         pixels = render_scene(
             self.scene, size if size is not None else self.size
         )
@@ -218,33 +223,8 @@ class SurveyDataset:
         return report
 
 
-def _render_one(payload) -> np.ndarray:
-    """Fan-out task: rasterize one labeled image."""
-    image, size = payload
-    return image.render(size)
-
-
-def render_images(
-    images: list[LabeledImage],
-    size: int | None = None,
-    workers: int | str = 1,
-) -> list[np.ndarray]:
-    """Rasterize many labeled images, optionally across threads.
-
-    Rendering is the painter's algorithm over numpy kernels that
-    release the GIL, so ``workers > 1`` spreads it over a thread pool.
-    Results come back in input order and are byte-identical to calling
-    ``image.render()`` serially (rendering is deterministic per scene).
-    """
-    from ..parallel import ParallelExecutor
-
-    executor = ParallelExecutor(workers=workers)
-    return executor.map_results(_render_one, [(image, size) for image in images])
-
-
 def rotated_image(image: LabeledImage, degrees: int) -> LabeledImage:
     """A lazily rotated copy of a labeled image (Fig. 2 augmentation)."""
-    from ..scene.augment import rotate_box
     from ..scene.occupancy import occupancy_boxes
 
     annotations = tuple(
@@ -272,7 +252,7 @@ def rotated_image(image: LabeledImage, degrees: int) -> LabeledImage:
 def cropped_image(
     image: LabeledImage,
     rng: np.random.Generator,
-    crop_fraction: float = 0.30,
+    crop_fraction: float = PAPER_CROP_FRACTION,
     min_visible: float = 0.25,
 ) -> LabeledImage:
     """A lazily cropped copy removing ``crop_fraction`` of the area."""
@@ -323,7 +303,7 @@ def cropped_image(
 
 def augment_training_set(
     images: list[LabeledImage],
-    rotations: tuple[int, ...] = (90, 180, 270),
+    rotations: tuple[int, ...] = PAPER_ROTATIONS_DEG,
     add_crops: bool = False,
     seed: int = 0,
 ) -> list[LabeledImage]:

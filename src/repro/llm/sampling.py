@@ -37,16 +37,6 @@ TOKEN_CERTAINTY_GAIN = 4.0
 _MIN_TEMPERATURE = 0.02
 
 
-def apply_temperature(p: float, temperature: float) -> float:
-    """Rescale a Bernoulli probability's logit by ``1 / temperature``."""
-    if not 0.0 <= temperature <= 2.0:
-        raise ValueError(f"temperature out of range: {temperature}")
-    clipped = float(np.clip(p, 1e-9, 1.0 - 1e-9))
-    logit = np.log(clipped / (1.0 - clipped))
-    scaled = logit / max(temperature, _MIN_TEMPERATURE)
-    return float(1.0 / (1.0 + np.exp(-scaled)))
-
-
 def token_fidelity(p_yes: float, temperature: float, top_p: float) -> float:
     """Probability the emitted token matches the intended answer.
 

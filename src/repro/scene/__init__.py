@@ -3,9 +3,7 @@
 from .augment import (
     PAPER_CROP_FRACTION,
     PAPER_ROTATIONS_DEG,
-    random_crop,
     resize_nearest,
-    rotate_annotations,
     rotate_box,
     rotate_image,
 )
@@ -14,7 +12,6 @@ from .model import BoundingBox, Distractor, RoadView, Scene, SceneObject
 from .noise import (
     PAPER_SNR_LEVELS_DB,
     add_gaussian_noise,
-    measured_snr_db,
     noise_sigma_for_snr,
     signal_power,
 )
@@ -24,9 +21,7 @@ from .seeding import stable_seed
 __all__ = [
     "PAPER_CROP_FRACTION",
     "PAPER_ROTATIONS_DEG",
-    "random_crop",
     "resize_nearest",
-    "rotate_annotations",
     "rotate_box",
     "rotate_image",
     "HORIZON",
@@ -39,7 +34,6 @@ __all__ = [
     "SceneObject",
     "PAPER_SNR_LEVELS_DB",
     "add_gaussian_noise",
-    "measured_snr_db",
     "noise_sigma_for_snr",
     "signal_power",
     "DEFAULT_SIZE",

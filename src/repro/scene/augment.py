@@ -1,4 +1,4 @@
-"""Data augmentation: rotations and random crops with box transforms.
+"""Data augmentation primitives: rotations, box transforms, resizing.
 
 Reproduces the paper's Fig. 2 ablation:
 
@@ -8,10 +8,14 @@ Reproduces the paper's Fig. 2 ablation:
     area."
 
 Rotations are exact 90-degree multiples (``numpy.rot90``), with the
-annotation boxes rotated consistently.  Crops remove 30% of the image
-area (a random window keeping ~70%), resize back to the original
-resolution, and drop objects whose surviving area falls below a
-visibility threshold.
+annotation boxes rotated consistently.  The augmented training images
+themselves are lazy copies built by :func:`repro.gsv.dataset.rotated_image`
+and :func:`repro.gsv.dataset.cropped_image`, which record a render op
+that this module's :func:`rotate_image` and :func:`resize_nearest`
+apply at render time.  A crop removes :data:`PAPER_CROP_FRACTION` of
+the image area (a random window keeping ~70%), is resized back to the
+original resolution, and drops objects whose surviving area falls
+below a visibility threshold.
 
 The paper's finding — that these augmentations *hurt* direction-bound
 classes like streetlights and apartments — falls out naturally here:
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.indicators import Indicator
 from .model import BoundingBox
 
 #: The rotation sweep from Fig. 2.
@@ -31,8 +34,6 @@ PAPER_ROTATIONS_DEG = (90, 180, 270)
 
 #: Fraction of image area removed by the crop augmentation.
 PAPER_CROP_FRACTION = 0.30
-
-Annotation = tuple[Indicator, BoundingBox]
 
 
 def rotate_image(image: np.ndarray, degrees: int) -> np.ndarray:
@@ -57,15 +58,6 @@ def rotate_box(box: BoundingBox, degrees: int) -> BoundingBox:
     return current
 
 
-def rotate_annotations(
-    image: np.ndarray, annotations: list[Annotation], degrees: int
-) -> tuple[np.ndarray, list[Annotation]]:
-    """Rotate an image together with its annotations."""
-    rotated = rotate_image(image, degrees)
-    boxes = [(ind, rotate_box(box, degrees)) for ind, box in annotations]
-    return rotated, boxes
-
-
 def resize_nearest(image: np.ndarray, height: int, width: int) -> np.ndarray:
     """Nearest-neighbor resize (sufficient for synthetic imagery)."""
     if height <= 0 or width <= 0:
@@ -78,61 +70,6 @@ def resize_nearest(image: np.ndarray, height: int, width: int) -> np.ndarray:
         (np.arange(width) * src_w / width).astype(int), src_w - 1
     )
     return np.ascontiguousarray(image[rows][:, cols])
-
-
-def random_crop(
-    image: np.ndarray,
-    annotations: list[Annotation],
-    crop_fraction: float = PAPER_CROP_FRACTION,
-    rng: np.random.Generator | None = None,
-    min_visible: float = 0.25,
-) -> tuple[np.ndarray, list[Annotation]]:
-    """Crop away ``crop_fraction`` of the image area, resize back.
-
-    Returns the resized crop and the surviving annotations.  An object
-    survives if at least ``min_visible`` of its area remains inside
-    the crop window; surviving boxes are re-expressed in the crop's
-    coordinate frame.
-    """
-    if not 0.0 < crop_fraction < 1.0:
-        raise ValueError(f"crop fraction out of range: {crop_fraction}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    height, width = image.shape[:2]
-    keep_linear = float(np.sqrt(1.0 - crop_fraction))
-    crop_h = max(1, int(round(height * keep_linear)))
-    crop_w = max(1, int(round(width * keep_linear)))
-    y_off = int(rng.integers(0, height - crop_h + 1))
-    x_off = int(rng.integers(0, width - crop_w + 1))
-    crop = image[y_off : y_off + crop_h, x_off : x_off + crop_w]
-
-    survivors: list[Annotation] = []
-    wx0, wy0 = x_off / width, y_off / height
-    wx1, wy1 = (x_off + crop_w) / width, (y_off + crop_h) / height
-    for indicator, box in annotations:
-        ix0 = max(box.x_min, wx0)
-        iy0 = max(box.y_min, wy0)
-        ix1 = min(box.x_max, wx1)
-        iy1 = min(box.y_max, wy1)
-        if ix1 <= ix0 or iy1 <= iy0:
-            continue
-        visible = (ix1 - ix0) * (iy1 - iy0) / box.area
-        if visible < min_visible:
-            continue
-        # Re-normalize into the crop frame.
-        survivors.append(
-            (
-                indicator,
-                BoundingBox(
-                    (ix0 - wx0) / (wx1 - wx0),
-                    (iy0 - wy0) / (wy1 - wy0),
-                    min(1.0, (ix1 - wx0) / (wx1 - wx0)),
-                    min(1.0, (iy1 - wy0) / (wy1 - wy0)),
-                ),
-            )
-        )
-    resized = resize_nearest(crop, height, width)
-    return resized, survivors
 
 
 def _validate_rotation(degrees: int) -> int:

@@ -51,17 +51,6 @@ def add_gaussian_noise(
     return noisy.astype(image.dtype)
 
 
-def measured_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Empirical SNR between a clean image and its corrupted version."""
-    clean_f = _to_float(clean)
-    noisy_f = _to_float(noisy)
-    noise = noisy_f - clean_f
-    noise_power = float(np.mean(np.square(noise)))
-    if noise_power == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(signal_power(clean) / noise_power))
-
-
 def _to_float(image: np.ndarray) -> np.ndarray:
     if image.dtype == np.uint8:
         return image.astype(np.float64) / 255.0

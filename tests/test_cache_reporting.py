@@ -1,4 +1,4 @@
-"""Tests for the response cache and survey exports."""
+"""Tests for the response cache."""
 
 import json
 
@@ -14,12 +14,6 @@ from repro.gsv import StreetViewClient
 from repro.llm import ImageAttachment
 from repro.llm.cache import CachingChatClient, request_fingerprint
 from repro.llm.base import ChatMessage, ChatRequest
-from repro.reporting import (
-    export_survey,
-    survey_to_csv,
-    survey_to_geojson,
-    survey_to_markdown,
-)
 
 
 @pytest.fixture()
@@ -256,47 +250,6 @@ class TestJournalPersistence:
         caching.complete(_request(attachment, "Any powerlines?"))
         caching.close()
         assert len(path.read_text().strip().split("\n")) == 2
-
-
-@pytest.fixture(scope="module")
-def survey_report(clients):
-    county = make_durham_like(seed=3)
-    decoder = NeighborhoodDecoder(
-        street_view=StreetViewClient(counties=[county], api_key="x"),
-        classifier=LLMIndicatorClassifier(clients["gemini-1.5-pro"]),
-    )
-    return decoder.survey(county, n_locations=6, seed=0)
-
-
-class TestExports:
-    def test_csv_shape(self, survey_report):
-        text = survey_to_csv(survey_report)
-        rows = text.strip().split("\n")
-        assert len(rows) == 7  # header + 6 locations
-        assert rows[0].startswith("latitude,longitude,county,zone")
-
-    def test_geojson_valid(self, survey_report):
-        geojson = survey_to_geojson(survey_report)
-        assert geojson["type"] == "FeatureCollection"
-        assert len(geojson["features"]) == 6
-        feature = geojson["features"][0]
-        lon, lat = feature["geometry"]["coordinates"]
-        assert -180 <= lon <= 180 and -90 <= lat <= 90
-        assert "sidewalk" in feature["properties"]
-
-    def test_markdown_contains_rates(self, survey_report):
-        text = survey_to_markdown(survey_report)
-        assert "## Indicator rates" in text
-        assert "Sidewalk" in text
-
-    def test_export_writes_all_files(self, survey_report, tmp_path):
-        paths = export_survey(survey_report, tmp_path)
-        assert set(paths) == {"csv", "geojson", "markdown"}
-        for path in paths.values():
-            assert path.exists()
-            assert path.stat().st_size > 0
-        parsed = json.loads(paths["geojson"].read_text())
-        assert parsed["type"] == "FeatureCollection"
 
 
 class TestSingleFlight:

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     ClassifierConfig,
     LLMIndicatorClassifier,
-    agreement_rate,
     majority_vote,
     vote_predictions,
 )
@@ -60,13 +59,6 @@ class TestMajorityVote:
     def test_vote_predictions_length_mismatch(self):
         with pytest.raises(ValueError):
             vote_predictions({"a": [_presence()], "b": []})
-
-    def test_agreement_rate(self):
-        per_model = {
-            "a": [_presence(Indicator.SIDEWALK), _presence()],
-            "b": [_presence(Indicator.SIDEWALK), _presence(Indicator.SIDEWALK)],
-        }
-        assert agreement_rate(per_model, Indicator.SIDEWALK) == 0.5
 
 
 class TestClassifier:

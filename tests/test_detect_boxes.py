@@ -1,16 +1,14 @@
-"""Unit and property tests for box algebra (IoU, NMS, conversions)."""
+"""Unit and property tests for box algebra (IoU, clipping, conversions)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.detect import (
-    as_boxes,
     box_area,
     clip_boxes,
     cxcywh_to_xyxy,
     iou_matrix,
-    nms,
     xyxy_to_cxcywh,
 )
 
@@ -29,13 +27,6 @@ def box_arrays(draw, max_boxes=8):
 
 
 class TestBoxBasics:
-    def test_as_boxes_validates(self):
-        with pytest.raises(ValueError):
-            as_boxes([[0.5, 0.1, 0.4, 0.9]])
-
-    def test_as_boxes_empty(self):
-        assert as_boxes([]).shape == (0, 4)
-
     def test_area(self):
         boxes = np.array([[0.0, 0.0, 0.5, 0.5], [0.1, 0.1, 0.2, 0.3]])
         assert box_area(boxes) == pytest.approx([0.25, 0.02])
@@ -70,108 +61,3 @@ class TestBoxBasics:
     def test_iou_matrix_symmetric(self, boxes):
         ious = iou_matrix(boxes, boxes)
         assert np.allclose(ious, ious.T)
-
-
-class TestNMS:
-    def test_suppresses_duplicates(self):
-        boxes = np.array(
-            [[0.1, 0.1, 0.3, 0.3], [0.11, 0.11, 0.31, 0.31], [0.7, 0.7, 0.9, 0.9]]
-        )
-        scores = np.array([0.9, 0.8, 0.7])
-        kept, kept_scores = nms(boxes, scores, iou_threshold=0.5)
-        assert len(kept) == 2
-        assert kept_scores[0] == 0.9
-
-    def test_keeps_disjoint(self):
-        boxes = np.array([[0.0, 0.0, 0.2, 0.2], [0.5, 0.5, 0.7, 0.7]])
-        scores = np.array([0.6, 0.9])
-        kept, kept_scores = nms(boxes, scores)
-        assert len(kept) == 2
-        assert kept_scores[0] == 0.9  # sorted by score
-
-    def test_merge_averages_cluster(self):
-        boxes = np.array([[0.1, 0.1, 0.3, 0.3], [0.2, 0.1, 0.4, 0.3]])
-        scores = np.array([0.5, 0.5])
-        kept, _ = nms(boxes, scores, iou_threshold=0.2, merge=True)
-        assert len(kept) == 1
-        assert kept[0][0] == pytest.approx(0.15)
-
-    def test_empty_input(self):
-        kept, scores = nms(np.zeros((0, 4)), np.zeros(0))
-        assert len(kept) == 0
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            nms(np.zeros((2, 4)) + [0, 0, 1, 1], np.zeros(3))
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            nms(np.zeros((1, 4)) + [0, 0, 1, 1], np.ones(1), iou_threshold=0.0)
-
-    @given(boxes=box_arrays())
-    @settings(max_examples=60)
-    def test_nms_output_no_high_overlap(self, boxes):
-        scores = np.linspace(1.0, 0.5, len(boxes))
-        kept, _ = nms(boxes, scores, iou_threshold=0.5)
-        ious = iou_matrix(kept, kept)
-        np.fill_diagonal(ious, 0.0)
-        assert ious.max(initial=0.0) < 0.5 + 1e-9
-
-    @given(boxes=box_arrays())
-    @settings(max_examples=60)
-    def test_nms_scores_descending(self, boxes):
-        scores = np.linspace(0.5, 1.0, len(boxes))
-        _, kept_scores = nms(boxes, scores)
-        assert np.all(np.diff(kept_scores) <= 0)
-
-
-def _nms_reference(boxes, scores, iou_threshold, merge):
-    """Pre-vectorization NMS: one Python-loop pass per candidate."""
-    order = np.argsort(-scores)
-    ious = iou_matrix(boxes, boxes)
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    kept_boxes = []
-    kept_scores = []
-    for index in order:
-        if suppressed[index]:
-            continue
-        cluster = ~suppressed & (ious[index] >= iou_threshold)
-        suppressed |= cluster
-        if merge:
-            members = np.nonzero(cluster)[0]
-            merged = np.average(boxes[members], axis=0, weights=scores[members])
-            kept_boxes.append(merged)
-        else:
-            kept_boxes.append(boxes[index])
-        kept_scores.append(scores[index])
-    return np.asarray(kept_boxes), np.asarray(kept_scores)
-
-
-class TestNMSMatchesLoop:
-    """The vectorized suppression must be indistinguishable from the loop."""
-
-    @given(
-        boxes=box_arrays(max_boxes=12),
-        threshold=st.sampled_from([0.2, 0.5, 0.8]),
-        merge=st.booleans(),
-    )
-    @settings(max_examples=120)
-    def test_random_boxes_match(self, boxes, threshold, merge):
-        scores = np.linspace(1.0, 0.4, len(boxes))
-        got_boxes, got_scores = nms(
-            boxes, scores, iou_threshold=threshold, merge=merge
-        )
-        ref_boxes, ref_scores = _nms_reference(boxes, scores, threshold, merge)
-        assert np.array_equal(got_scores, ref_scores)
-        assert np.array_equal(got_boxes, ref_boxes)
-
-    @given(boxes=box_arrays(max_boxes=12))
-    @settings(max_examples=60)
-    def test_tied_scores_match(self, boxes):
-        # Ties exercise argsort stability — both paths must break them
-        # the same way.
-        scores = np.full(len(boxes), 0.7)
-        got_boxes, got_scores = nms(boxes, scores, iou_threshold=0.4)
-        ref_boxes, ref_scores = _nms_reference(boxes, scores, 0.4, False)
-        assert np.array_equal(got_scores, ref_scores)
-        assert np.array_equal(got_boxes, ref_boxes)

@@ -7,7 +7,6 @@ from repro.detect import (
     FEATURE_DIM,
     FeatureConfig,
     cell_bounds,
-    cell_centers,
     extract_features,
     extract_features_batch,
 )
@@ -35,21 +34,16 @@ def gray_image():
 
 
 class TestGridGeometry:
-    def test_cell_centers_count_and_range(self):
-        centers = cell_centers(8)
-        assert centers.shape == (64, 2)
-        assert centers.min() > 0.0 and centers.max() < 1.0
-
-    def test_cell_centers_row_major(self):
-        centers = cell_centers(4)
-        # First cell is top-left; second moves right (x grows).
-        assert centers[1][0] > centers[0][0]
-        assert centers[1][1] == centers[0][1]
-
     def test_cell_bounds_tile_canvas(self):
         bounds = cell_bounds(4)
         areas = (bounds[:, 2] - bounds[:, 0]) * (bounds[:, 3] - bounds[:, 1])
         assert areas.sum() == pytest.approx(1.0)
+
+    def test_cell_bounds_row_major(self):
+        # Cell ``row * grid + col``: the order decode_cells indexes by.
+        bounds = cell_bounds(4)
+        assert bounds[1].tolist() == [0.25, 0.0, 0.5, 0.25]
+        assert bounds[4].tolist() == [0.0, 0.25, 0.25, 0.5]
 
 
 class TestExtractFeatures:
@@ -453,20 +447,16 @@ class TestFeatureConfigValidation:
 
 
 class TestGridMemoization:
-    """cell_centers/cell_bounds are memoized per grid and immutable."""
+    """cell_bounds is memoized per grid and immutable."""
 
     def test_same_array_returned_for_same_grid(self):
-        assert cell_centers(8) is cell_centers(8)
         assert cell_bounds(8) is cell_bounds(8)
 
     def test_different_grids_do_not_collide(self):
-        assert cell_centers(4).shape == (16, 2)
-        assert cell_centers(8).shape == (64, 2)
+        assert cell_bounds(4).shape == (16, 4)
+        assert cell_bounds(8).shape == (64, 4)
 
     def test_memoized_arrays_are_readonly(self):
-        centers = cell_centers(8)
         bounds = cell_bounds(8)
-        with pytest.raises((ValueError, RuntimeError)):
-            centers[0, 0] = 99.0
         with pytest.raises((ValueError, RuntimeError)):
             bounds[0, 0] = 99.0

@@ -1,6 +1,8 @@
 """Tests for the NanoDetector model, target assignment, and training."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from repro.detect import (
 )
 from repro.detect.model import _label_components
 from repro.scene import BoundingBox
+
+#: A grid-4, hidden-8 detector saved while ``ModelConfig`` still had
+#: its ``nms_iou`` option, and the predictions it made then.
+RETIRED_KEY_MODEL = Path(__file__).parent / "data" / "detector_saved_with_nms_iou.json"
+RETIRED_KEY_EXPECTED = RETIRED_KEY_MODEL.with_suffix(".expected.json")
 
 
 class TestSigmoid:
@@ -336,6 +343,29 @@ class TestPersistence:
             CascadeClassifier(
                 detector=legacy, calibration=None, scout=None, ensemble=None
             )
+
+    def test_model_saved_with_retired_nms_iou_key_predicts_as_before(self):
+        assert "nms_iou" in json.loads(RETIRED_KEY_MODEL.read_text())["config"]
+        model = NanoDetector.load(RETIRED_KEY_MODEL)
+        assert model.config == ModelConfig(grid=4, hidden=8)
+        assert model.input_size == 64
+        expected = json.loads(RETIRED_KEY_EXPECTED.read_text())
+        rng = np.random.default_rng(expected["image_seed"])
+        image = (rng.uniform(size=(64, 64, 3)) * 255).astype(np.uint8)
+        detections, peaks = model.detect_with_scores(image)
+        assert peaks.tolist() == pytest.approx(expected["peaks"], abs=1e-12)
+        assert [d.indicator.value for d in detections] == [
+            want["indicator"] for want in expected["detections"]
+        ]
+        for got, want in zip(detections, expected["detections"]):
+            assert got.score == pytest.approx(want["score"], abs=1e-12)
+            assert got.box.tolist() == pytest.approx(want["box"], abs=1e-12)
+
+    def test_unknown_config_key_is_a_value_error_naming_it(self, sized_model):
+        payload = sized_model.to_dict()
+        payload["config"]["anchor_count"] = 3
+        with pytest.raises(ValueError, match="anchor_count"):
+            NanoDetector.from_dict(payload)
 
     def test_untrained_model_raises(self):
         model = NanoDetector()

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import ClassifierConfig, LLMIndicatorClassifier, PromptStyle
 from repro.core.fewshot import (
+    EXAMPLE_MARKERS,
     build_few_shot_messages,
     build_few_shot_request,
-    count_exemplars,
 )
 from repro.core.metrics import ClassificationReport
 from repro.llm import GEMINI_15_PRO, Language
@@ -41,7 +41,10 @@ class TestFewShotBuilding:
             exemplars=small_dataset.images[:3],
             language=Language.CHINESE,
         )
-        assert count_exemplars(request.user_text) == 3
+        # One exemplar block per exemplar image, in the prompt's language.
+        text = request.user_text
+        assert text.count(EXAMPLE_MARKERS[Language.CHINESE]) == 3
+        assert sum(text.count(marker) for marker in EXAMPLE_MARKERS.values()) == 3
 
     def test_config_rejects_fewshot_with_sequential(self, small_dataset):
         with pytest.raises(ValueError):

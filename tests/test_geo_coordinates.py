@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.geo import (
-    CARDINAL_HEADINGS,
     SEGMENT_INTERVAL_M,
     LatLon,
-    heading_name,
     normalize_heading,
     segment_points,
 )
@@ -91,14 +89,6 @@ class TestHeadings:
 
     def test_normalize_wraps_negative(self):
         assert normalize_heading(-90.0) == 270.0
-
-    def test_cardinal_names(self):
-        names = [heading_name(h) for h in CARDINAL_HEADINGS]
-        assert names == ["north", "east", "south", "west"]
-
-    def test_non_cardinal_rejected(self):
-        with pytest.raises(ValueError):
-            heading_name(45.0)
 
     @given(heading=st.floats(-1000, 1000, allow_nan=False))
     def test_normalize_range(self, heading):

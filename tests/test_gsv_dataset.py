@@ -10,7 +10,7 @@ from repro.gsv import (
     cropped_image,
     rotated_image,
 )
-from repro.gsv.dataset import render_images
+from repro.scene import PAPER_CROP_FRACTION
 
 
 class TestBuildSurveyDataset:
@@ -122,20 +122,35 @@ class TestAugmentedCopies:
                 assert 0.0 <= box.x_min < box.x_max <= 1.0
                 assert 0.0 <= box.y_min < box.y_max <= 1.0
 
+    def test_crop_removes_the_paper_fraction_of_the_area(self, small_dataset):
+        # Fig. 2: "randomly cropped by 30% of the object image area".
+        assert PAPER_CROP_FRACTION == 0.30
+        cropped = cropped_image(small_dataset[0], np.random.default_rng(0))
+        _, x0, y0, x1, y1 = cropped.render_ops[-1]
+        assert (x1 - x0) * (y1 - y0) == pytest.approx(1.0 - PAPER_CROP_FRACTION)
+
+    def test_crop_drops_objects_mostly_outside_its_window(self, small_dataset):
+        # An object survives the crop when at least a quarter of its
+        # box stays inside the window.
+        dropped = 0
+        for seed, image in enumerate(small_dataset.images):
+            cropped = cropped_image(image, np.random.default_rng(seed))
+            _, x0, y0, x1, y1 = cropped.render_ops[-1]
+            survivors = []
+            for obj in image.scene.objects:
+                box = obj.box
+                width = min(box.x_max, x1) - max(box.x_min, x0)
+                height = min(box.y_max, y1) - max(box.y_min, y0)
+                visible = max(width, 0.0) * max(height, 0.0) / box.area
+                if visible >= 0.25:
+                    survivors.append(obj.indicator)
+            assert [ind for ind, _ in cropped.annotations] == survivors
+            dropped += len(image.scene.objects) - len(survivors)
+        assert dropped > 0
+
     def test_unknown_render_op_rejected(self, small_dataset):
         from dataclasses import replace
 
         image = replace(small_dataset[0], render_ops=(("zoom", 2),))
         with pytest.raises(ValueError):
             image.render(128)
-
-
-class TestRenderImagesFanOut:
-    def test_thread_workers_match_serial_byte_for_byte(self, small_dataset):
-        images = list(small_dataset)[:8]
-        parallel = render_images(images, workers=2)
-        serial = render_images(images, workers=1)
-        assert len(parallel) == len(serial) == len(images)
-        for got, want in zip(parallel, serial):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()

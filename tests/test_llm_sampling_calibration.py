@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.llm import (
     ResponsePolicy,
-    apply_temperature,
     derive_rates,
     effective_yes_probability,
     expected_yes_rate,
@@ -17,31 +16,6 @@ from repro.llm import (
 from repro.llm.sampling import token_fidelity
 
 PROB = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
-
-
-class TestApplyTemperature:
-    def test_identity_at_one(self):
-        assert apply_temperature(0.3, 1.0) == pytest.approx(0.3)
-
-    def test_low_temperature_sharpens(self):
-        assert apply_temperature(0.7, 0.1) > 0.97
-        assert apply_temperature(0.3, 0.1) < 0.03
-
-    def test_high_temperature_flattens(self):
-        assert abs(apply_temperature(0.9, 2.0) - 0.5) < abs(0.9 - 0.5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_temperature(0.5, -0.1)
-
-    @given(p=PROB, t=st.floats(0.05, 2.0))
-    @settings(max_examples=60)
-    def test_preserves_direction(self, p, t):
-        out = apply_temperature(p, t)
-        if p > 0.5:
-            assert out >= 0.5
-        if p < 0.5:
-            assert out <= 0.5
 
 
 class TestTokenFidelity:

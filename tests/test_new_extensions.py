@@ -1,18 +1,13 @@
-"""Tests for label-efficiency, weather robustness, and the ASCII map."""
+"""Tests for label-efficiency and weather robustness."""
 
 import pytest
 
-from repro.core import LLMIndicatorClassifier, NeighborhoodDecoder
-from repro.core.indicators import Indicator
 from repro.detect.train import TrainConfig
 from repro.experiments import ExperimentConfig, ExperimentSuite
 from repro.experiments.extensions import (
     run_label_efficiency,
     run_weather_robustness,
 )
-from repro.geo import make_durham_like
-from repro.gsv import StreetViewClient
-from repro.reporting import survey_to_ascii_map
 
 
 @pytest.fixture(scope="module")
@@ -70,38 +65,3 @@ class TestWeatherRobustness:
         result = run_weather_robustness(tiny_suite)
         conditions = set(result.column("condition"))
         assert conditions == {"clear", "fog", "rain", "dusk"}
-
-
-class TestAsciiMap:
-    @pytest.fixture(scope="class")
-    def report(self, clients):
-        county = make_durham_like(seed=3)
-        decoder = NeighborhoodDecoder(
-            street_view=StreetViewClient(counties=[county], api_key="x"),
-            classifier=LLMIndicatorClassifier(clients["gemini-1.5-pro"]),
-        )
-        return decoder.survey(county, n_locations=20, seed=4)
-
-    def test_map_dimensions(self, report):
-        text = survey_to_ascii_map(
-            report, Indicator.SIDEWALK, columns=30, rows=10
-        )
-        lines = text.split("\n")
-        assert len(lines) == 12  # title + 10 rows + legend
-        assert all(len(line) == 30 for line in lines[1:-1])
-
-    def test_map_marks_surveyed_cells(self, report):
-        text = survey_to_ascii_map(report, Indicator.SINGLE_LANE_ROAD)
-        body = "\n".join(text.split("\n")[1:-1])
-        marked = sum(1 for ch in body if ch not in " \n")
-        assert marked >= 5
-
-    def test_empty_report(self):
-        from repro.core.pipeline import SurveyReport
-
-        text = survey_to_ascii_map(SurveyReport(), Indicator.SIDEWALK)
-        assert "no surveyed locations" in text
-
-    def test_validates_grid(self, report):
-        with pytest.raises(ValueError):
-            survey_to_ascii_map(report, Indicator.SIDEWALK, columns=2)
