@@ -21,6 +21,7 @@ from repro.detect import (
     train_detector,
 )
 from repro.detect.model import _label_components
+from repro.gsv import build_survey_dataset
 from repro.scene import BoundingBox
 
 #: A grid-4, hidden-8 detector saved while ``ModelConfig`` still had
@@ -352,7 +353,9 @@ class TestPersistence:
         expected = json.loads(RETIRED_KEY_EXPECTED.read_text())
         rng = np.random.default_rng(expected["image_seed"])
         image = (rng.uniform(size=(64, 64, 3)) * 255).astype(np.uint8)
-        detections, peaks = model.detect_with_scores(image)
+        [detections] = model.detect_batch([image])
+        scores, _ = model.predict_cells_batch([image])
+        [peaks] = model.indicator_scores(scores)
         assert peaks.tolist() == pytest.approx(expected["peaks"], abs=1e-12)
         assert [d.indicator.value for d in detections] == [
             want["indicator"] for want in expected["detections"]
@@ -360,6 +363,35 @@ class TestPersistence:
         for got, want in zip(detections, expected["detections"]):
             assert got.score == pytest.approx(want["score"], abs=1e-12)
             assert got.box.tolist() == pytest.approx(want["box"], abs=1e-12)
+
+    def test_model_saved_with_retired_nms_iou_key_evaluates_as_before(self):
+        """The frozen model's Table I report (exact) and its float32
+        tier-0 peaks (1e-12) on a fixed 64-px split."""
+        model = NanoDetector.load(RETIRED_KEY_MODEL)
+        expected = json.loads(RETIRED_KEY_EXPECTED.read_text())
+        images = build_survey_dataset(**expected["evaluation_split"]).images
+        report = evaluate_detector(model, images)
+        got = {
+            indicator.value: {
+                "precision": metrics.precision,
+                "recall": metrics.recall,
+                "f1": metrics.f1,
+                "ap50": metrics.ap50,
+                "n_ground_truth": metrics.n_ground_truth,
+            }
+            for indicator, metrics in report.per_class.items()
+        }
+        # JSON carries an absent class's NaN metrics as null.
+        assert json.loads(json.dumps(got).replace("NaN", "null")) == (
+            expected["evaluation"]
+        )
+        scores, _ = model.predict_cells_batch(
+            [image.render() for image in images], precision="float32"
+        )
+        peaks = model.indicator_scores(scores)
+        assert peaks.shape == (len(images), len(ALL_INDICATORS))
+        for got_row, want_row in zip(peaks.tolist(), expected["float32_peaks"]):
+            assert got_row == pytest.approx(want_row, abs=1e-12)
 
     def test_unknown_config_key_is_a_value_error_naming_it(self, sized_model):
         payload = sized_model.to_dict()
