@@ -31,6 +31,7 @@ from .router import (
     CascadeStats,
     token_fee_usd,
 )
+from .shipped import build_shipped_cascade
 
 __all__ = [
     "DEFAULT_DEEP_FACTOR",
@@ -42,6 +43,7 @@ __all__ = [
     "CascadePoint",
     "CascadeStats",
     "FrontierReport",
+    "build_shipped_cascade",
     "cascade_calibration_key",
     "fit_cascade_calibration",
     "load_or_fit_calibration",

@@ -42,11 +42,11 @@ def extract_peaks(
     Images render at ``detector.input_size`` — the scale tier 0 scores
     captures at — whatever ``size`` they carry, so calibration and
     routing see the same pixels.  The peaks come from the float64
-    kernel, while tier 0 scores at its own ``precision`` (float32 by
-    default), whose peaks drift by up to ~1e-2; the piecewise-constant
-    curves absorb that, and no routing band moves on held-out scenes
-    (DESIGN.md §14).  A detector without a recorded size renders each
-    image at its own ``size``.
+    kernel, while tier 0 scores at float32 (``TIER0_PRECISION`` in
+    :mod:`repro.cascade.router`), whose peaks drift by up to ~1e-2;
+    the piecewise-constant curves absorb that, and no routing band
+    moves on held-out scenes (DESIGN.md §14).  A detector without a
+    recorded size renders each image at its own ``size``.
     """
     chunks = []
     for start in range(0, len(images), PEAK_BATCH_SIZE):

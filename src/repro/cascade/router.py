@@ -8,11 +8,11 @@ An indicator whose calibrated *doubt* — ``min(p, 1-p)`` — is within
 the configured tolerance is answered by the detector's lean alone.
 Doubt beyond the tolerance escalates:
 
-* **mid band** (``threshold < doubt <= deep_factor * threshold``) —
+* **mid band** (``threshold < doubt <= DEFAULT_DEEP_FACTOR * threshold``) —
   a single-LLM *scout* is asked only about the doubted indicators; a
   scout answer that agrees with the detector's lean is accepted, a
   split escalates the indicator to the full ensemble;
-* **deep band** (``doubt > deep_factor * threshold``) — the scout is
+* **deep band** (``doubt > DEFAULT_DEEP_FACTOR * threshold``) — the scout is
   skipped and the indicator goes straight to full ensemble voting.
 
 With ``threshold=0`` every doubt is deep (doubt is clipped strictly
@@ -53,10 +53,18 @@ from ..obs.scope import tally
 #: cutting the fee per location at least fivefold.
 DEFAULT_THRESHOLD = 0.2
 
-#: Doubt beyond ``deep_factor * threshold`` skips the scout entirely:
-#: when the detector is this unsure, a single second opinion rarely
-#: settles it and the scout call is wasted money.
+#: Doubt beyond ``DEFAULT_DEEP_FACTOR * threshold`` skips the scout
+#: entirely: when the detector is this unsure, a single second opinion
+#: rarely settles it and the scout call is wasted money.
 DEFAULT_DEEP_FACTOR = 2.0
+
+#: Numeric tier of the tier-0 detector forward (see
+#: :data:`repro.detect.model.PRECISIONS`): the float32 fast path.  Its
+#: peaks drift from float64's by a median of ~2e-7 and at most ~1e-2,
+#: which the piecewise-constant calibration absorbs (no routing band
+#: moves on held-out scenes; DESIGN.md §14), and tier 0 runs on *every*
+#: image, so this is where the fast kernel's speedup actually lands.
+TIER0_PRECISION = "float32"
 
 #: Stage labels for :class:`~repro.gsv.api.UsageMeter` attribution.
 TIER_DETECTOR = "tier0.detector"
@@ -160,15 +168,6 @@ class CascadeClassifier:
     scout: LLMIndicatorClassifier
     ensemble: VotingEnsemble
     threshold: float = DEFAULT_THRESHOLD
-    deep_factor: float = DEFAULT_DEEP_FACTOR
-    #: Inference tier for the tier-0 detector forward (see
-    #: :data:`repro.detect.model.PRECISIONS`).  Defaults to the
-    #: float32 fast path: its peaks drift from float64's by a median
-    #: of ~2e-7 and at most ~1e-2, which the piecewise-constant
-    #: calibration absorbs (no routing band moves on held-out scenes;
-    #: DESIGN.md §14), and tier 0 runs on *every* image, so this is
-    #: where the fast kernel's speedup actually lands.
-    precision: str = "float32"
     meter: UsageMeter = field(default_factory=UsageMeter)
     stats: CascadeStats = field(default_factory=CascadeStats)
 
@@ -176,16 +175,6 @@ class CascadeClassifier:
         if not 0.0 <= self.threshold <= 0.5:
             raise ValueError(
                 f"threshold must be a doubt in [0, 0.5]: {self.threshold}"
-            )
-        if self.deep_factor < 1.0:
-            raise ValueError(
-                f"deep_factor must be >= 1: {self.deep_factor}"
-            )
-        from ..detect.model import PRECISIONS
-
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}: {self.precision}"
             )
         if self.detector.input_size is None:
             raise ValueError(
@@ -210,7 +199,7 @@ class CascadeClassifier:
         metrics = get_metrics()
         pixels = [image.render(self.detector.input_size) for image in images]
         scores, _ = self.detector.predict_cells_batch(
-            pixels, precision=self.precision
+            pixels, precision=TIER0_PRECISION
         )
         peaks = NanoDetector.indicator_scores(scores)
         probabilities = self.calibration.probabilities(peaks)
@@ -241,7 +230,7 @@ class CascadeClassifier:
         accepted: dict[Indicator, bool] = {}
         mid: list[Indicator] = []
         deep: list[Indicator] = []
-        deep_bound = self.deep_factor * self.threshold
+        deep_bound = DEFAULT_DEEP_FACTOR * self.threshold
         for index, indicator in enumerate(ALL_INDICATORS):
             doubt = float(doubts[index])
             if doubt <= self.threshold:

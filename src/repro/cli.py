@@ -111,21 +111,36 @@ def _parse_workers(value: str) -> int | str:
         ) from None
 
 
-def _positive_int(value: str) -> int:
-    """A count that must be at least 1 (``--queue-depth``, ...)."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value!r}"
-        )
-    return number
+def _int_at_least(low: int):
+    """An argparse type for an integer >= ``low``."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = low - 1
+        if number < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {value!r}"
+            )
+        return number
+
+    return parse
 
 
-def _finite_float(*, positive: bool):
-    """An argparse type for a finite float, > 0 or >= 0."""
+#: A count that must be at least 1 (``--queue-depth``, ...).
+_positive_int = _int_at_least(1)
+
+
+def _float_in(
+    low: float, high: float = math.inf, *, low_open: bool = False,
+    high_open: bool = False,
+):
+    """An argparse type for a finite float in an interval.
+
+    The bounds are inclusive unless ``low_open``/``high_open``; NaN
+    and the infinities are always rejected.
+    """
 
     def parse(value: str) -> float:
         try:
@@ -133,11 +148,16 @@ def _finite_float(*, positive: bool):
         except ValueError:
             number = math.nan
         if not (
-            math.isfinite(number) and (number > 0 if positive else number >= 0)
+            math.isfinite(number)
+            and (low < number if low_open else low <= number)
+            and (number < high if high_open else number <= high)
         ):
-            bound = "positive" if positive else "non-negative"
+            interval = (
+                f"{'(' if low_open else '['}{low:g}, {high:g}"
+                f"{')' if high_open or math.isinf(high) else ']'}"
+            )
             raise argparse.ArgumentTypeError(
-                f"must be a finite {bound} number, got {value!r}"
+                f"must be a finite number in {interval}, got {value!r}"
             )
         return number
 
@@ -220,11 +240,11 @@ def _run_survey(args: argparse.Namespace, tracer=None) -> int:
             )
         }
     elif use_cascade:
+        from .cascade import build_shipped_cascade
+
         brains = {
-            "cascade": _build_cascade(
-                clients,
-                threshold=args.cascade_threshold,
-                precision=args.detector_precision,
+            "cascade": build_shipped_cascade(
+                clients, threshold=args.cascade_threshold
             )
         }
     else:
@@ -363,54 +383,6 @@ def _build_survey_decoder(county, seed: int = 77):
     )
 
 
-def _build_cascade(
-    clients,
-    threshold: float | None = None,
-    artifacts=None,
-    precision: str | None = None,
-):
-    """Assemble the three-tier cascade the CLI ships.
-
-    Trains the nano detector on one synthetic split, fits the margin
-    calibration on a held-out split (both cached when ``artifacts`` is
-    given), and wires the cheapest model as the tier-1 scout in front
-    of the full four-model ensemble.  ``precision`` picks the tier-0
-    inference tier (``--detector-precision``); ``None`` keeps the
-    router's float32 default.
-    """
-    from .cascade import CascadeClassifier, load_or_fit_calibration
-    from .core.classifier import LLMIndicatorClassifier
-    from .core.voting import VotingEnsemble
-    from .detect.train import TrainConfig, train_detector
-    from .gsv.dataset import build_survey_dataset
-    from .llm.paper_targets import GPT_4O_MINI
-
-    train_images = build_survey_dataset(n_images=160, size=256, seed=21)
-    holdout = build_survey_dataset(n_images=120, size=256, seed=33)
-    detector = train_detector(
-        train_images,
-        train_config=TrainConfig(epochs=12, batch_size=16),
-        cache=artifacts,
-    ).model
-    calibration = load_or_fit_calibration(artifacts, detector, holdout)
-    ensemble = VotingEnsemble(
-        classifiers={
-            model_id: LLMIndicatorClassifier(client)
-            for model_id, client in clients.items()
-        }
-    )
-    kwargs: dict = {} if threshold is None else {"threshold": threshold}
-    if precision is not None:
-        kwargs["precision"] = precision
-    return CascadeClassifier(
-        detector=detector,
-        calibration=calibration,
-        scout=LLMIndicatorClassifier(clients[GPT_4O_MINI]),
-        ensemble=ensemble,
-        **kwargs,
-    )
-
-
 def _run_cascade(args: argparse.Namespace) -> int:
     """``repro cascade calibrate`` / ``repro cascade frontier``.
 
@@ -421,6 +393,7 @@ def _run_cascade(args: argparse.Namespace) -> int:
     reproducible JSON payload) to ``--frontier-out`` for CI to upload.
     """
     from .cascade import (
+        build_shipped_cascade,
         recommend_threshold,
         render_frontier_table,
         sweep_frontier,
@@ -439,11 +412,8 @@ def _run_cascade(args: argparse.Namespace) -> int:
         [image.scene for image in calibration_images],
         model_ids=tuple(ALL_MODEL_IDS),
     )
-    cascade = _build_cascade(
-        clients,
-        threshold=args.cascade_threshold,
-        artifacts=artifacts,
-        precision=args.detector_precision,
+    cascade = build_shipped_cascade(
+        clients, artifacts=artifacts, threshold=args.cascade_threshold
     )
     eval_images = build_survey_dataset(n_images=48, size=256, seed=45)
 
@@ -613,7 +583,7 @@ def _main(argv: list[str] | None) -> int:
     )
     survey_group.add_argument(
         "--locations",
-        type=int,
+        type=_positive_int,
         default=12,
         help="number of survey locations (default: 12)",
     )
@@ -631,9 +601,12 @@ def _main(argv: list[str] | None) -> int:
     )
     survey_group.add_argument(
         "--min-coverage",
-        type=float,
+        type=_float_in(0.0, 1.0),
         default=1.0,
-        help="exit nonzero when coverage falls below this (default: 1.0)",
+        help=(
+            "exit nonzero when coverage, a share in [0, 1], falls below "
+            "this (default: 1.0)"
+        ),
     )
     survey_group.add_argument(
         "--checkpoint",
@@ -642,7 +615,7 @@ def _main(argv: list[str] | None) -> int:
     )
     survey_group.add_argument(
         "--max-inflight",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help=(
@@ -671,23 +644,13 @@ def _main(argv: list[str] | None) -> int:
     )
     survey_group.add_argument(
         "--cascade-threshold",
-        type=float,
+        type=_float_in(0.0, 0.5),
         default=None,
         metavar="DOUBT",
         help=(
             "cascade doubt tolerance in [0, 0.5]; 0 escalates every "
             "indicator to the full ensemble (default: the calibrated "
             "DEFAULT_THRESHOLD)"
-        ),
-    )
-    survey_group.add_argument(
-        "--detector-precision",
-        default=None,
-        choices=["float64", "float32", "int8"],
-        metavar="TIER",
-        help=(
-            "cascade tier-0 inference tier: float64 (exact), float32 "
-            "(fast, default), or int8 (quantized, fastest)"
         ),
     )
     survey_group.add_argument(
@@ -701,13 +664,13 @@ def _main(argv: list[str] | None) -> int:
     )
     survey_group.add_argument(
         "--gsv-failure-rate",
-        type=float,
+        type=_float_in(0.0, 1.0, high_open=True),
         default=0.0,
-        help="injected transient-failure probability (default: 0)",
+        help="injected transient-failure probability in [0, 1) (default: 0)",
     )
     survey_group.add_argument(
         "--daily-quota",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="simulated GSV daily image quota (default: unlimited)",
     )
@@ -745,7 +708,7 @@ def _main(argv: list[str] | None) -> int:
     )
     serve_group.add_argument(
         "--tenant-budget",
-        type=_finite_float(positive=False),
+        type=_float_in(0.0),
         default=None,
         metavar="USD",
         help=(
@@ -755,7 +718,7 @@ def _main(argv: list[str] | None) -> int:
     )
     serve_group.add_argument(
         "--rate-limit",
-        type=_finite_float(positive=True),
+        type=_float_in(0.0, low_open=True),
         default=None,
         metavar="PER_S",
         help="serve: shared LLM token-bucket rate (default: unlimited)",

@@ -27,7 +27,6 @@ from .languages import (
 )
 from .metrics import (
     ClassificationReport,
-    ConfusionAccumulator,
     ConfusionCounts,
     PresenceAccumulator,
     accuracy_by_indicator,
@@ -79,7 +78,6 @@ __all__ = [
     "SEQUENTIAL_CLAUSES",
     "SEQUENTIAL_LEADS",
     "ClassificationReport",
-    "ConfusionAccumulator",
     "ConfusionCounts",
     "PresenceAccumulator",
     "accuracy_by_indicator",

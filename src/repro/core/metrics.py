@@ -158,70 +158,8 @@ class ClassificationReport:
         return rows
 
 
-class ConfusionAccumulator:
-    """Streaming, mergeable builder of a :class:`ClassificationReport`.
-
-    The batch path materializes every ``(truth, prediction)`` pair and
-    calls :meth:`ClassificationReport.from_predictions` once; the
-    streaming path folds pairs shard by shard through this accumulator
-    instead.  Confusion counts are exact integers, so any order of
-    :meth:`update` / :meth:`merge` calls over the same pairs produces
-    a report *equal* to the batch one — not approximately, equal.
-    """
-
-    def __init__(self) -> None:
-        # tp fp tn fn — same tally layout as from_predictions.
-        self._tallies = {ind: [0, 0, 0, 0] for ind in ALL_INDICATORS}
-        self.pairs_seen = 0
-
-    def update(
-        self, truth: IndicatorPresence, predicted: IndicatorPresence
-    ) -> None:
-        for indicator in ALL_INDICATORS:
-            actual = truth[indicator]
-            guess = predicted[indicator]
-            if guess and actual:
-                self._tallies[indicator][0] += 1
-            elif guess and not actual:
-                self._tallies[indicator][1] += 1
-            elif not guess and not actual:
-                self._tallies[indicator][2] += 1
-            else:
-                self._tallies[indicator][3] += 1
-        self.pairs_seen += 1
-
-    def update_many(
-        self,
-        truths: Sequence[IndicatorPresence],
-        predictions: Sequence[IndicatorPresence],
-    ) -> None:
-        if len(truths) != len(predictions):
-            raise ValueError(
-                f"{len(truths)} truths vs {len(predictions)} predictions"
-            )
-        for truth, predicted in zip(truths, predictions):
-            self.update(truth, predicted)
-
-    def merge(self, other: "ConfusionAccumulator") -> "ConfusionAccumulator":
-        for indicator in ALL_INDICATORS:
-            mine = self._tallies[indicator]
-            theirs = other._tallies[indicator]
-            for i in range(4):
-                mine[i] += theirs[i]
-        self.pairs_seen += other.pairs_seen
-        return self
-
-    def report(self) -> ClassificationReport:
-        return ClassificationReport(
-            counts={
-                ind: ConfusionCounts(tp, fp, tn, fn)
-                for ind, (tp, fp, tn, fn) in self._tallies.items()
-            }
-        )
-
-
 class PresenceAccumulator:
-    """Streaming, mergeable indicator-presence rates.
+    """Streaming indicator-presence rates.
 
     Replaces ``np.mean([loc.presence[ind] for loc in locations])`` for
     the streaming survey: it keeps one integer count per indicator
@@ -240,12 +178,6 @@ class PresenceAccumulator:
             if presence[indicator]:
                 self._counts[indicator] += 1
         self.n += 1
-
-    def merge(self, other: "PresenceAccumulator") -> "PresenceAccumulator":
-        for indicator in ALL_INDICATORS:
-            self._counts[indicator] += other._counts[indicator]
-        self.n += other.n
-        return self
 
     def rate(self, indicator: Indicator) -> float:
         if not self.n:

@@ -14,14 +14,11 @@ from .evaluate import (
     average_precision,
     best_f1_operating_point,
     evaluate_detector,
-    iter_predictions,
     match_detections,
-    predict_images,
 )
 from .features import (
     DEFAULT_GRID,
     FEATURE_DIM,
-    FEATURE_PRECISIONS,
     FeatureConfig,
     cell_bounds,
     extract_features,
@@ -55,12 +52,9 @@ __all__ = [
     "average_precision",
     "best_f1_operating_point",
     "evaluate_detector",
-    "iter_predictions",
     "match_detections",
-    "predict_images",
     "DEFAULT_GRID",
     "FEATURE_DIM",
-    "FEATURE_PRECISIONS",
     "FeatureConfig",
     "cell_bounds",
     "extract_features",

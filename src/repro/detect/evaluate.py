@@ -11,7 +11,7 @@ Implements the metrics of the paper's Table I:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +26,6 @@ from .model import Detection, NanoDetector
 #: floating-point results — are identical however the work is
 #: distributed across threads.
 EVAL_BATCH_SIZE = 16
-
-#: Images held in memory at once when evaluating an image *stream*.
-#: Large enough that fan-out chunks amortize, small enough that
-#: peak memory stays far below materializing a county's imagery.
-DEFAULT_EVAL_SHARD_SIZE = 4 * EVAL_BATCH_SIZE
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,9 @@ def _match_one_image(
     """Greedy matching for one image: (scores, is_tp) in score order.
 
     The single matching implementation shared by the batch pooling in
-    :func:`match_detections` and the streaming
-    :class:`DetectionAccumulator` — both paths append its output in
-    image order, so they build the *same* pooled arrays and any final
-    sort over them is identical.
+    :func:`match_detections` and :class:`DetectionAccumulator` — both
+    paths append its output in image order, so they build the *same*
+    pooled arrays and any final sort over them is identical.
     """
     image_scores: list = []
     image_tp: list[bool] = []
@@ -227,17 +221,16 @@ def best_f1_operating_point(
 
 
 class DetectionAccumulator:
-    """Streaming, mergeable builder of an :class:`EvaluationReport`.
+    """Image-by-image builder of an :class:`EvaluationReport`.
 
     Folds ``(image, detections)`` pairs one at a time: each image is
     matched immediately via :func:`_match_one_image` and only its
-    pooled ``(score, is_tp)`` entries are retained — O(detections),
-    never O(images × pixels).  Because entries are appended in image
-    order and the descending-score sort happens once in
-    :meth:`report`, the result is *identical* to handing the full
-    image list to :func:`match_detections`: both paths sort the same
-    pooled array with the same (unstable) ``argsort``, so even ties
-    break the same way.
+    pooled ``(score, is_tp)`` entries are retained.  Because entries
+    are appended in image order and the descending-score sort happens
+    once in :meth:`report`, the result is *identical* to handing the
+    full image list to :func:`match_detections`: both paths sort the
+    same pooled array with the same (unstable) ``argsort``, so even
+    ties break the same way.
     """
 
     def __init__(self, iou_threshold: float = 0.5) -> None:
@@ -249,7 +242,6 @@ class DetectionAccumulator:
             ind: [] for ind in ALL_INDICATORS
         }
         self._gt: dict[Indicator, int] = {ind: 0 for ind in ALL_INDICATORS}
-        self.images_seen = 0
 
     def update(
         self, image: LabeledImage, detections: list[Detection]
@@ -275,25 +267,6 @@ class DetectionAccumulator:
             )
             self._scores[indicator].extend(image_scores)
             self._tp[indicator].extend(image_tp)
-        self.images_seen += 1
-
-    def merge(self, other: "DetectionAccumulator") -> "DetectionAccumulator":
-        """Append ``other``'s pooled matches after this accumulator's.
-
-        Merging shard accumulators in shard order reproduces the pool
-        a single sequential pass would have built.
-        """
-        if other.iou_threshold != self.iou_threshold:
-            raise ValueError(
-                f"iou_threshold mismatch: {self.iou_threshold} "
-                f"vs {other.iou_threshold}"
-            )
-        for indicator in ALL_INDICATORS:
-            self._scores[indicator].extend(other._scores[indicator])
-            self._tp[indicator].extend(other._tp[indicator])
-            self._gt[indicator] += other._gt[indicator]
-        self.images_seen += other.images_seen
-        return self
 
     def report(self) -> EvaluationReport:
         per_class = {}
@@ -321,40 +294,28 @@ class DetectionAccumulator:
 def _detect_chunk(payload) -> list[list[Detection]]:
     """Fan-out task: batched detection over a chunk of images.
 
-    Every chunk shares the one model; its lazily built inference tiers
-    are deterministic, so threads that race to build one store equal
-    arrays.
+    Every chunk reads the one model at the float64 tier, which keeps
+    no lazily built state, so threads share nothing mutable.
     """
-    model, images, conf_threshold, precision = payload
+    model, images, conf_threshold = payload
     pixels = [image.render() for image in images]
-    return model.detect_batch(
-        pixels, conf_threshold=conf_threshold, precision=precision
-    )
+    return model.detect_batch(pixels, conf_threshold=conf_threshold)
 
 
 def prediction_key(
-    model: NanoDetector,
-    image: LabeledImage,
-    conf_threshold: float,
-    precision: str = "float64",
+    model: NanoDetector, image: LabeledImage, conf_threshold: float
 ) -> str:
-    """Artifact-cache key for one image's detections under one model.
-
-    The ``precision`` tier joins the key only when it is not the
-    float64 default, so every pre-existing cache entry keeps its
-    address.
-    """
+    """Artifact-cache key for one image's detections under one model."""
     from ..artifacts import fingerprint, image_fingerprint, model_fingerprint
 
-    payload = {
-        "artifact": "detections",
-        "model": model_fingerprint(model),
-        "image": image_fingerprint(image),
-        "conf_threshold": conf_threshold,
-    }
-    if precision != "float64":
-        payload["precision"] = precision
-    return fingerprint(payload)
+    return fingerprint(
+        {
+            "artifact": "detections",
+            "model": model_fingerprint(model),
+            "image": image_fingerprint(image),
+            "conf_threshold": conf_threshold,
+        }
+    )
 
 
 def _encode_detections(detections: list[Detection]) -> list:
@@ -375,31 +336,15 @@ def _decode_detections(payload: list) -> list[Detection]:
     ]
 
 
-def _shards(
-    images: Iterator[LabeledImage], shard_size: int
-) -> Iterator[list[LabeledImage]]:
-    """Cut an image stream into bounded lists."""
-    shard: list[LabeledImage] = []
-    for image in images:
-        shard.append(image)
-        if len(shard) >= shard_size:
-            yield shard
-            shard = []
-    if shard:
-        yield shard
-
-
-def _predict_shard(
+def _predict(
     model: NanoDetector,
-    images: list[LabeledImage],
+    images: Sequence[LabeledImage],
     conf_threshold: float,
     image_transform,
     workers: int | str,
     cache,
-    batch_size: int,
-    precision: str,
 ) -> list[list[Detection]]:
-    """The materialized-list prediction core (one shard at a time).
+    """Per-image detections in ``EVAL_BATCH_SIZE`` batches, in order.
 
     With ``image_transform`` set, everything runs serially in image
     order: Fig. 3's transform closes over a shared, stateful RNG, so
@@ -410,15 +355,11 @@ def _predict_shard(
     detections: list[list[Detection] | None] = [None] * len(images)
 
     if image_transform is not None:
-        for start in range(0, len(images), batch_size):
-            chunk = images[start : start + batch_size]
+        for start in range(0, len(images), EVAL_BATCH_SIZE):
+            chunk = images[start : start + EVAL_BATCH_SIZE]
             pixels = [image_transform(image.render()) for image in chunk]
             for offset, dets in enumerate(
-                model.detect_batch(
-                    pixels,
-                    conf_threshold=conf_threshold,
-                    precision=precision,
-                )
+                model.detect_batch(pixels, conf_threshold=conf_threshold)
             ):
                 detections[start + offset] = dets
         return detections
@@ -427,9 +368,7 @@ def _predict_shard(
     missing: list[int] = []
     if cache is not None:
         for index, image in enumerate(images):
-            keys[index] = prediction_key(
-                model, image, conf_threshold, precision
-            )
+            keys[index] = prediction_key(model, image, conf_threshold)
             stored = cache.get_json("predictions", keys[index])
             if stored is not None:
                 detections[index] = _decode_detections(stored)
@@ -442,16 +381,11 @@ def _predict_shard(
         from ..parallel import ParallelExecutor
 
         chunks = [
-            missing[start : start + batch_size]
-            for start in range(0, len(missing), batch_size)
+            missing[start : start + EVAL_BATCH_SIZE]
+            for start in range(0, len(missing), EVAL_BATCH_SIZE)
         ]
         payloads = [
-            (
-                model,
-                [images[index] for index in chunk],
-                conf_threshold,
-                precision,
-            )
+            (model, [images[index] for index in chunk], conf_threshold)
             for chunk in chunks
         ]
         executor = ParallelExecutor(workers=workers)
@@ -467,107 +401,14 @@ def _predict_shard(
     return detections
 
 
-def iter_predictions(
-    model: NanoDetector,
-    images: Iterable[LabeledImage],
-    conf_threshold: float,
-    image_transform=None,
-    workers: int | str = 1,
-    cache=None,
-    batch_size: int = EVAL_BATCH_SIZE,
-    shard_size: int | None = None,
-    precision: str = "float64",
-) -> Iterator[tuple[LabeledImage, list[Detection]]]:
-    """Yield ``(image, detections)`` pairs, consuming ``images`` lazily.
-
-    ``precision`` selects the inference tier (see
-    :data:`repro.detect.model.PRECISIONS`); cached detections are
-    keyed per tier so float32/int8 runs never alias float64 entries.
-
-    A list input with no ``shard_size`` is processed as one shard —
-    exactly the legacy :func:`predict_images` behavior, same batch
-    boundaries and all.  Any other iterable (or an explicit
-    ``shard_size``) is consumed in bounded shards: at most one shard
-    of rendered images is alive at a time, so a stream of a million
-    captures evaluates in O(shard_size) memory.
-
-    The shard width is rounded **up to a multiple of** ``batch_size``:
-    a stacked forward's floating-point results depend on its batch
-    shape, so image *k* must land in batch ``k // batch_size``
-    whether the stream is sharded or materialized — that alignment is
-    what makes streaming metrics byte-identical to batch metrics.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive: {batch_size}")
-    if shard_size is None and isinstance(images, (list, tuple)):
-        shards: Iterable[list[LabeledImage]] = [list(images)]
-    else:
-        requested = (
-            shard_size if shard_size is not None else DEFAULT_EVAL_SHARD_SIZE
-        )
-        if requested < 1:
-            raise ValueError(f"shard_size must be positive: {requested}")
-        width = batch_size * -(-requested // batch_size)
-        shards = _shards(iter(images), width)
-    for shard in shards:
-        results = _predict_shard(
-            model,
-            shard,
-            conf_threshold,
-            image_transform,
-            workers,
-            cache,
-            batch_size,
-            precision,
-        )
-        yield from zip(shard, results)
-
-
-def predict_images(
-    model: NanoDetector,
-    images: Iterable[LabeledImage],
-    conf_threshold: float,
-    image_transform=None,
-    workers: int | str = 1,
-    cache=None,
-    batch_size: int = EVAL_BATCH_SIZE,
-    shard_size: int | None = None,
-    precision: str = "float64",
-) -> list[list[Detection]]:
-    """Per-image detections, batched, optionally parallel and cached.
-
-    Accepts any iterable of images (see :func:`iter_predictions` for
-    the sharding rules); the returned list is necessarily O(images),
-    so callers that only need aggregate metrics over a long stream
-    should use :func:`evaluate_detector` or :func:`iter_predictions`
-    directly.
-    """
-    return [
-        detections
-        for _, detections in iter_predictions(
-            model,
-            images,
-            conf_threshold,
-            image_transform=image_transform,
-            workers=workers,
-            cache=cache,
-            batch_size=batch_size,
-            shard_size=shard_size,
-            precision=precision,
-        )
-    ]
-
-
 def evaluate_detector(
     model: NanoDetector,
-    images: Iterable[LabeledImage],
+    images: Sequence[LabeledImage],
     iou_threshold: float = 0.5,
     conf_threshold: float = 0.05,
     image_transform=None,
     workers: int | str = 1,
     cache=None,
-    shard_size: int | None = None,
-    precision: str = "float64",
 ) -> EvaluationReport:
     """Evaluate a trained detector on labeled images.
 
@@ -582,23 +423,11 @@ def evaluate_detector(
     persists per-image detections keyed by model + image content, so
     repeated evaluations of an unchanged model skip rendering and
     inference entirely.
-
-    ``images`` may be any iterable: results fold through a
-    :class:`DetectionAccumulator` image by image, so evaluating a
-    generator of a county's captures holds at most one shard (see
-    :func:`iter_predictions`) in memory and still produces a report
-    identical to the materialized-list call.
     """
     accumulator = DetectionAccumulator(iou_threshold)
-    for image, detections in iter_predictions(
-        model,
-        images,
-        conf_threshold,
-        image_transform=image_transform,
-        workers=workers,
-        cache=cache,
-        shard_size=shard_size,
-        precision=precision,
-    ):
-        accumulator.update(image, detections)
+    detections = _predict(
+        model, images, conf_threshold, image_transform, workers, cache
+    )
+    for image, image_detections in zip(images, detections):
+        accumulator.update(image, image_detections)
     return accumulator.report()

@@ -33,7 +33,9 @@ Two kernels produce the same feature layout (DESIGN.md §14):
 
 :func:`extract_features_batch` drives either kernel image by image
 over a stack while reusing one arena and writing into one
-preallocated output tensor.
+preallocated output tensor.  The tier is picked by the code that
+calls the detector, never by a user option: training, evaluation and
+calibration extract at float64, the cascade's tier 0 at float32.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ from ..parallel.arena import TensorArena
 #: Default grid resolution (16×16 cells over the image).
 DEFAULT_GRID = 16
 
-#: Supported numeric tiers for feature extraction.  ``"int8"`` is
-#: accepted as an alias of the float32 backbone — quantization applies
-#: to the MLP head (``model.py``), not to feature extraction.
-FEATURE_PRECISIONS = ("float64", "float32", "int8")
+#: Numeric tiers, each chosen by the code that calls the detector:
+#: ``float64`` is the bit-exact reference (training, evaluation,
+#: calibration and the golden fixtures), ``float32`` the
+#: tolerance-tested fast path the cascade's tier 0 runs on every image.
+PRECISIONS = ("float64", "float32")
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,9 @@ class FeatureConfig:
 
 
 def _feature_dtype(precision: str) -> np.dtype:
-    if precision not in FEATURE_PRECISIONS:
+    if precision not in PRECISIONS:
         raise ValueError(
-            f"unknown precision {precision!r}; expected one of "
-            f"{FEATURE_PRECISIONS}"
+            f"unknown precision {precision!r}; expected one of {PRECISIONS}"
         )
     return np.dtype(np.float64 if precision == "float64" else np.float32)
 
@@ -781,9 +783,8 @@ def extract_features(
     float RGB images of any square-ish resolution ≥ the grid size.
 
     ``precision`` picks the kernel tier: ``"float64"`` (default) is
-    bit-identical to the original extractor; ``"float32"`` (and its
-    alias ``"int8"``, whose quantization lives in the MLP head) runs
-    the fast kernel, tolerance-equal to float64.  ``arena``
+    bit-identical to the original extractor; ``"float32"`` runs the
+    fast kernel, tolerance-equal to float64.  ``arena``
     supplies reusable scratch buffers — pass one when extracting many
     images to stop per-image reallocation.  ``out``, when given, must
     be a C-contiguous ``(n_cells, FEATURE_DIM)`` array of the tier's
@@ -815,33 +816,23 @@ def extract_features_batch(
     config: FeatureConfig | None = None,
     *,
     precision: str = "float64",
-    arena: TensorArena | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feature tensors for an image stack, ``(N, n_cells, FEATURE_DIM)``.
 
     The batched entry point behind ``predict_cells_batch`` and tensor
     building: one arena's scratch buffers serve every image and each
-    image's features are written straight into the (preallocated)
+    image's features are written straight into the preallocated
     output stack — no per-image allocation, no ``np.stack`` copy.
     Row ``i`` is bit-identical to ``extract_features(images[i], ...)``
     at the same precision.
     """
     if config is None:
         config = FeatureConfig()
-    dtype = _feature_dtype(precision)
-    n_images = len(images)
-    if out is None:
-        out = np.empty((n_images, config.n_cells, FEATURE_DIM), dtype=dtype)
-    elif out.shape != (n_images, config.n_cells, FEATURE_DIM) or (
-        out.dtype != dtype
-    ):
-        raise ValueError(
-            f"out must be ({n_images}, {config.n_cells}, {FEATURE_DIM}) "
-            f"{dtype}, got {out.shape} {out.dtype}"
-        )
-    if arena is None:
-        arena = TensorArena()
+    out = np.empty(
+        (len(images), config.n_cells, FEATURE_DIM),
+        dtype=_feature_dtype(precision),
+    )
+    arena = TensorArena()
     for index, image in enumerate(images):
         extract_features(
             image, config, precision=precision, arena=arena, out=out[index]

@@ -15,6 +15,12 @@ confident cells into 8-connected components and turns each component
 into one detection, so the redundant per-cell predictions collapse
 without a suppression pass.  Forward and backward passes are written
 out explicitly — no autograd framework.
+
+Inference has one path: :meth:`NanoDetector.predict_cells_batch`, then
+:meth:`NanoDetector.decode_cells` per image.  It runs at one of two
+numeric tiers (:data:`PRECISIONS`), picked by the code that calls it,
+never by a user option: float64 for training, evaluation and
+calibration, float32 for the cascade's tier 0.
 """
 
 from __future__ import annotations
@@ -31,39 +37,12 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..parallel.arena import TensorArena
 from .boxes import clip_boxes, cxcywh_to_xyxy
-from .features import FeatureConfig, extract_features, extract_features_batch
+from .features import PRECISIONS, FeatureConfig, extract_features_batch
 
 N_CLASSES = len(ALL_INDICATORS)
 
 #: Outputs per class: 1 objectness logit + 4 box parameters.
 _PER_CLASS = 5
-
-#: Inference tiers, cheapest-exactness first: ``float64`` is the
-#: bit-exact reference, ``float32`` a tolerance-tested fast path, and
-#: ``int8`` a dynamically-quantized MLP forward (per-layer weight
-#: scales, per-batch activation scales) whose presence decisions agree
-#: with float64 within the benched micro-F1 delta.
-PRECISIONS = ("float64", "float32", "int8")
-
-#: int8 quantization range (symmetric).
-_QLEVELS = 127.0
-
-
-def _quantize_symmetric(
-    matrix: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-output-column symmetric int8 quantization of a weight matrix.
-
-    Returns ``(q, scale)`` with ``q`` int8-valued (stored as float32 so
-    BLAS sgemm does the integer accumulation exactly — products of
-    magnitude ≤ 127² summed over ≤ 1k terms stay below 2²⁴, float32's
-    exact-integer range) and ``matrix ≈ q * scale`` columnwise.
-    """
-    absmax = np.abs(matrix).max(axis=0)
-    scale = np.where(absmax > 0, absmax / _QLEVELS, 1.0).astype(np.float32)
-    q = np.rint(matrix / scale).astype(np.float32)
-    return q, scale
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -178,13 +157,8 @@ class NanoDetector:
     # ------------------------------------------------------------------
     # dtype-tiered inference
 
-    def _parameters(self) -> tuple:
-        return (
-            self.w1, self.b1, self.w2, self.b2, self.feat_mean, self.feat_std
-        )
-
-    def _inference_tier(self, precision: str) -> dict:
-        """Lazily built (and identity-invalidated) weights for one tier.
+    def _float32_parameters(self) -> tuple:
+        """Lazily built (and identity-invalidated) float32 weights.
 
         Keyed by the *identity* of the current parameter arrays: any
         path that installs new weights — ``initialize``, ``from_dict``,
@@ -193,49 +167,17 @@ class NanoDetector:
         references to the source arrays keeps their identities stable.
         """
         self._require_initialized()
-        cache = self.__dict__.setdefault("_tier_cache", {})
-        params = self._parameters()
-        entry = cache.get(precision)
-        if entry is not None and all(
-            cached is live for cached, live in zip(entry["params"], params)
+        params = (
+            self.w1, self.b1, self.w2, self.b2, self.feat_mean, self.feat_std
+        )
+        cached = self.__dict__.get("_float32_cache")
+        if cached is not None and all(
+            old is live for old, live in zip(cached[0], params)
         ):
-            return entry
-        if precision == "float32":
-            entry = {
-                "params": params,
-                "arrays": tuple(
-                    np.asarray(p, dtype=np.float32) for p in params
-                ),
-            }
-        elif precision == "int8":
-            w1_q, w1_scale = _quantize_symmetric(self.w1)
-            w2_q, w2_scale = _quantize_symmetric(self.w2)
-            entry = {
-                "params": params,
-                "w1_q": w1_q,
-                "w1_scale": w1_scale,
-                "w2_q": w2_q,
-                "w2_scale": w2_scale,
-                "b1": self.b1.astype(np.float32),
-                "b2": self.b2.astype(np.float32),
-                "mean": self.feat_mean.astype(np.float32),
-                "std": self.feat_std.astype(np.float32),
-            }
-        else:
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of "
-                f"{PRECISIONS}"
-            )
-        cache[precision] = entry
-        return entry
-
-    @staticmethod
-    def _quantize_activations(x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dynamic symmetric int8 activation quantization (one scale)."""
-        absmax = float(np.abs(x).max()) if x.size else 0.0
-        scale = absmax / _QLEVELS if absmax > 0 else 1.0
-        q = np.clip(np.rint(x / np.float32(scale)), -_QLEVELS, _QLEVELS)
-        return q.astype(np.float32), scale
+            return cached[1]
+        arrays = tuple(np.asarray(p, dtype=np.float32) for p in params)
+        self.__dict__["_float32_cache"] = (params, arrays)
+        return arrays
 
     def _infer_logits(self, features: np.ndarray, precision: str) -> np.ndarray:
         """Forward pass for inference at the requested numeric tier."""
@@ -243,26 +185,10 @@ class NanoDetector:
             logits, _, _ = self.forward(features)
             return logits
         if precision == "float32":
-            w1, b1, w2, b2, mean, std = self._inference_tier(precision)[
-                "arrays"
-            ]
+            w1, b1, w2, b2, mean, std = self._float32_parameters()
             x = (np.asarray(features, dtype=np.float32) - mean) / std
             hidden = np.maximum(x @ w1 + b1, np.float32(0.0))
             return hidden @ w2 + b2
-        if precision == "int8":
-            tier = self._inference_tier(precision)
-            x = (np.asarray(features, dtype=np.float32) - tier["mean"]) / (
-                tier["std"]
-            )
-            x_q, x_scale = self._quantize_activations(x)
-            hidden = (x_q @ tier["w1_q"]) * (
-                np.float32(x_scale) * tier["w1_scale"]
-            ) + tier["b1"]
-            np.maximum(hidden, np.float32(0.0), out=hidden)
-            h_q, h_scale = self._quantize_activations(hidden)
-            return (h_q @ tier["w2_q"]) * (
-                np.float32(h_scale) * tier["w2_scale"]
-            ) + tier["b2"]
         raise ValueError(
             f"unknown precision {precision!r}; expected one of {PRECISIONS}"
         )
@@ -355,66 +281,38 @@ class NanoDetector:
     # ------------------------------------------------------------------
     # inference
 
-    def predict_cells_from_features(
-        self, features: np.ndarray, precision: str = "float64"
+    def _predict_cells_from_features(
+        self, features: np.ndarray, precision: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Raw per-cell predictions from precomputed backbone features.
+        """Raw per-cell predictions from a stack of backbone features.
 
-        Accepts one image's features ``(n_cells, D)`` or a stacked
-        batch ``(N, n_cells, D)``; the whole stack goes through a
-        single forward pass, so batched inference amortizes the matmul
-        setup instead of paying it per image.  Returns
-        ``(scores (..., n_cells, C), boxes (..., n_cells, C, 4) xyxy)``
-        with the leading batch axis mirroring the input.
-
-        ``precision`` selects the numeric tier (see :data:`PRECISIONS`);
-        scores and boxes come back float64 at every tier so downstream
+        ``features`` is ``(N, n_cells, D)``; the whole stack goes
+        through a single forward pass.  Returns ``(scores (N, n_cells,
+        C), boxes (N, n_cells, C, 4) xyxy)``, float64 at either tier so
         decoding is tier-agnostic.
         """
-        features = np.asarray(
-            features,
-            dtype=np.float64 if precision == "float64" else np.float32,
-        )
-        batched = features.ndim == 3
-        flat = features.reshape(-1, features.shape[-1])
-        logits = self._infer_logits(flat, precision)
+        n_images, n_cells, dim = features.shape
+        logits = self._infer_logits(features.reshape(-1, dim), precision)
         obj_logits, box_logits = self.split_logits(logits)
         scores = sigmoid(obj_logits)
         boxes_cxcywh = sigmoid(box_logits)
-        boxes_xyxy = clip_boxes(
-            cxcywh_to_xyxy(boxes_cxcywh.reshape(-1, 4))
-        ).reshape(boxes_cxcywh.shape)
-        if batched:
-            n_images, n_cells = features.shape[0], features.shape[1]
-            scores = scores.reshape(n_images, n_cells, N_CLASSES)
-            boxes_xyxy = boxes_xyxy.reshape(n_images, n_cells, N_CLASSES, 4)
-        return scores, boxes_xyxy
-
-    def predict_cells(
-        self, image: np.ndarray, precision: str = "float64"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Raw per-cell predictions for one image.
-
-        Returns ``(scores (n_cells, C), boxes (n_cells, C, 4) xyxy)``.
-        """
-        features = extract_features(
-            image, self.config.feature_config, precision=precision
+        boxes_xyxy = clip_boxes(cxcywh_to_xyxy(boxes_cxcywh.reshape(-1, 4)))
+        return (
+            scores.reshape(n_images, n_cells, N_CLASSES),
+            boxes_xyxy.reshape(n_images, n_cells, N_CLASSES, 4),
         )
-        return self.predict_cells_from_features(features, precision=precision)
 
     def predict_cells_batch(
-        self,
-        images: Sequence[np.ndarray],
-        precision: str = "float64",
-        arena: TensorArena | None = None,
+        self, images: Sequence[np.ndarray], precision: str = "float64"
     ) -> tuple[np.ndarray, np.ndarray]:
         """Raw per-cell predictions for an image stack in one forward pass.
 
-        Returns ``(scores (N, n_cells, C), boxes (N, n_cells, C, 4))``
-        numerically identical to calling :meth:`predict_cells` per
-        image (verified by tier-1 tests).  Feature extraction shares
-        one :class:`~repro.parallel.arena.TensorArena` across the stack
-        and writes into a single preallocated tensor.
+        The detector's one forward path.  Returns ``(scores (N,
+        n_cells, C), boxes (N, n_cells, C, 4) xyxy)``; row *i* is
+        bit-identical to the one-image batch ``[images[i]]`` (verified
+        by tier-1 tests).  ``precision`` picks the tier (see
+        :data:`PRECISIONS`).  Feature extraction shares one scratch
+        arena across the stack and writes into one preallocated tensor.
         """
         if len(images) == 0:
             config = self.config.feature_config
@@ -427,36 +325,21 @@ class NanoDetector:
         metrics.inc("detect.batch.images", len(images))
         with get_tracer().span("detect.batch", images=len(images)):
             features = extract_features_batch(
-                images,
-                self.config.feature_config,
-                precision=precision,
-                arena=arena,
+                images, self.config.feature_config, precision=precision
             )
-            return self.predict_cells_from_features(
-                features, precision=precision
-            )
+            return self._predict_cells_from_features(features, precision)
 
-    def predict(
+    def detect_batch(
         self,
-        image: np.ndarray,
-        precision: str = "float64",
+        images: Sequence[np.ndarray],
         conf_threshold: float | None = None,
-    ) -> list[Detection]:
-        """Detect objects at a chosen numeric tier.
+    ) -> list[list[Detection]]:
+        """Detect objects in an image stack with one batched forward pass.
 
-        The dtype-tiered front door: ``precision="float64"`` is
-        :meth:`detect` exactly; ``"float32"`` runs backbone and head in
-        float32 (tolerance-equal); ``"int8"`` adds the quantized MLP
-        forward.  ``tests/test_detect_precision.py`` pins each tier's
-        tolerance and the int8 tier's presence F1.
-        """
-        scores, boxes = self.predict_cells(image, precision=precision)
-        return self.decode_cells(scores, boxes, conf_threshold=conf_threshold)
-
-    def detect(
-        self, image: np.ndarray, conf_threshold: float | None = None
-    ) -> list[Detection]:
-        """Detect objects in one image.
+        Decoding is per image (component labeling does not vectorize
+        across images), but the expensive part — features,
+        standardization and the two matmuls — runs once over the whole
+        stack, at the float64 reference tier.
 
         Decoding is component-based: confident cells of each class are
         grouped into 8-connected components (the analog of NMS for a
@@ -466,26 +349,19 @@ class NanoDetector:
         boxes — which is markedly more robust than trusting any single
         cell's regression.
         """
-        scores, boxes = self.predict_cells(image)
-        return self.decode_cells(scores, boxes, conf_threshold=conf_threshold)
+        scores, boxes = self.predict_cells_batch(images)
+        return [
+            self.decode_cells(
+                scores[index], boxes[index], conf_threshold=conf_threshold
+            )
+            for index in range(len(images))
+        ]
 
-    def detect_batch(
-        self,
-        images: Sequence[np.ndarray],
-        conf_threshold: float | None = None,
-        precision: str = "float64",
-    ) -> list[list[Detection]]:
-        """Detect objects in an image stack with one batched forward pass.
-
-        Decoding is per image (component labeling does not vectorize
-        across images), but the expensive part — standardization and
-        the two matmuls — runs once over the whole stack.  Results are
-        identical to calling :meth:`detect` per image.
-        """
-        detections, _ = self.detect_batch_with_scores(
-            images, conf_threshold=conf_threshold, precision=precision
-        )
-        return detections
+    def detect(
+        self, image: np.ndarray, conf_threshold: float | None = None
+    ) -> list[Detection]:
+        """Detect objects in one image: ``detect_batch([image])[0]``."""
+        return self.detect_batch([image], conf_threshold=conf_threshold)[0]
 
     @staticmethod
     def indicator_scores(scores: np.ndarray) -> np.ndarray:
@@ -498,44 +374,6 @@ class NanoDetector:
         derived from it moves with the detector's own decision rule.
         """
         return np.asarray(scores).max(axis=-2)
-
-    def detect_with_scores(
-        self, image: np.ndarray, conf_threshold: float | None = None
-    ) -> tuple[list[Detection], np.ndarray]:
-        """:meth:`detect` plus the image's per-indicator peak scores.
-
-        The detections are bit-equal to :meth:`detect` — the decoding
-        path is shared — and the second element is the ``(C,)`` peak
-        score vector (see :meth:`indicator_scores`).
-        """
-        scores, boxes = self.predict_cells(image)
-        return (
-            self.decode_cells(scores, boxes, conf_threshold=conf_threshold),
-            self.indicator_scores(scores),
-        )
-
-    def detect_batch_with_scores(
-        self,
-        images: Sequence[np.ndarray],
-        conf_threshold: float | None = None,
-        precision: str = "float64",
-    ) -> tuple[list[list[Detection]], np.ndarray]:
-        """:meth:`detect_batch` plus per-image per-indicator peak scores.
-
-        Returns ``(detections, peaks (N, C))``.  The detections are the
-        *same objects* :meth:`detect_batch` would return (one shared
-        forward + decode), so labels stay bit-equal to the existing
-        path; the peaks expose the decision margins without changing
-        any existing return type.
-        """
-        scores, boxes = self.predict_cells_batch(images, precision=precision)
-        detections = [
-            self.decode_cells(
-                scores[index], boxes[index], conf_threshold=conf_threshold
-            )
-            for index in range(len(images))
-        ]
-        return detections, self.indicator_scores(scores)
 
     def decode_cells(
         self,

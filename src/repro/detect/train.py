@@ -129,7 +129,7 @@ def _tensor_chunk(payload) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """
     images, grid, use_occupancy, config = payload
     features = extract_features_batch(
-        [image.render() for image in images], config, arena=TensorArena()
+        [image.render() for image in images], config
     )
     results = []
     for index, image in enumerate(images):

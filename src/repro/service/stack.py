@@ -267,34 +267,16 @@ class ServiceStack:
         usage meter, so cascade jobs land on the same daemon bill as
         everything else.
         """
-        from ..cascade import CascadeClassifier, fit_cascade_calibration
-        from ..core.voting import VotingEnsemble
-        from ..detect.train import TrainConfig, train_detector
-        from ..llm.paper_targets import ALL_MODEL_IDS, GPT_4O_MINI
+        from ..cascade import build_shipped_cascade
+        from ..cascade.shipped import HOLDOUT_SPLIT
+        from ..llm.paper_targets import ALL_MODEL_IDS
 
-        train_images = build_survey_dataset(n_images=160, size=256, seed=21)
-        holdout = build_survey_dataset(n_images=120, size=256, seed=33)
-        detector = train_detector(
-            train_images,
-            train_config=TrainConfig(epochs=12, batch_size=16),
-        ).model
-        calibration = fit_cascade_calibration(detector, holdout)
+        holdout = build_survey_dataset(**HOLDOUT_SPLIT)
         clients = build_clients(
             [image.scene for image in holdout],
             model_ids=tuple(ALL_MODEL_IDS),
         )
-        return CascadeClassifier(
-            detector=detector,
-            calibration=calibration,
-            scout=LLMIndicatorClassifier(clients[GPT_4O_MINI]),
-            ensemble=VotingEnsemble(
-                classifiers={
-                    model_id: LLMIndicatorClassifier(client)
-                    for model_id, client in clients.items()
-                }
-            ),
-            meter=self.usage(),
-        )
+        return build_shipped_cascade(clients, meter=self.usage())
 
     # -- lifecycle ------------------------------------------------------
 

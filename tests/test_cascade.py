@@ -204,8 +204,9 @@ class TestCascadeRouter:
         for bad in (-0.1, 0.6):
             with pytest.raises(ValueError, match="threshold"):
                 _cascade(clients, detector, calibration, threshold=bad)
-        with pytest.raises(ValueError, match="deep_factor"):
-            _cascade(clients, detector, calibration, deep_factor=0.5)
+        for retired in ("deep_factor", "precision"):
+            with pytest.raises(TypeError, match=retired):
+                _cascade(clients, detector, calibration, **{retired: 1.0})
 
     def test_stats_reject_unknown_counters(self):
         with pytest.raises(ValueError, match="unknown cascade counter"):
@@ -371,7 +372,7 @@ class TestTierZeroResolution:
     def test_input_size_f1_holds_against_640_renders(
         self, detector, calibration, holdout
     ):
-        """The int8-style accuracy gate for the smaller tier-0 renders.
+        """The accuracy gate for the smaller tier-0 renders.
 
         Tier 0 decides presence by the calibrated lean.  At the
         detector's ``input_size`` that lean must score within 0.01

@@ -148,6 +148,46 @@ def test_serve_rejects_unusable_options_as_usage_errors(tmp_path, option):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--cascade", "--cascade-threshold", "0.7"],
+        ["survey", "--cascade", "--cascade-threshold", "nan"],
+        ["cascade", "calibrate", "--cascade-threshold", "-0.1"],
+        ["survey", "--max-inflight", "0"],
+        ["survey", "--gsv-failure-rate", "1.5"],
+        ["survey", "--gsv-failure-rate", "1"],
+        ["survey", "--gsv-failure-rate", "nan"],
+        ["survey", "--locations", "-3"],
+        ["survey", "--locations", "0"],
+        ["survey", "--daily-quota", "-4"],
+        ["survey", "--min-coverage", "1.5"],
+        ["survey", "--min-coverage", "nan"],
+        ["survey", "--min-coverage", "-0.5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_survey_rejects_unusable_numbers_before_any_work(tmp_path, argv):
+    """A number the survey or cascade cannot run with is a usage error
+    (exit 2) at parse time: no detector is trained, no location is
+    surveyed, nothing is printed to stdout, and no NaN silently turns
+    the coverage gate off."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
+        timeout=60,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert f"argument {argv[-2]}:" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def _repro_lines(tmp_path, *args: str) -> list[str]:
     """Run ``python -m repro *args`` in ``tmp_path``; its stdout lines."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -198,4 +238,32 @@ def test_the_retired_bench_command_is_a_usage_error(tmp_path, argv):
         text=True,
     )
     assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--detector-precision", "int8"],
+        ["survey", "--cascade", "--detector-precision", "float32"],
+        ["cascade", "frontier", "--detector-precision", "float64"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_the_retired_detector_precision_option_is_a_usage_error(
+    tmp_path, argv
+):
+    """The cascade's tier 0 always runs float32, so the option that
+    picked its tier (and the int8 tier itself) is gone."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
+        timeout=60,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert "--detector-precision" in done.stderr
     assert "Traceback" not in done.stderr

@@ -112,50 +112,6 @@ class TestClassificationReport:
             assert counts.fp == 0 and counts.fn == 0
 
 
-class TestConfusionAccumulator:
-    """Streaming tallies must equal the batch report *exactly*."""
-
-    def _random_pairs(self, seed, n):
-        rng = np.random.default_rng(seed)
-        truths = _presences((rng.random((n, 6)) > 0.5).astype(int).tolist())
-        preds = _presences((rng.random((n, 6)) > 0.4).astype(int).tolist())
-        return truths, preds
-
-    def test_update_matches_batch_report(self):
-        from repro.core import ConfusionAccumulator
-
-        truths, preds = self._random_pairs(seed=1, n=37)
-        accumulator = ConfusionAccumulator()
-        for truth, predicted in zip(truths, preds):
-            accumulator.update(truth, predicted)
-        assert accumulator.pairs_seen == 37
-        assert accumulator.report() == ClassificationReport.from_predictions(
-            truths, preds
-        )
-
-    @given(split=st.integers(min_value=0, max_value=25))
-    @settings(max_examples=25)
-    def test_any_shard_split_merges_to_batch(self, split):
-        from repro.core import ConfusionAccumulator
-
-        truths, preds = self._random_pairs(seed=2, n=25)
-        left, right = ConfusionAccumulator(), ConfusionAccumulator()
-        left.update_many(truths[:split], preds[:split])
-        right.update_many(truths[split:], preds[split:])
-        merged = left.merge(right)
-        assert merged.report() == ClassificationReport.from_predictions(
-            truths, preds
-        )
-        assert merged.pairs_seen == 25
-
-    def test_update_many_rejects_length_mismatch(self):
-        from repro.core import ConfusionAccumulator
-
-        truths, preds = self._random_pairs(seed=3, n=4)
-        with pytest.raises(ValueError):
-            ConfusionAccumulator().update_many(truths, preds[:3])
-
-
 class TestPresenceAccumulator:
     def test_rates_equal_np_mean_exactly(self):
         from repro.core import PresenceAccumulator
@@ -170,25 +126,6 @@ class TestPresenceAccumulator:
         for indicator in ALL_INDICATORS:
             batch = float(np.mean([p[indicator] for p in presences]))
             assert accumulator.rate(indicator) == batch  # not approx: exact
-
-    def test_merge_equals_whole(self):
-        from repro.core import PresenceAccumulator
-
-        rng = np.random.default_rng(6)
-        presences = _presences(
-            (rng.random((17, 6)) > 0.5).astype(int).tolist()
-        )
-        whole = PresenceAccumulator()
-        for presence in presences:
-            whole.update(presence)
-        left, right = PresenceAccumulator(), PresenceAccumulator()
-        for presence in presences[:9]:
-            left.update(presence)
-        for presence in presences[9:]:
-            right.update(presence)
-        merged = left.merge(right)
-        assert merged.n == whole.n == 17
-        assert merged.rates() == whole.rates()
 
     def test_empty_rates_are_nan(self):
         from repro.core import PresenceAccumulator

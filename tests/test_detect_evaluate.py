@@ -106,8 +106,8 @@ class TestOperatingPoint:
         assert precision == pytest.approx(0.75)
 
 
-class TestStreamingEvaluation:
-    """Sharded/streamed prediction must be byte-identical to batch."""
+class TestParallelEvaluation:
+    """Thread fan-out must not change a single detection."""
 
     @pytest.fixture(scope="class")
     def trained(self, small_dataset):
@@ -121,55 +121,21 @@ class TestStreamingEvaluation:
         )
         return result.model, splits.test[:24]
 
-    def test_predict_images_generator_matches_list(self, trained):
-        from repro.detect import predict_images
-
-        model, images = trained
-        batch = predict_images(model, images, conf_threshold=0.05)
-        stream = predict_images(
-            model, iter(images), conf_threshold=0.05, shard_size=7
-        )
-        assert len(batch) == len(stream) == len(images)
-        for batch_dets, stream_dets in zip(batch, stream):
-            assert len(batch_dets) == len(stream_dets)
-            for a, b in zip(batch_dets, stream_dets):
-                assert a.indicator == b.indicator
-                assert a.score == b.score  # exact, not approx
-                assert np.array_equal(a.box, b.box)
-
     @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("precision", ["float64", "float32", "int8"])
-    def test_predict_images_thread_workers_match_serial(
-        self, trained, precision, workers
-    ):
+    def test_thread_workers_match_serial(self, trained, workers):
         import copy
         import sys
 
-        from repro.detect import predict_images
+        from repro.detect.evaluate import _predict
 
         model, images = trained
-        serial = predict_images(
-            copy.deepcopy(model),
-            images,
-            conf_threshold=0.05,
-            batch_size=4,
-            precision=precision,
-        )
-        # One shared model with a cold tier cache: the concurrent chunks
-        # race to build the precision tier lazily.  A short switch
-        # interval makes the threads interleave inside that build.
-        model.__dict__.pop("_tier_cache", None)
+        serial = _predict(copy.deepcopy(model), images, 0.05, None, 1, None)
+        # A short switch interval makes the threads interleave inside
+        # each chunk's forward pass.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            parallel = predict_images(
-                model,
-                images,
-                conf_threshold=0.05,
-                workers=workers,
-                batch_size=4,
-                precision=precision,
-            )
+            parallel = _predict(model, images, 0.05, None, workers, None)
         finally:
             sys.setswitchinterval(interval)
         assert len(parallel) == len(serial) == len(images)
@@ -179,48 +145,3 @@ class TestStreamingEvaluation:
                 assert got.indicator == want.indicator
                 assert got.score == want.score  # exact, not approx
                 assert got.box.tobytes() == want.box.tobytes()
-
-    @pytest.mark.parametrize("shard_size", [5, 16, 100])
-    def test_evaluate_detector_streaming_report_identical(
-        self, trained, shard_size
-    ):
-        from repro.detect import evaluate_detector
-
-        model, images = trained
-        batch = evaluate_detector(model, images)
-        stream = evaluate_detector(
-            model, iter(images), shard_size=shard_size
-        )
-        assert stream == batch  # dataclass equality: every float exact
-
-    def test_accumulator_merge_equals_sequential(self, trained):
-        from repro.detect import DetectionAccumulator, iter_predictions
-
-        model, images = trained
-        pairs = list(iter_predictions(model, images, conf_threshold=0.05))
-        whole = DetectionAccumulator()
-        for image, detections in pairs:
-            whole.update(image, detections)
-        left, right = DetectionAccumulator(), DetectionAccumulator()
-        for image, detections in pairs[:10]:
-            left.update(image, detections)
-        for image, detections in pairs[10:]:
-            right.update(image, detections)
-        merged = left.merge(right)
-        assert merged.images_seen == whole.images_seen == len(images)
-        assert merged.report() == whole.report()
-
-    def test_merge_rejects_threshold_mismatch(self):
-        from repro.detect import DetectionAccumulator
-
-        with pytest.raises(ValueError):
-            DetectionAccumulator(0.5).merge(DetectionAccumulator(0.75))
-
-    def test_invalid_shard_and_batch_sizes_rejected(self, trained):
-        from repro.detect import predict_images
-
-        model, images = trained
-        with pytest.raises(ValueError):
-            predict_images(model, images, 0.05, shard_size=0)
-        with pytest.raises(ValueError):
-            predict_images(model, images, 0.05, batch_size=0)

@@ -11,6 +11,7 @@ from repro.artifacts import model_fingerprint
 from repro.cascade import CascadeClassifier
 from repro.core.indicators import ALL_INDICATORS, Indicator
 from repro.detect import (
+    PRECISIONS,
     ModelConfig,
     NanoDetector,
     TrainConfig,
@@ -206,25 +207,56 @@ class TestBatchedInference:
         return result.model, frames
 
     def test_predict_cells_batch_matches_per_image(self, model_and_frames):
+        """Row *i* of a batch equals the one-image batch of frame *i*,
+        at either tier."""
         model, frames = model_and_frames
-        batch_scores, batch_boxes = model.predict_cells_batch(frames)
-        assert batch_scores.shape[0] == len(frames)
-        for index, frame in enumerate(frames):
-            scores, boxes = model.predict_cells(frame)
-            assert np.array_equal(batch_scores[index], scores)
-            assert np.array_equal(batch_boxes[index], boxes)
+        for precision in PRECISIONS:
+            batch_scores, batch_boxes = model.predict_cells_batch(
+                frames, precision=precision
+            )
+            assert batch_scores.shape[0] == len(frames)
+            for index, frame in enumerate(frames):
+                scores, boxes = model.predict_cells_batch(
+                    [frame], precision=precision
+                )
+                assert np.array_equal(batch_scores[index], scores[0])
+                assert np.array_equal(batch_boxes[index], boxes[0])
 
     def test_detect_batch_matches_per_image(self, model_and_frames):
         model, frames = model_and_frames
         batched = model.detect_batch(frames, conf_threshold=0.3)
         assert len(batched) == len(frames)
         for frame, detections in zip(frames, batched):
-            expected = model.detect(frame, conf_threshold=0.3)
+            [expected] = model.detect_batch([frame], conf_threshold=0.3)
             assert len(detections) == len(expected)
             for got, want in zip(detections, expected):
                 assert got.indicator == want.indicator
                 assert got.score == want.score
                 assert np.array_equal(got.box, want.box)
+
+    def test_one_inference_path(self):
+        """Batch forward, decode and peaks are the whole inference
+        surface; the tier is the caller's choice, not an option."""
+        import repro.detect
+
+        for name in (
+            "predict_cells_batch",
+            "detect_batch",
+            "detect",
+            "decode_cells",
+            "indicator_scores",
+        ):
+            assert callable(getattr(NanoDetector, name))
+        for retired in (
+            "predict_cells",
+            "predict",
+            "detect_with_scores",
+            "detect_batch_with_scores",
+            "predict_cells_from_features",
+        ):
+            assert not hasattr(NanoDetector, retired)
+        for retired in ("predict_images", "iter_predictions", "FEATURE_PRECISIONS"):
+            assert not hasattr(repro.detect, retired)
 
     def test_empty_batch_has_batched_shape(self, model_and_frames):
         model, _ = model_and_frames

@@ -1,19 +1,18 @@
-"""Dtype-tiered inference: float32 tolerance, int8 agreement, caching.
+"""Dtype-tiered inference: float32 tolerance, decisions, caching.
 
 The fused float64 kernel's bit-identity is pinned in
 ``test_detect_features.py`` and by the golden fixtures; this module
-covers the *approximate* tiers — that float32 stays within tolerance
+covers the *approximate* tier — that float32 stays within tolerance
 of float64, that tier 0's calibrated decisions do not move against the
-pre-rewrite float32 kernel (``tests/features_reference.py``), that
-int8 quantization preserves the presence decisions the cascade routes
-on, and that the per-tier weight caches invalidate when the model's
-parameters change.
+pre-rewrite float32 kernel (``tests/features_reference.py``), and that
+the float32 weight cache invalidates when the model's parameters
+change.
 """
 
 import numpy as np
 import pytest
 
-from repro.cascade.calibrate import fit_cascade_calibration, presence_matrix
+from repro.cascade.calibrate import fit_cascade_calibration
 from repro.cascade.router import DEFAULT_DEEP_FACTOR, DEFAULT_THRESHOLD
 from repro.detect import (
     ModelConfig,
@@ -24,7 +23,6 @@ from repro.detect import (
     train_detector,
 )
 from repro.gsv import build_survey_dataset
-from repro.parallel import TensorArena
 
 from .features_reference import extract_features_batch_reference
 
@@ -62,8 +60,9 @@ class TestFloat32Tolerance:
 
     def test_scores_are_float64_at_every_tier(self, tiered):
         # Decoding is tier-agnostic: scores come back float64 even
-        # when the backbone and head ran in float32/int8.
+        # when the backbone and head ran in float32.
         model, frames = tiered
+        assert PRECISIONS == ("float64", "float32")
         for precision in PRECISIONS:
             scores, boxes = model.predict_cells_batch(
                 frames[:2], precision=precision
@@ -73,122 +72,75 @@ class TestFloat32Tolerance:
 
     def test_float64_tier_is_detect_exactly(self, tiered):
         model, frames = tiered
-        for frame in frames[:3]:
-            via_predict = model.predict(frame)
+        scores, boxes = model.predict_cells_batch(frames[:3])
+        for index, frame in enumerate(frames[:3]):
+            via_cells = model.decode_cells(scores[index], boxes[index])
             via_detect = model.detect(frame)
-            assert len(via_predict) == len(via_detect)
-            for a, b in zip(via_predict, via_detect):
+            assert len(via_cells) == len(via_detect)
+            for a, b in zip(via_cells, via_detect):
                 assert a.indicator == b.indicator
                 assert a.score == b.score
                 assert np.array_equal(a.box, b.box)
 
     def test_unknown_precision_rejected(self, tiered):
         model, frames = tiered
-        with pytest.raises(ValueError, match="precision"):
-            model.predict_cells_batch(frames[:1], precision="float16")
-
-
-class TestInt8Agreement:
-    """Property: int8 quantization may perturb scores but must keep
-    the presence decisions the cascade's tier 0 is built on."""
-
-    def test_presence_decisions_agree(self, tiered):
-        model, frames = tiered
-        exact, _ = model.predict_cells_batch(frames)
-        quantized, _ = model.predict_cells_batch(frames, precision="int8")
-        exact_peaks = NanoDetector.indicator_scores(exact)
-        quant_peaks = NanoDetector.indicator_scores(quantized)
-        agreement = np.mean(
-            (exact_peaks >= 0.5) == (quant_peaks >= 0.5)
-        )
-        assert agreement >= 0.95
-        # And the peaks themselves stay close in absolute terms.
-        assert float(np.abs(quant_peaks - exact_peaks).max()) < 0.15
-
-    def test_presence_f1_within_a_point_of_float64(self):
-        """int8 presence decisions score within 0.01 micro-F1 of float64.
-
-        The detector is a wider, longer-trained one than ``tiered``: 24
-        images at hidden 64 for 6 epochs, scored on 12 held-out ones.
-        """
-        images = build_survey_dataset(n_images=48, size=256, seed=21).images
-        model = train_detector(
-            images[:24],
-            model_config=ModelConfig(hidden=64),
-            train_config=TrainConfig(epochs=6, seed=0),
-        ).model
-        held_out = images[24:36]
-        frames = [image.render() for image in held_out]
-        truths = presence_matrix(held_out).astype(bool)
-
-        def f1(precision):
-            scores, _ = model.predict_cells_batch(frames, precision=precision)
-            predicted = NanoDetector.indicator_scores(scores) >= 0.5
-            tp = int((predicted & truths).sum())
-            wrong = int((predicted != truths).sum())
-            return 2 * tp / (2 * tp + wrong)
-
-        assert abs(f1("int8") - f1("float64")) <= 0.01
-
-    def test_int8_deterministic(self, tiered):
-        model, frames = tiered
-        a, _ = model.predict_cells_batch(frames[:2], precision="int8")
-        b, _ = model.predict_cells_batch(frames[:2], precision="int8")
-        assert np.array_equal(a, b)
-
-    def test_batch_matches_per_image(self, tiered):
-        # Per-image activation scales: the quantized forward of one
-        # image cannot depend on which batch it rode in... unless the
-        # whole batch shares one dynamic scale, which it does — so pin
-        # the *decision* agreement instead of bit equality.
-        model, frames = tiered
-        batch, _ = model.predict_cells_batch(frames[:4], precision="int8")
-        for index, frame in enumerate(frames[:4]):
-            single, _ = model.predict_cells(frame, precision="int8")
-            assert np.mean(
-                (batch[index] >= 0.5) == (single >= 0.5)
-            ) >= 0.99
+        for precision in ("float16", "int8"):
+            with pytest.raises(ValueError, match="precision"):
+                model.predict_cells_batch(frames[:1], precision=precision)
 
 
 class TestTierCacheInvalidation:
-    """The float32/int8 weight caches key on parameter identity: any
-    rebind of the model's arrays must stop matching stale entries."""
+    """The float32 weight cache keys on parameter identity: any rebind
+    of the model's arrays must stop matching the stale entry."""
 
     def test_tier_cache_reused_across_calls(self, tiered):
         model, frames = tiered
         model.predict_cells_batch(frames[:1], precision="float32")
-        tier_a = model._inference_tier("float32")
+        tier_a = model._float32_parameters()
         model.predict_cells_batch(frames[:1], precision="float32")
-        tier_b = model._inference_tier("float32")
+        tier_b = model._float32_parameters()
         assert tier_a is tier_b
 
     def test_weight_rebind_invalidates_tiers(self, tiered):
         model, frames = tiered
         before, _ = model.predict_cells_batch(frames[:1], precision="float32")
-        before8, _ = model.predict_cells_batch(frames[:1], precision="int8")
         original = model.w1
         try:
             model.w1 = model.w1 * 2.0  # fresh array, new identity
             after, _ = model.predict_cells_batch(
                 frames[:1], precision="float32"
             )
-            after8, _ = model.predict_cells_batch(
-                frames[:1], precision="int8"
-            )
             assert not np.array_equal(after, before)
-            assert not np.array_equal(after8, before8)
         finally:
             model.w1 = original
 
-    def test_arena_path_matches_fresh_allocation(self, tiered):
+    def test_threads_racing_on_a_cold_cache_agree(self, tiered):
+        """Tier 0 runs on the daemon's job threads: threads that race to
+        build the float32 weights all score exactly like a serial call."""
+        import copy
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
         model, frames = tiered
-        arena = TensorArena()
-        pooled, _ = model.predict_cells_batch(
-            frames, precision="float32", arena=arena
+        serial, _ = copy.deepcopy(model).predict_cells_batch(
+            frames[:2], precision="float32"
         )
-        fresh, _ = model.predict_cells_batch(frames, precision="float32")
-        assert np.array_equal(pooled, fresh)
-        assert len(arena) > 0
+        model.__dict__.pop("_float32_cache", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(
+                        model.predict_cells_batch, frames[:2], "float32"
+                    )
+                    for _ in range(8)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for scores, _ in results:
+            assert np.array_equal(scores, serial)
 
 
 def _bands(probabilities: np.ndarray) -> np.ndarray:
@@ -228,8 +180,8 @@ class TestTier0Decisions:
             extract_features_batch_reference(pixels, config),
             extract_features_batch(pixels, config, precision="float32"),
         ):
-            scores, _ = detector.predict_cells_from_features(
-                features, precision="float32"
+            scores, _ = detector._predict_cells_from_features(
+                features, "float32"
             )
             peaks = NanoDetector.indicator_scores(scores)
             probabilities.append(calibration.probabilities(peaks))
