@@ -100,15 +100,18 @@ EXPERIMENTS.update(
 
 
 def _parse_workers(value: str) -> int | str:
-    """``--workers`` accepts an integer or the literal ``auto``."""
+    """``--workers`` accepts a non-negative integer (0 = auto) or ``auto``."""
     if value == "auto":
         return "auto"
     try:
-        return int(value)
+        workers = int(value)
     except ValueError:
+        workers = -1
+    if workers < 0:
         raise argparse.ArgumentTypeError(
-            f"workers must be an integer or 'auto', got {value!r}"
-        ) from None
+            f"workers must be a non-negative integer or 'auto', got {value!r}"
+        )
+    return workers
 
 
 def _int_at_least(low: int):

@@ -16,11 +16,13 @@ training (Fig. 2).
 Two kernels produce the same feature layout (DESIGN.md §14):
 
 * :func:`extract_features` with ``precision="float64"`` runs the
-  **fused exact kernel**: one pass over per-image scratch buffers (a
-  :class:`~repro.parallel.arena.TensorArena`), stacked blocked
-  reductions, and bit-identical output to the original multi-pass
-  extractor (kept as the test oracle ``tests/features_legacy.py`` and
-  pinned by exact-equality tests plus the golden report fixtures).
+  **fused exact kernel**: one pass over about 17 image planes of
+  per-image scratch (a :class:`~repro.parallel.arena.TensorArena`,
+  9.1 MiB at 256²), blocked reductions over a six-plane stack, color
+  fractions as integer mask counts, and bit-identical output to the
+  original multi-pass extractor (kept as the test oracle
+  ``tests/features_legacy.py`` and pinned by exact-equality tests
+  plus the golden report fixtures).
 * ``precision="float32"`` runs the **fast kernel**, which does less
   work for the same features: planar channels, a uint8 image blurred
   as exact integer sums, a difference-first Sobel (exactly zero on
@@ -156,10 +158,6 @@ _LOCAL_DIM = (
 #: above a pole from foliage above a tree trunk) + cell position.
 FEATURE_DIM = _LOCAL_DIM * 2 + 2
 
-#: Rows of the fused kernel's mean stack: r, g, b, |gx|, mag, |gy|,
-#: six orientation bins, ten color masks.
-_N_MEAN = 6 + _N_ORIENT + len(_COLOR_NAMES)
-
 #: Luminance projection (ITU-R 601), shared by both kernels.
 _GRAY_WEIGHTS = np.array([0.299, 0.587, 0.114])
 _GRAY_WEIGHTS_F32 = _GRAY_WEIGHTS.astype(np.float32).reshape(1, 3)
@@ -212,141 +210,18 @@ def _validate_image(image: np.ndarray, grid: int) -> tuple[int, int]:
 # fused kernels
 
 
-def _edge_pad_rows(dst: np.ndarray, src: np.ndarray) -> None:
-    """Fill ``dst`` (src padded by one edge row top and bottom)."""
-    dst[1:-1] = src
-    dst[0] = src[0]
-    dst[-1] = src[-1]
-
-
-def _fused_front_end(image, config, arena, tag, dtype):
-    """Elementwise stage of the fused float64 kernel.
-
-    Converts/blurs the image, computes gray/Sobel/magnitude/orientation
-    planes and the color masks, and returns ``(ms, gray, gx, gy, tmp)``
-    where ``ms`` is the ``(_N_MEAN, H, W)`` mean stack with rows
-    ``[r, g, b, |gx|, mag, |gy|, orient×6, colors×10]`` — every row a
-    contiguous plane ready for blocked or matmul reduction.
-
-    Each float64 operation replicates the exact expression and
-    evaluation order (same ufuncs, same operand order) of the legacy
-    extractor in ``tests/features_legacy.py``, only redirected into
-    arena buffers — that is the entire bit-identity argument, checked
-    by the exact-equality tests.
-    """
-    height, width = image.shape[:2]
-    rgb = arena.take(f"{tag}.rgb", (height, width, 3), dtype)
-    if image.dtype == np.uint8:
-        np.divide(image, 255.0, out=rgb)
-    else:
-        rgb[...] = image
-
-    if config.smooth:
-        # Legacy _box_blur: edge pad rows, (p0+p1+p2)/3, then columns.
-        pad_rows = arena.take(f"{tag}.padrows", (height + 2, width, 3), dtype)
-        _edge_pad_rows(pad_rows, rgb)
-        vertical = arena.take(f"{tag}.vertical", (height, width, 3), dtype)
-        np.add(pad_rows[0:height], pad_rows[1 : height + 1], out=vertical)
-        np.add(vertical, pad_rows[2 : height + 2], out=vertical)
-        np.divide(vertical, 3.0, out=vertical)
-        pad_cols = arena.take(f"{tag}.padcols", (height, width + 2, 3), dtype)
-        pad_cols[:, 1:-1] = vertical
-        pad_cols[:, 0] = vertical[:, 0]
-        pad_cols[:, -1] = vertical[:, -1]
-        np.add(pad_cols[:, 0:width], pad_cols[:, 1 : width + 1], out=rgb)
-        np.add(rgb, pad_cols[:, 2 : width + 2], out=rgb)
-        np.divide(rgb, 3.0, out=rgb)
-
-    gray = arena.take(f"{tag}.gray", (height, width), dtype)
-    np.matmul(rgb, _GRAY_WEIGHTS.astype(dtype), out=gray)
-
-    # Sobel on an edge-padded copy, replicating _sobel's exact
-    # left-to-right expression order.
-    gp = arena.take(f"{tag}.graypad", (height + 2, width + 2), dtype)
-    gp[1:-1, 1:-1] = gray
-    gp[0, 1:-1] = gray[0]
-    gp[-1, 1:-1] = gray[-1]
-    gp[:, 0] = gp[:, 1]
-    gp[:, -1] = gp[:, -2]
-    gx = arena.take(f"{tag}.gx", (height, width), dtype)
-    gy = arena.take(f"{tag}.gy", (height, width), dtype)
-    tmp = arena.take(f"{tag}.tmp", (height, width), dtype)
-    np.multiply(2.0, gp[1:-1, 2:], out=tmp)
-    np.add(gp[:-2, 2:], tmp, out=gx)
-    np.add(gx, gp[2:, 2:], out=gx)
-    np.subtract(gx, gp[:-2, :-2], out=gx)
-    np.multiply(2.0, gp[1:-1, :-2], out=tmp)
-    np.subtract(gx, tmp, out=gx)
-    np.subtract(gx, gp[2:, :-2], out=gx)
-    np.multiply(2.0, gp[2:, 1:-1], out=tmp)
-    np.add(gp[2:, :-2], tmp, out=gy)
-    np.add(gy, gp[2:, 2:], out=gy)
-    np.subtract(gy, gp[:-2, :-2], out=gy)
-    np.multiply(2.0, gp[:-2, 1:-1], out=tmp)
-    np.subtract(gy, tmp, out=gy)
-    np.subtract(gy, gp[:-2, 2:], out=gy)
-
-    ms = arena.take(f"{tag}.meanstack", (_N_MEAN, height, width), dtype)
-    r, g, b = ms[0], ms[1], ms[2]
-    r[...] = rgb[..., 0]
-    g[...] = rgb[..., 1]
-    b[...] = rgb[..., 2]
-    abs_gx, mag, abs_gy = ms[3], ms[4], ms[5]
-    np.abs(gx, out=abs_gx)
-    np.abs(gy, out=abs_gy)
-    np.hypot(gx, gy, out=mag)
-
-    # angle = np.mod(arctan2(gy, gx), pi) without the (slow) modulo
-    # ufunc: arctan2 lands in [-pi, pi], where mod reduces to "add pi
-    # when negative" — with two bit-exactness corners: an input of
-    # exactly +pi maps to 0 (fmod), while a *sum* that rounds up to pi
-    # stays pi (numpy's mod does not post-correct the addition).
-    angle = arena.take(f"{tag}.angle", (height, width), dtype)
-    np.arctan2(gy, gx, out=angle)
-    flags = arena.take(f"{tag}.flags", (height, width), bool)
-    np.equal(angle, np.pi, out=flags)
-    angle[flags] = 0.0
-    np.less(angle, 0.0, out=flags)
-    np.add(angle, np.pi, out=tmp)
-    np.copyto(angle, tmp, where=flags)
-
-    # Legacy: (angle / pi * N).astype(int) then clamp.  Truncation to
-    # int8 matches astype(int) for the value range [0, N].
-    bins = arena.take(f"{tag}.bins", (height, width), np.int8)
-    np.divide(angle, np.pi, out=tmp)
-    np.multiply(tmp, float(_N_ORIENT), out=tmp)
-    bins[...] = tmp
-    np.minimum(bins, _N_ORIENT - 1, out=bins)
-    for orient_bin in range(_N_ORIENT):
-        np.equal(bins, orient_bin, out=flags)
-        # bool × mag ≡ where(bin == o, mag, 0.0): mag is finite and
-        # non-negative, so False rows give exactly +0.0.
-        np.multiply(flags, mag, out=ms[6 + orient_bin])
-
-    value = arena.take(f"{tag}.value", (height, width), dtype)
-    spread = arena.take(f"{tag}.spread", (height, width), dtype)
-    np.maximum(r, g, out=value)
-    np.maximum(value, b, out=value)
-    np.minimum(r, g, out=spread)
-    np.minimum(spread, b, out=spread)
-    np.subtract(value, spread, out=spread)
-    masks = _color_mask_stack(r, g, b, value, spread)
-    for color_index, name in enumerate(_COLOR_NAMES):
-        ms[6 + _N_ORIENT + color_index][...] = masks[name]
-
-    return ms, gray, gx, gy, tmp
-
-
 def _assemble_output(
-    out3, config, means, stds_rgb, mag_std, mag_max, gray_max, gray_min,
-    wx, wy, tot3, arena, tag, dtype,
+    out3, config, means, orient, fractions, stds_rgb, mag_std, mag_max,
+    gray_max, gray_min, wx, wy, tot3, arena, tag, dtype,
 ):
     """Float64 back end: column layout, orientation norm, context, position.
 
-    ``means`` is the ``(_N_MEAN, grid, grid)`` blocked mean stack;
-    ``wx``/``wy``/``tot3`` are the centroid weighted sums and totals
-    for weights ``[|gx|, mag]`` (x), ``[mag, |gy|]`` (y) and
-    ``[|gx|, mag, |gy|]``.
+    ``means`` holds the cell means of ``[r, g, b, |gx|, mag, |gy|]``,
+    ``orient`` those of the six magnitude-weighted orientation bins
+    and ``fractions`` the ten color-mask fractions, each
+    ``(rows, grid, grid)``; ``wx``/``wy``/``tot3`` are the centroid
+    weighted sums and totals for weights ``[|gx|, mag]`` (x),
+    ``[mag, |gy|]`` (y) and ``[|gx|, mag, |gy|]``.
     """
     grid = config.grid
     local = out3[:, :, :_LOCAL_DIM]
@@ -358,7 +233,6 @@ def _assemble_output(
     local[..., 8] = mag_std
     local[..., 9] = mag_max
 
-    orient = means[6 : 6 + _N_ORIENT]
     totals = orient.sum(axis=0)
     ok = totals > 1e-9
     denom = totals + 1e-9
@@ -367,7 +241,7 @@ def _assemble_output(
             ok, orient[orient_bin] / denom, 0.0
         )
     for color_index in range(len(_COLOR_NAMES)):
-        local[..., 16 + color_index] = means[6 + _N_ORIENT + color_index]
+        local[..., 16 + color_index] = fractions[color_index]
     local[..., 26] = gray_max
     local[..., 27] = gray_min
 
@@ -403,44 +277,182 @@ def _assemble_output(
     out3[:, :, -1] = cols
 
 
+def _box3(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """Edge-padded 3-tap mean along ``axis`` (0 or 1) of an ``(H, W, 3)`` image.
+
+    Legacy ``_box_blur``'s ``(p[i-1] + p[i] + p[i+1]) / 3`` without its
+    padded copy, associating the edges as the padding did:
+    ``(s0 + s0) + s1`` first and ``(s[-2] + s[-1]) + s[-1]`` last
+    (:func:`_sum3` adds its last edge as ``(s[-1] + s[-1]) + s[-2]``,
+    which rounds differently).  As in :func:`_sum3`, both arrays are
+    C-contiguous and the interior is one shift-and-add over the flat
+    buffer; the taps that wrap across a row land only on the edges,
+    which are written last.
+    """
+    step = src.strides[axis] // src.itemsize
+    flat_src = src.reshape(-1)
+    inner = dst.reshape(-1)[step:-step]
+    np.add(flat_src[: -2 * step], flat_src[step:-step], out=inner)
+    np.add(inner, flat_src[2 * step :], out=inner)
+    src_t = np.moveaxis(src, axis, 0)
+    dst_t = np.moveaxis(dst, axis, 0)
+    np.add(src_t[0], src_t[0], out=dst_t[0])
+    np.add(dst_t[0], src_t[1], out=dst_t[0])
+    np.add(src_t[-2], src_t[-1], out=dst_t[-1])
+    np.add(dst_t[-1], src_t[-1], out=dst_t[-1])
+    np.divide(dst, 3.0, out=dst)
+
+
 def _fused_features_f64(image, config, arena, out) -> None:
-    """Fused exact kernel: bit-identical to the legacy extractor."""
+    """Fused exact kernel: bit-identical to the legacy extractor.
+
+    Every float64 operation replicates the expression and evaluation
+    order (same ufuncs, same operand order) of the legacy extractor in
+    ``tests/features_legacy.py``, only redirected into arena buffers;
+    the exact-equality tests check it.  Past the Sobel only the pixels
+    the grid covers are kept, as contiguous ``(ht, wt)`` planes, so
+    every cell reduction runs on a view rather than a trimmed copy.
+    Scratch is about 17 image planes: the six-plane stack
+    ``[r, g, b, |gx|, mag, |gy|]`` that the cell means, stds and
+    centroid totals pool, the interleaved RGB, three working planes
+    (the blur's vertical pass, then gx, gy and a temporary), gray and
+    its padded copy, and one plane each for the angle and for pooling.
+    """
     grid = config.grid
-    ms, gray, _gx, _gy, tmp = _fused_front_end(
-        image, config, arena, "f64", np.float64
-    )
-    out3 = out.reshape(grid, grid, FEATURE_DIM)
+    height, width = image.shape[:2]
+    ch = height // grid
+    cw = width // grid
+    ht, wt = ch * grid, cw * grid
 
-    blocked = _blocked_view(ms, grid)
-    means = blocked.mean(axis=(-3, -1))  # row 4 (mag) unused, costs 1/22
-    stds_rgb = _blocked_view(ms[0:3], grid).std(axis=(-3, -1))
-    mag_blocks = _blocked_view(ms[4], grid)
-    mag_std = mag_blocks.std(axis=(-3, -1))
-    mag_max = mag_blocks.max(axis=(-3, -1))
+    rgb = arena.take("f64.rgb", (height, width, 3))
+    if image.dtype == np.uint8:
+        np.divide(image, 255.0, out=rgb)
+    else:
+        rgb[...] = image
+        if not np.isfinite(rgb).all():
+            # A NaN angle has no orientation bin, and inf poisons the
+            # blur and the Sobel into NaN features.
+            raise ValueError("float64 features need finite pixels")
+
+    work = arena.take("f64.work", (3, height, width))
+    if config.smooth:
+        # Legacy _box_blur: rows then columns, (p0+p1+p2)/3 each.
+        vertical = work.reshape(height, width, 3)
+        _box3(rgb, vertical, axis=0)
+        _box3(vertical, rgb, axis=1)
+
+    gray = arena.take("f64.gray", (height, width))
+    np.matmul(rgb, _GRAY_WEIGHTS, out=gray)
+    stack = arena.take("f64.stack", (6, ht, wt))
+    r, g, b, abs_gx, mag, abs_gy = stack
+    for channel in range(3):
+        stack[channel] = rgb[:ht, :wt, channel]
+
+    # Sobel on an edge-padded copy, replicating _sobel's exact
+    # left-to-right expression order.
+    gp = arena.take("f64.graypad", (height + 2, width + 2))
+    gp[1:-1, 1:-1] = gray
+    gp[0, 1:-1] = gray[0]
+    gp[-1, 1:-1] = gray[-1]
+    gp[:, 0] = gp[:, 1]
+    gp[:, -1] = gp[:, -2]
+    gx, gy, tmp = work
+    np.multiply(2.0, gp[1:-1, 2:], out=tmp)
+    np.add(gp[:-2, 2:], tmp, out=gx)
+    np.add(gx, gp[2:, 2:], out=gx)
+    np.subtract(gx, gp[:-2, :-2], out=gx)
+    np.multiply(2.0, gp[1:-1, :-2], out=tmp)
+    np.subtract(gx, tmp, out=gx)
+    np.subtract(gx, gp[2:, :-2], out=gx)
+    np.multiply(2.0, gp[2:, 1:-1], out=tmp)
+    np.add(gp[2:, :-2], tmp, out=gy)
+    np.add(gy, gp[2:, 2:], out=gy)
+    np.subtract(gy, gp[:-2, :-2], out=gy)
+    np.multiply(2.0, gp[:-2, 1:-1], out=tmp)
+    np.subtract(gy, tmp, out=gy)
+    np.subtract(gy, gp[:-2, 2:], out=gy)
+    gx, gy = gx[:ht, :wt], gy[:ht, :wt]
+    np.abs(gx, out=abs_gx)
+    np.abs(gy, out=abs_gy)
+    np.hypot(gx, gy, out=mag)
+
+    # angle = np.mod(arctan2(gy, gx), pi) without the (slow) modulo
+    # ufunc: arctan2 lands in [-pi, pi], where mod reduces to "add pi
+    # when negative" — with two bit-exactness corners: an input of
+    # exactly +pi maps to 0 (fmod), while a *sum* that rounds up to pi
+    # stays pi (numpy's mod does not post-correct the addition).
+    angle = arena.take("f64.angle", (ht, wt))
+    plane = arena.take("f64.plane", (ht, wt))
+    np.arctan2(gy, gx, out=angle)
+    flags = arena.take("f64.flags", (ht, wt), bool)
+    np.equal(angle, np.pi, out=flags)
+    angle[flags] = 0.0
+    np.less(angle, 0.0, out=flags)
+    np.add(angle, np.pi, out=plane)
+    np.copyto(angle, plane, where=flags)
+
+    # Legacy: (angle / pi * N).astype(int) then clamp.  Truncation to
+    # int8 matches astype(int) for the value range [0, N].
+    bins = arena.take("f64.bins", (ht, wt), np.int8)
+    np.divide(angle, np.pi, out=plane)
+    np.multiply(plane, float(_N_ORIENT), out=plane)
+    bins[...] = plane
+    np.minimum(bins, _N_ORIENT - 1, out=bins)
+    # Each bin's where(bin == o, mag, 0.0) is pooled on its own: a
+    # per-plane blocked mean equals the stacked one (_blocked_view).
+    # bool × mag gives exactly +0.0 off the bin, as mag is finite and
+    # non-negative.
+    orient = np.empty((_N_ORIENT, grid, grid))
+    for orient_bin in range(_N_ORIENT):
+        np.equal(bins, orient_bin, out=flags)
+        np.multiply(flags, mag, out=plane)
+        orient[orient_bin] = _blocked_view(plane, grid).mean(axis=(-3, -1))
+
+    # Color fractions as mask counts: the mean of a 0/1 float64 plane
+    # sums exactly to the count and divides it by ch*cw, as this does.
+    # gx and gy are spent, so they hold value and spread.
+    value, spread = gx, gy
+    np.maximum(r, g, out=value)
+    np.maximum(value, b, out=value)
+    np.minimum(r, g, out=spread)
+    np.minimum(spread, b, out=spread)
+    np.subtract(value, spread, out=spread)
+    masks = arena.take("f64.masks", (len(_COLOR_NAMES), ht, wt), np.bool_)
+    rules = _color_mask_stack(r, g, b, value, spread)
+    for mask, name in zip(masks, _COLOR_NAMES):
+        np.copyto(mask, rules[name])
+    counts = _cell_fold(
+        np.add, masks.view(np.uint8), grid, arena, "f64.counts",
+        dtype=np.min_scalar_type(ch),
+    )
+    fractions = np.divide(counts, ch * cw, dtype=np.float64)
+
+    blocked = _blocked_view(stack, grid)
+    means = blocked.mean(axis=(-3, -1))  # row 4 (mag) unused
+    stds_rgb = blocked[0:3].std(axis=(-3, -1))
+    mag_std = blocked[4].std(axis=(-3, -1))
+    mag_max = blocked[4].max(axis=(-3, -1))
     gray_max = _blocked_view(gray, grid).max(axis=(-3, -1))
-    np.subtract(1.0, gray, out=tmp)
-    gray_min = 1.0 - _blocked_view(tmp, grid).max(axis=(-3, -1))
+    np.subtract(1.0, gray[:ht, :wt], out=plane)
+    gray_min = 1.0 - _blocked_view(plane, grid).max(axis=(-3, -1))
 
-    # Centroid sums, stacked with a leading weight axis so each
-    # reduction matches _cell_centroid's per-weight call bit for bit.
-    ch = image.shape[0] // grid
-    cw = image.shape[1] // grid
+    # Centroid sums, one weight at a time as _cell_centroid does.
     ramp_x = (np.arange(cw) + 0.5) / cw
-    ramp_y = (np.arange(ch) + 0.5) / ch
-    tot3 = _blocked_view(ms[3:6], grid).sum(axis=(-3, -1))
-    product = arena.take("f64.centprod", (2, ch * grid, cw * grid))
-    product_blocks = product.reshape(2, grid, ch, grid, cw)
-    np.multiply(_blocked_view(ms[3:5], grid), ramp_x, out=product_blocks)
-    wx = product_blocks.sum(axis=(-3, -1))
-    np.multiply(
-        _blocked_view(ms[4:6], grid),
-        ramp_y.reshape(-1, 1, 1),
-        out=product_blocks,
-    )
-    wy = product_blocks.sum(axis=(-3, -1))
+    ramp_y = ((np.arange(ch) + 0.5) / ch).reshape(-1, 1, 1)
+    tot3 = blocked[3:6].sum(axis=(-3, -1))
+    product = _blocked_view(plane, grid)
+    wx = np.empty((2, grid, grid))
+    wy = np.empty((2, grid, grid))
+    for row, weight in enumerate((3, 4)):
+        np.multiply(blocked[weight], ramp_x, out=product)
+        wx[row] = product.sum(axis=(-3, -1))
+    for row, weight in enumerate((4, 5)):
+        np.multiply(blocked[weight], ramp_y, out=product)
+        wy[row] = product.sum(axis=(-3, -1))
 
     _assemble_output(
-        out3, config, means, stds_rgb, mag_std, mag_max, gray_max, gray_min,
+        out.reshape(grid, grid, FEATURE_DIM), config, means, orient,
+        fractions, stds_rgb, mag_std, mag_max, gray_max, gray_min,
         wx, wy, tot3, arena, "f64", np.float64,
     )
 
@@ -484,7 +496,6 @@ _N_SUMMED = 10
 class _CellGeometry(NamedTuple):
     """Per-geometry constants of the float32 kernel's cell reductions."""
 
-    grid: int
     ch: int  # pixel rows per cell
     cw: int  # pixel columns per cell
     row_pool: np.ndarray  # (2, ch): ones, then the cell's y ramp
@@ -511,7 +522,7 @@ def _cell_geometry(height: int, width: int, grid: int) -> _CellGeometry:
     slot_base = (cells * _N_SLOTS).astype(np.intp)
     for array in (row_pool, col_pool, slot_base):
         array.setflags(write=False)
-    return _CellGeometry(grid, ch, cw, row_pool, col_pool, slot_base)
+    return _CellGeometry(ch, cw, row_pool, col_pool, slot_base)
 
 
 def _sum3(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
@@ -567,7 +578,7 @@ def _sobel_f32(gray, gx, gy, scratch) -> None:
     gy += scratch
 
 
-def _cell_fold(ufunc, planes, geo: _CellGeometry, arena, tag, dtype=None):
+def _cell_fold(ufunc, planes, grid: int, arena, tag, dtype=None):
     """``ufunc.reduce`` over every cell of ``(N, ht, wt)``, ``(N, grid, grid)``.
 
     Rows first: a cell's ``ch`` rows fold elementwise along the long
@@ -576,12 +587,11 @@ def _cell_fold(ufunc, planes, geo: _CellGeometry, arena, tag, dtype=None):
     per output than the whole row fold does.  ``dtype`` sets the row
     fold's accumulator; the column fold runs in float32.
     """
-    n, grid = planes.shape[0], geo.grid
-    rows = ufunc.reduce(
-        planes.reshape(n, grid, geo.ch, grid * geo.cw), axis=2, dtype=dtype
-    )
-    columns = arena.take(tag, (n, grid, geo.cw, grid), np.float32)
-    np.copyto(columns, rows.reshape(n, grid, grid, geo.cw).transpose(0, 1, 3, 2))
+    n, ht, wt = planes.shape
+    ch, cw = ht // grid, wt // grid
+    rows = ufunc.reduce(planes.reshape(n, grid, ch, wt), axis=2, dtype=dtype)
+    columns = arena.take(tag, (n, grid, cw, grid), np.float32)
+    np.copyto(columns, rows.reshape(n, grid, grid, cw).transpose(0, 1, 3, 2))
     return ufunc.reduce(columns, axis=2)
 
 
@@ -724,12 +734,12 @@ def _fused_features_f32(image, config, arena, out) -> None:
     local[3:6] = variance[0:3]
     local[8] = variance[3]
     peaks = _cell_fold(
-        np.maximum, trimmed[_MAG : _GRAY + 1], geo, arena, "f32.peaks"
+        np.maximum, trimmed[_MAG : _GRAY + 1], grid, arena, "f32.peaks"
     )
     local[9] = peaks[0]
     local[26] = peaks[1]
     local[27] = _cell_fold(
-        np.minimum, trimmed[_GRAY : _GRAY + 1], geo, arena, "f32.lows"
+        np.minimum, trimmed[_GRAY : _GRAY + 1], grid, arena, "f32.lows"
     )[0]
 
     masks = arena.take("f32.masks", (len(_COLOR_NAMES), ht, wt), np.bool_)
@@ -740,7 +750,7 @@ def _fused_features_f32(image, config, arena, out) -> None:
     # Mask counts: a cell row's count fits the row fold's small
     # unsigned type, and the float32 column fold is exact.
     counts = _cell_fold(
-        np.add, masks.view(np.uint8), geo, arena, "f32.counts",
+        np.add, masks.view(np.uint8), grid, arena, "f32.counts",
         dtype=np.min_scalar_type(ch),
     )
     np.multiply(counts, f32(1.0 / n_pixels), out=local[16:26])

@@ -1,10 +1,11 @@
 """Name-keyed reusable tensor buffers for the detector hot paths.
 
 The detector's hot loops allocate the same scratch tensors over and
-over: the fused feature kernel touches ~30 scratch images per input
-image, and the SGD loop gathers/standardizes/activates the same
-batch-shaped tensors thousands of times per training run.  Allocating those afresh
-each iteration costs both allocator time and cache locality; a
+over: the float64 feature kernel works in about 17 scratch planes per
+input image (9.1 MiB at 256²), and the SGD loop
+gathers/standardizes/activates the same batch-shaped tensors
+thousands of times per training run.  Allocating those afresh each
+iteration costs both allocator time and cache locality; a
 :class:`TensorArena` hands the same buffer back every time a call site
 asks for the same ``(name, shape, dtype)``.
 

@@ -41,6 +41,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any
 
@@ -103,12 +104,17 @@ def effective_cpu_count() -> int:
 
 
 def resolve_workers(workers: int | str | None) -> int:
-    """Normalize a worker count: ``None``/``0``/``"auto"`` → usable CPUs."""
+    """Normalize a worker count: ``None``/``0``/``"auto"`` → usable CPUs.
+
+    A negative count raises :class:`ValueError`.
+    """
     if workers is None or workers == "auto":
         return effective_cpu_count()
     if isinstance(workers, str):
         raise ValueError(f"workers must be an int or 'auto': {workers!r}")
-    if workers <= 0:
+    if workers < 0:
+        raise ValueError(f"workers must be non-negative: {workers!r}")
+    if workers == 0:
         return effective_cpu_count()
     return workers
 
@@ -121,7 +127,8 @@ class ParallelExecutor:
     workers:
         Worker count; ``None``, ``0``, or ``"auto"`` resolves to
         :func:`effective_cpu_count` (production default), ``1`` runs
-        serially, more runs a thread pool of that size.
+        serially, more runs a thread pool of that size; a negative
+        count raises :class:`ValueError`.
     max_in_flight:
         Maximum tasks submitted but not yet consumed; defaults to
         ``2 × workers``.  Bounds memory on huge surveys.
@@ -182,8 +189,15 @@ class ParallelExecutor:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
     ) -> list[Any]:
-        """Run all tasks and unwrap their values, re-raising the first error."""
-        return [outcome.result() for outcome in self.imap(fn, items)]
+        """Run all tasks and unwrap their values, re-raising the first error.
+
+        The pool is shut down before the error propagates.  Left to the
+        garbage collector, the abandoned generator would join its pool
+        from whichever thread triggers the collection, and one that
+        collects inside ``threading`` start-up deadlocks on its lock.
+        """
+        with closing(self.imap(fn, items)) as outcomes:
+            return [outcome.result() for outcome in outcomes]
 
     # ------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Reference for the float32 feature kernel: the BLAS-pooled version.
 
 The float32 kernel as it was before its rewrite: the float64 kernel's
-interleaved front end run at float32 (``np.hypot``, six orientation
-planes, ten float mask planes) and every cell mean pooled by dense
-pooling-matrix sgemms.  It is slower and kept only as the oracle the
+old interleaved front end (:func:`_fused_front_end`, kept here) run at
+float32 (``np.hypot``, six orientation planes, ten float mask planes)
+and every cell mean pooled by dense pooling-matrix sgemms.  It is slower and kept only as the oracle the
 rewritten kernel is timed and judged against
 (``tests/test_detect_precision.py``): tier-0 calibrated probabilities
 and routing bands must not move between the two.
@@ -17,15 +17,142 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.detect.features import (
-    _N_MEAN,
+    _COLOR_NAMES,
+    _GRAY_WEIGHTS,
+    _N_ORIENT,
     FEATURE_DIM,
     FeatureConfig,
     _assemble_output,
     _blocked_view,
-    _fused_front_end,
+    _color_mask_stack,
     _validate_image,
 )
 from repro.parallel import TensorArena
+
+#: Rows of the mean stack: r, g, b, |gx|, mag, |gy|, six orientation
+#: bins, ten color masks.
+_N_MEAN = 6 + _N_ORIENT + len(_COLOR_NAMES)
+
+
+def _edge_pad_rows(dst: np.ndarray, src: np.ndarray) -> None:
+    """Fill ``dst`` (src padded by one edge row top and bottom)."""
+    dst[1:-1] = src
+    dst[0] = src[0]
+    dst[-1] = src[-1]
+
+
+def _fused_front_end(image, config, arena, tag, dtype):
+    """Elementwise stage: the float64 kernel's old front end at ``dtype``.
+
+    Converts/blurs the image, computes gray/Sobel/magnitude/orientation
+    planes and the color masks, and returns ``(ms, gray, gx, gy, tmp)``
+    where ``ms`` is the ``(_N_MEAN, H, W)`` mean stack with rows
+    ``[r, g, b, |gx|, mag, |gy|, orient×6, colors×10]`` — every row a
+    contiguous plane ready for matmul reduction.  Each operation is the
+    legacy extractor's expression (``tests/features_legacy.py``) in the
+    same evaluation order, redirected into arena buffers.
+    """
+    height, width = image.shape[:2]
+    rgb = arena.take(f"{tag}.rgb", (height, width, 3), dtype)
+    if image.dtype == np.uint8:
+        np.divide(image, 255.0, out=rgb)
+    else:
+        rgb[...] = image
+
+    if config.smooth:
+        # Legacy _box_blur: edge pad rows, (p0+p1+p2)/3, then columns.
+        pad_rows = arena.take(f"{tag}.padrows", (height + 2, width, 3), dtype)
+        _edge_pad_rows(pad_rows, rgb)
+        vertical = arena.take(f"{tag}.vertical", (height, width, 3), dtype)
+        np.add(pad_rows[0:height], pad_rows[1 : height + 1], out=vertical)
+        np.add(vertical, pad_rows[2 : height + 2], out=vertical)
+        np.divide(vertical, 3.0, out=vertical)
+        pad_cols = arena.take(f"{tag}.padcols", (height, width + 2, 3), dtype)
+        pad_cols[:, 1:-1] = vertical
+        pad_cols[:, 0] = vertical[:, 0]
+        pad_cols[:, -1] = vertical[:, -1]
+        np.add(pad_cols[:, 0:width], pad_cols[:, 1 : width + 1], out=rgb)
+        np.add(rgb, pad_cols[:, 2 : width + 2], out=rgb)
+        np.divide(rgb, 3.0, out=rgb)
+
+    gray = arena.take(f"{tag}.gray", (height, width), dtype)
+    np.matmul(rgb, _GRAY_WEIGHTS.astype(dtype), out=gray)
+
+    # Sobel on an edge-padded copy, replicating _sobel's exact
+    # left-to-right expression order.
+    gp = arena.take(f"{tag}.graypad", (height + 2, width + 2), dtype)
+    gp[1:-1, 1:-1] = gray
+    gp[0, 1:-1] = gray[0]
+    gp[-1, 1:-1] = gray[-1]
+    gp[:, 0] = gp[:, 1]
+    gp[:, -1] = gp[:, -2]
+    gx = arena.take(f"{tag}.gx", (height, width), dtype)
+    gy = arena.take(f"{tag}.gy", (height, width), dtype)
+    tmp = arena.take(f"{tag}.tmp", (height, width), dtype)
+    np.multiply(2.0, gp[1:-1, 2:], out=tmp)
+    np.add(gp[:-2, 2:], tmp, out=gx)
+    np.add(gx, gp[2:, 2:], out=gx)
+    np.subtract(gx, gp[:-2, :-2], out=gx)
+    np.multiply(2.0, gp[1:-1, :-2], out=tmp)
+    np.subtract(gx, tmp, out=gx)
+    np.subtract(gx, gp[2:, :-2], out=gx)
+    np.multiply(2.0, gp[2:, 1:-1], out=tmp)
+    np.add(gp[2:, :-2], tmp, out=gy)
+    np.add(gy, gp[2:, 2:], out=gy)
+    np.subtract(gy, gp[:-2, :-2], out=gy)
+    np.multiply(2.0, gp[:-2, 1:-1], out=tmp)
+    np.subtract(gy, tmp, out=gy)
+    np.subtract(gy, gp[:-2, 2:], out=gy)
+
+    ms = arena.take(f"{tag}.meanstack", (_N_MEAN, height, width), dtype)
+    r, g, b = ms[0], ms[1], ms[2]
+    r[...] = rgb[..., 0]
+    g[...] = rgb[..., 1]
+    b[...] = rgb[..., 2]
+    abs_gx, mag, abs_gy = ms[3], ms[4], ms[5]
+    np.abs(gx, out=abs_gx)
+    np.abs(gy, out=abs_gy)
+    np.hypot(gx, gy, out=mag)
+
+    # angle = np.mod(arctan2(gy, gx), pi) without the (slow) modulo
+    # ufunc: arctan2 lands in [-pi, pi], where mod reduces to "add pi
+    # when negative" — with two bit-exactness corners: an input of
+    # exactly +pi maps to 0 (fmod), while a *sum* that rounds up to pi
+    # stays pi (numpy's mod does not post-correct the addition).
+    angle = arena.take(f"{tag}.angle", (height, width), dtype)
+    np.arctan2(gy, gx, out=angle)
+    flags = arena.take(f"{tag}.flags", (height, width), bool)
+    np.equal(angle, np.pi, out=flags)
+    angle[flags] = 0.0
+    np.less(angle, 0.0, out=flags)
+    np.add(angle, np.pi, out=tmp)
+    np.copyto(angle, tmp, where=flags)
+
+    # Legacy: (angle / pi * N).astype(int) then clamp.  Truncation to
+    # int8 matches astype(int) for the value range [0, N].
+    bins = arena.take(f"{tag}.bins", (height, width), np.int8)
+    np.divide(angle, np.pi, out=tmp)
+    np.multiply(tmp, float(_N_ORIENT), out=tmp)
+    bins[...] = tmp
+    np.minimum(bins, _N_ORIENT - 1, out=bins)
+    for orient_bin in range(_N_ORIENT):
+        np.equal(bins, orient_bin, out=flags)
+        # bool × mag ≡ where(bin == o, mag, 0.0): mag is finite and
+        # non-negative, so False rows give exactly +0.0.
+        np.multiply(flags, mag, out=ms[6 + orient_bin])
+
+    value = arena.take(f"{tag}.value", (height, width), dtype)
+    spread = arena.take(f"{tag}.spread", (height, width), dtype)
+    np.maximum(r, g, out=value)
+    np.maximum(value, b, out=value)
+    np.minimum(r, g, out=spread)
+    np.minimum(spread, b, out=spread)
+    np.subtract(value, spread, out=spread)
+    masks = _color_mask_stack(r, g, b, value, spread)
+    for color_index, name in enumerate(_COLOR_NAMES):
+        ms[6 + _N_ORIENT + color_index][...] = masks[name]
+
+    return ms, gray, gx, gy, tmp
 
 
 class _PoolingOperators(NamedTuple):
@@ -123,8 +250,9 @@ def _features_f32(image, config, arena, out) -> None:
     np.matmul(wy_rows, ops.col_sum, out=wy)
 
     _assemble_output(
-        out3, config, means, stds_rgb, mag_std, mag_max, gray_max, gray_min,
-        wx, wy, tot3, arena, "ref", np.float32,
+        out3, config, means[0:6], means[6 : 6 + _N_ORIENT],
+        means[6 + _N_ORIENT :], stds_rgb, mag_std, mag_max, gray_max,
+        gray_min, wx, wy, tot3, arena, "ref", np.float32,
     )
 
 

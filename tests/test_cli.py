@@ -164,6 +164,8 @@ def test_serve_rejects_unusable_options_as_usage_errors(tmp_path, option):
         ["survey", "--min-coverage", "1.5"],
         ["survey", "--min-coverage", "nan"],
         ["survey", "--min-coverage", "-0.5"],
+        ["survey", "--workers", "-1"],
+        ["table1", "--scale", "smoke", "--workers", "-3"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -251,6 +251,49 @@ class TestFusedKernelExactEquality:
                 extract_features_legacy(image, config),
             )
 
+    @pytest.mark.parametrize(
+        "shape,grid",
+        [
+            ((520, 61), 2),  # 260-row cells, one trimmed column
+            ((67, 53), 2),
+            ((131, 97), 12),
+            ((100, 150), 12),
+        ],
+    )
+    @pytest.mark.parametrize("as_uint8", [True, False])
+    def test_fused_matches_legacy_on_tall_and_trimmed_cells(
+        self, shape, grid, as_uint8
+    ):
+        # The left third is flat sky, so the sky mask holds down whole
+        # cell columns: a cell taller than 255 rows overflows a uint8
+        # row count.  The grids leave rows and columns trimmed.
+        rng = np.random.default_rng(sum(shape) + grid)
+        image = rng.uniform(size=(*shape, 3))
+        image[:, : shape[1] // 3] = (0.3, 0.5, 0.9)
+        if as_uint8:
+            image = (image * 255).astype(np.uint8)
+        for smooth in (True, False):
+            config = FeatureConfig(grid=grid, smooth=smooth)
+            assert np.array_equal(
+                extract_features(image, config),
+                extract_features_legacy(image, config),
+            )
+
+    def test_scratch_is_about_seventeen_planes(self):
+        # About 17 planes of 0.5 MiB each at 256²: a float64 mask or
+        # orientation plane per channel would take twice that.
+        arena = TensorArena()
+        image = np.zeros((256, 256, 3), dtype=np.uint8)
+        extract_features(image, FeatureConfig(grid=16), arena=arena)
+        assert arena.nbytes <= 11 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_pixels_rejected(self, bad):
+        image = np.full((64, 64, 3), 0.5)
+        image[3, 4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            extract_features(image, FeatureConfig(grid=8))
+
     def test_batch_rows_match_per_image_calls(self):
         rng = np.random.default_rng(7)
         config = FeatureConfig(grid=8)

@@ -49,6 +49,14 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             resolve_workers("many")
 
+    @pytest.mark.parametrize("workers", [-1, -3])
+    def test_negative_counts_rejected(self, workers):
+        # A negative count is a mistake, not a request for every core.
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_workers(workers)
+        with pytest.raises(ValueError, match="non-negative"):
+            ParallelExecutor(workers=workers)
+
     def test_effective_cpu_count_positive(self):
         assert effective_cpu_count() >= 1
 
@@ -123,6 +131,16 @@ class TestParallelExecutor:
             ParallelExecutor(workers=2).map_results(
                 _fail_on_three, list(range(6))
             )
+
+    def test_map_results_joins_its_pool_before_reraising(self):
+        # The pool must not wait for the garbage collector: a collection
+        # that closes it inside another thread's start-up deadlocks.
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="boom at 3"):
+            ParallelExecutor(workers=2).map_results(
+                _fail_on_three, list(range(6))
+            )
+        assert threading.active_count() == before
 
 
 class TestTokenBucketThreadSafety:
